@@ -8,11 +8,8 @@
 //	curl -s localhost:8380/healthz
 //	curl -s -X POST localhost:8380/mine -d '{"dataset":"gazelle","algorithm":"UApriori","min_esup":0.005}'
 //
-// Load-benchmark mode (writes BENCH_server.json, the partitioned cold-mine
-// comparison BENCH_partition.json, and the incremental-maintenance
-// comparison BENCH_incremental.json, then exits):
-//
-//	userve -loadbench -bench_out BENCH_server.json -bench_partition_out BENCH_partition.json
+// Load benchmarks live in perfbench/ (see perfbench/README.md and
+// BENCHMARK.json), which drives the same server package over loopback HTTP.
 package main
 
 import (
@@ -58,23 +55,6 @@ func main() {
 		slowlog      = flag.Duration("slowlog", 0, "log any mine exceeding this duration as one JSON line with its span breakdown (0 = disabled)")
 		loglevel     = flag.String("loglevel", "info", "minimum log level: debug, info, warn, error")
 		pprof        = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-
-		loadbench        = flag.Bool("loadbench", false, "run the closed-loop load benchmark instead of serving, write the reports and exit")
-		benchOut         = flag.String("bench_out", "BENCH_server.json", "load benchmark report file")
-		benchPartOut     = flag.String("bench_partition_out", "BENCH_partition.json", "partitioned cold-mine benchmark report file")
-		benchProfile     = flag.String("bench_profile", "gazelle", "load benchmark dataset profile")
-		benchScale       = flag.Float64("bench_scale", 0.05, "load benchmark profile scale")
-		benchAlgo        = flag.String("bench_algo", "UApriori", "load benchmark algorithm")
-		benchMinESup     = flag.Float64("bench_min_esup", 0.003, "load benchmark min_esup")
-		benchClients     = flag.String("bench_clients", "1,8,64", "load benchmark concurrency levels")
-		benchRequests    = flag.Int("bench_requests", 128, "load benchmark requests per level")
-		benchPartition   = flag.String("bench_partitions", "1,4", "partition counts compared by the partition benchmark (the K=1 entry is the single-shot baseline)")
-		benchPartAlgo    = flag.String("bench_partition_algo", "", "partition benchmark algorithm (default DPNB: phase 1 replaces the per-candidate DP verification with cheap partition-local candidate mines)")
-		benchPartProfile = flag.String("bench_partition_profile", "", "partition benchmark dataset profile (default accident, the verification-dominated regime)")
-		benchPartScale   = flag.Float64("bench_partition_scale", 0, "partition benchmark profile scale (default 0.01)")
-		benchIncOut      = flag.String("bench_incremental_out", "BENCH_incremental.json", "incremental-maintenance benchmark report file")
-		benchIncRounds   = flag.Int("bench_ingest_rounds", 0, "incremental benchmark ingest rounds (default 9)")
-		benchIncBatch    = flag.Int("bench_ingest_batch", 0, "incremental benchmark transactions per ingest (default 2)")
 	)
 	flag.Parse()
 
@@ -84,19 +64,6 @@ func main() {
 		os.Exit(1)
 	}
 	logger = telemetry.NewLogger(os.Stderr, "userve", level)
-
-	if *loadbench {
-		if err := runLoadBench(*benchOut, *benchProfile, *benchScale, *benchAlgo, *benchMinESup, *benchClients, *benchRequests, *workers); err != nil {
-			fatal(err)
-		}
-		if err := runPartitionBench(*benchPartOut, *benchPartProfile, *benchPartScale, *benchPartAlgo, *benchPartition, *workers); err != nil {
-			fatal(err)
-		}
-		if err := runIncrementalBench(*benchIncOut, *benchIncRounds, *benchIncBatch, *workers); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	shardCount, shardAddrs, err := parseShards(*shards)
 	if err != nil {
@@ -260,100 +227,6 @@ func preloadProfiles(srv *umine.Server, specs string, window, shards int) error 
 		}
 		logger.Info("preloaded dataset", "dataset", info.Name, "transactions", info.NumTrans, "items", info.NumItems)
 	}
-	return nil
-}
-
-// runLoadBench executes the benchmark and writes the report.
-func runLoadBench(out, profile string, scale float64, alg string, minESup float64, clients string, requests, workers int) error {
-	var levels []int
-	for _, f := range strings.Split(clients, ",") {
-		c, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || c <= 0 {
-			return fmt.Errorf("userve: bad -bench_clients %q", clients)
-		}
-		levels = append(levels, c)
-	}
-	report, err := umine.RunServerLoadBench(umine.LoadBenchConfig{
-		Profile:   profile,
-		Scale:     scale,
-		Algorithm: alg,
-		MinESup:   minESup,
-		Levels:    levels,
-		Requests:  requests,
-		Workers:   workers,
-		Log:       os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := report.WriteJSON(f); err != nil {
-		return err
-	}
-	logger.Info("wrote report", "file", out)
-	return nil
-}
-
-// runPartitionBench executes the partitioned cold-mine benchmark (K=1
-// baseline vs partitioned mines) and writes its report.
-func runPartitionBench(out, profile string, scale float64, alg, partitions string, workers int) error {
-	var ks []int
-	for _, f := range strings.Split(partitions, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || k <= 0 {
-			return fmt.Errorf("userve: bad -bench_partitions %q", partitions)
-		}
-		ks = append(ks, k)
-	}
-	report, err := umine.RunServerPartitionBench(umine.PartitionBenchConfig{
-		Profile:   profile,
-		Scale:     scale,
-		Algorithm: alg,
-		Ks:        ks,
-		Workers:   workers,
-		Log:       os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := report.WriteJSON(f); err != nil {
-		return err
-	}
-	logger.Info("wrote report", "file", out)
-	return nil
-}
-
-// runIncrementalBench executes the incremental-maintenance benchmark (a
-// continuous query's ingest→notification latency against the cold re-mine
-// of the same query) and writes its report.
-func runIncrementalBench(out string, rounds, batch, workers int) error {
-	report, err := umine.RunServerIncrementalBench(umine.IncrementalBenchConfig{
-		Rounds:  rounds,
-		Batch:   batch,
-		Workers: workers,
-		Log:     os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := report.WriteJSON(f); err != nil {
-		return err
-	}
-	logger.Info("wrote report", "file", out)
 	return nil
 }
 

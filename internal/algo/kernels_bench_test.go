@@ -3,12 +3,10 @@ package algo
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"testing"
 	"time"
 
@@ -28,13 +26,12 @@ import (
 //     borderline and wide candidate shapes;
 //   - cold mines with the work-stealing scheduler on vs off (UH-Mine, the
 //     subtree-recursion family the scheduler exists for);
-//   - the gated end-to-end number: the accident @ 0.01 DPNB cold mine at
-//     GOMAXPROCS ≥ 4, which must beat the committed BENCH_partition.json
-//     unpartitioned baseline (BENCH_PARTITION_BASELINE points at it).
+//   - the accident @ 0.01 DPNB cold mine at GOMAXPROCS ≥ 4, recorded for
+//     reference; perfbench's cold-exact workload runs the same mine and is
+//     what guards it against regressions (see BENCHMARK.json).
 //
 // TestWriteKernelsBench (gated by BENCH_KERNELS_OUT) writes the JSON
-// document; the *_p50_ms fields are what scripts/benchgate compares against
-// the committed baseline on every bench-gate run.
+// document.
 
 // kernelsBandReport is one postings-density row of BENCH_kernels.json.
 type kernelsBandReport struct {
@@ -80,15 +77,13 @@ type kernelsBenchReport struct {
 	StealOnColdP50MS  float64 `json:"steal_on_cold_p50_ms"`
 	StealOffColdP50MS float64 `json:"steal_off_cold_p50_ms"`
 
-	// The gated end-to-end number: accident @ 0.01 DPNB (verification-
-	// dominated) with every kernel enabled, against the committed
-	// unpartitioned BENCH_partition.json baseline.
+	// The end-to-end number: accident @ 0.01 DPNB (verification-dominated)
+	// with every kernel enabled.
 	DPNBProfile     string       `json:"dpnb_profile"`
 	DPNBScale       float64      `json:"dpnb_scale"`
 	DPNBMinSup      float64      `json:"dpnb_min_sup"`
 	DPNBPFT         float64      `json:"dpnb_pft"`
 	DPNBColdP50MS   float64      `json:"dpnb_cold_p50_ms"`
-	PartitionP50MS  float64      `json:"partition_baseline_cold_p50_ms,omitempty"`
 	BenchGOMAXPROCS int          `json:"bench_gomaxprocs"`
 	GOMAXPROCS      int          `json:"gomaxprocs"`
 	Env             benchenv.Env `json:"env"`
@@ -347,12 +342,7 @@ func TestWriteKernelsBench(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	report.BenchGOMAXPROCS = procs
 
-	runs := 5
-	if s := os.Getenv("BENCH_KERNELS_COLD_RUNS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			runs = v
-		}
-	}
+	const runs = 5
 	report.ColdRuns = runs
 
 	// Steal on vs off: UH-Mine, whose below-first-level subtree recursion is
@@ -365,25 +355,12 @@ func TestWriteKernelsBench(t *testing.T) {
 		core.Options{Workers: -1, Exec: core.ExecTuning{DisableSteal: true}}, stealDB, stealTh, runs)
 	t.Logf("UH-Mine cold p50: steal on %.2fms, steal off %.2fms", report.StealOnColdP50MS, report.StealOffColdP50MS)
 
-	// The gated end-to-end number, same workload as BENCH_partition.json's
-	// unpartitioned (k=1) level.
+	// The end-to-end number, same mine as perfbench's cold-exact workload.
 	report.DPNBProfile, report.DPNBScale, report.DPNBMinSup, report.DPNBPFT = "accident", 0.01, 0.2, 0.7
 	dpnbDB := dataset.Accident.GenerateUncertain(report.DPNBScale, 1)
 	report.DPNBColdP50MS = coldMineP50(t, "DPNB", core.Options{Workers: -1}, dpnbDB,
 		core.Thresholds{MinSup: report.DPNBMinSup, PFT: report.DPNBPFT}, runs)
 	t.Logf("DPNB cold p50: %.2fms", report.DPNBColdP50MS)
-
-	if basePath := os.Getenv("BENCH_PARTITION_BASELINE"); basePath != "" {
-		baseline, err := partitionUnpartitionedP50(basePath)
-		if err != nil {
-			t.Fatalf("reading partition baseline: %v", err)
-		}
-		report.PartitionP50MS = baseline
-		if report.DPNBColdP50MS >= baseline {
-			t.Errorf("DPNB cold-mine p50 %.2fms does not beat the committed partition baseline %.2fms",
-				report.DPNBColdP50MS, baseline)
-		}
-	}
 
 	f, err := os.Create(out)
 	if err != nil {
@@ -396,29 +373,4 @@ func TestWriteKernelsBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", out)
-}
-
-// partitionUnpartitionedP50 reads the committed BENCH_partition.json and
-// returns its unpartitioned (k=1) cold-mine p50 — the baseline the DPNB
-// number is gated against.
-func partitionUnpartitionedP50(path string) (float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var doc struct {
-		Levels []struct {
-			K         int     `json:"k"`
-			ColdP50MS float64 `json:"cold_p50_ms"`
-		} `json:"levels"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
-	for _, lvl := range doc.Levels {
-		if lvl.K == 1 {
-			return lvl.ColdP50MS, nil
-		}
-	}
-	return 0, fmt.Errorf("%s: no k=1 level", path)
 }

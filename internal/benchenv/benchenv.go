@@ -1,7 +1,8 @@
 // Package benchenv captures the execution environment of a benchmark run.
-// Every BENCH_*.json report embeds one Env so a regression flagged by the
-// bench gate can be told apart from a hardware or toolchain change: two
-// reports are only comparable when their environments are.
+// Every benchmark report (the BENCH_*.json micro-benchmark files and the
+// perfbench result line, see perfbench/README.md and BENCHMARK.json) embeds
+// one Env so a slower number can be told apart from a hardware or toolchain
+// change: two reports are only comparable when their environments are.
 package benchenv
 
 import (

@@ -33,8 +33,9 @@
 //
 // The emission re-mine prices like the partition engine's phase 2 — a
 // restricted verification pass instead of a full candidate search — which
-// is the measured ~5-6× under a cold mine on verification-dominated
-// workloads (BENCH_partition.json), while the delta scan itself is
+// is the measured ~6× under a cold mine on verification-dominated
+// workloads (perfbench/README.md: ingest-notify's incmine.update_ms against
+// cold-exact's mine of the same DPNB query), while the delta scan itself is
 // microseconds per tracked itemset.
 //
 // # Fallbacks

@@ -192,14 +192,13 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestRequest is the POST /ingest body; transactions are item:prob lines.
-// The batched form ("transactions") applies the whole array under one
-// snapshot swap — one version bump, one cache invalidation, one refresh
-// kick — regardless of batch size; the original single-transaction form
-// ("transaction") still works and may be combined with a batch.
+// The whole array is applied under one snapshot swap — one version bump,
+// one cache invalidation, one refresh kick — regardless of batch size. A
+// missing or empty array is a 400, so a body in any other shape is never
+// acknowledged as a successful no-op.
 type ingestRequest struct {
 	Dataset      string   `json:"dataset"`
 	Transactions []string `json:"transactions"`
-	Transaction  string   `json:"transaction,omitempty"`
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -210,11 +209,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	lines := req.Transactions
-	if req.Transaction != "" {
-		lines = append(lines, req.Transaction)
+	if len(req.Transactions) == 0 {
+		writeError(w, http.StatusBadRequest, errors.New(`ingest body needs a non-empty "transactions" array`))
+		return
 	}
-	raw, err := parseTransactionLines(lines)
+	raw, err := parseTransactionLines(req.Transactions)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -21,9 +21,9 @@
 //   - singleflight.go — identical concurrent queries mine once and share
 //     the result;
 //   - http.go — the HTTP/JSON surface (/datasets, /mine, /ingest,
-//     /healthz, /stats) reusing the core result-set codecs;
-//   - loadbench.go — the closed-loop load benchmark behind
-//     `userve -loadbench` and BENCH_server.json.
+//     /healthz, /stats) reusing the core result-set codecs.
+//
+// The repo benchmark (perfbench/) drives this package over loopback HTTP.
 package server
 
 import (

@@ -174,39 +174,38 @@ func TestSubscribeHTTPSSE(t *testing.T) {
 	}
 }
 
-// TestIngestSingularTransactionForm keeps the original one-transaction
-// /ingest body working alongside the batched array form.
+// TestIngestSingularTransactionForm: /ingest takes only the batched
+// "transactions" array. A body in the retired single-transaction form, or
+// with the array missing or empty, is a 400 that leaves the dataset alone,
+// so an old client's write is never acknowledged and silently dropped.
 func TestIngestSingularTransactionForm(t *testing.T) {
 	s := newTestServer(t, testDB(t))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/ingest", "application/json",
-		strings.NewReader(`{"dataset":"d","transaction":"0:0.5 3:0.25"}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, body := range []string{
+		`{"dataset":"d","transaction":"0:0.5 3:0.25"}`,
+		`{"dataset":"d"}`,
+		`{"dataset":"d","transactions":[]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("ingest %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
 	}
-	defer resp.Body.Close()
-	var res IngestResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Ingests != 0 {
+		t.Errorf("rejected ingests counted: %d, want 0", st.Ingests)
 	}
-	if res.Added != 1 || res.Version != 1 {
-		t.Fatalf("singular ingest = %+v, want 1 added in one version bump", res)
+	info, ok := s.Dataset("d")
+	if !ok {
+		t.Fatal("dataset d missing")
 	}
-
-	// Both forms combine: the singular transaction rides the batch.
-	resp2, err := http.Post(ts.URL+"/ingest", "application/json",
-		strings.NewReader(`{"dataset":"d","transactions":["1:0.5"],"transaction":"2:0.5"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if err := json.NewDecoder(resp2.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Added != 2 || res.Version != 2 {
-		t.Fatalf("combined ingest = %+v, want 2 added in one version bump", res)
+	if info.Version != 0 {
+		t.Errorf("rejected ingests bumped the version to %d", info.Version)
 	}
 }
 

@@ -3,7 +3,6 @@ package shardrpc
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -27,10 +26,8 @@ const maxShardCacheEntries = 64
 
 // ShardConfig parameterizes a ShardServer. The zero value is usable.
 type ShardConfig struct {
-	// Log receives one line per push and failed request (nil discards).
-	Log io.Writer
-	// Logger, when non-nil, takes precedence over Log: push and failure
-	// lines become structured records with the platform's shared keys.
+	// Logger receives one structured record per push and failed request,
+	// with the platform's shared keys (nil discards).
 	Logger *slog.Logger
 	// Telemetry, when non-nil, collects this shard's traces and metrics:
 	// /mine1 and /push run under traces (adopting the coordinator's wire
@@ -89,8 +86,8 @@ type ShardServer struct {
 
 // NewShardServer constructs an empty shard server; slices arrive via /push.
 func NewShardServer(cfg ShardConfig) *ShardServer {
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	s := &ShardServer{cfg: cfg, start: time.Now(), held: make(map[string]*heldSlice)}
 	if hub := cfg.Telemetry; hub != nil {
@@ -277,14 +274,9 @@ func (s *ShardServer) handlePush(w http.ResponseWriter, r *http.Request) {
 	if req.Append {
 		s.deltaPushes.Add(1)
 	}
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("pushed slice",
-			"dataset", req.Dataset, "version", req.Version, "lo", req.Lo, "hi", req.Hi,
-			"transactions", len(req.Transactions), "append", req.Append)
-	} else {
-		fmt.Fprintf(s.cfg.Log, "ushard: pushed %s v%d [%d,%d) (%d transactions, append=%v)\n",
-			req.Dataset, req.Version, req.Lo, req.Hi, len(req.Transactions), req.Append)
-	}
+	s.cfg.Logger.Info("pushed slice",
+		"dataset", req.Dataset, "version", req.Version, "lo", req.Lo, "hi", req.Hi,
+		"transactions", len(req.Transactions), "append", req.Append)
 	shardWriteJSON(w, http.StatusOK, PushResponse{Dataset: req.Dataset, Version: req.Version, N: db.N(), Appended: req.Append})
 }
 
@@ -387,11 +379,7 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 // fail writes an error response and counts it.
 func (s *ShardServer) fail(w http.ResponseWriter, status int, err error) {
 	s.errs.Add(1)
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Warn("request failed", "status", status, "error", err.Error())
-	} else {
-		fmt.Fprintf(s.cfg.Log, "ushard: HTTP %d: %v\n", status, err)
-	}
+	s.cfg.Logger.Warn("request failed", "status", status, "error", err.Error())
 	shardWriteJSON(w, status, errorResponse{Error: err.Error()})
 }
 

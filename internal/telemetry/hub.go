@@ -6,7 +6,6 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -20,13 +19,11 @@ type HubConfig struct {
 	// 0 means DefaultTraceCapacity; negative disables retention.
 	TraceCapacity int
 	// SlowLogThreshold, when > 0, logs any trace whose total duration
-	// meets or exceeds it as one JSON line on SlowLog.
+	// meets or exceeds it through SlowLogger.
 	SlowLogThreshold time.Duration
-	// SlowLog receives slow-trace lines (default: discarded).
-	SlowLog io.Writer
-	// SlowLogger, when non-nil, takes precedence over SlowLog: slow traces
-	// are emitted through it as structured records with the platform's
-	// shared keys (trace_id, dataset, algo, threshold) plus the span tree.
+	// SlowLogger receives slow traces as structured records with the
+	// platform's shared keys (trace_id, dataset, algo, threshold) plus the
+	// span tree (default: nil, nothing is logged).
 	SlowLogger *slog.Logger
 }
 
@@ -42,7 +39,6 @@ type Hub struct {
 
 	capacity   int
 	slowThr    time.Duration
-	slowLog    io.Writer
 	slowLogger *slog.Logger
 
 	mu     sync.Mutex
@@ -64,7 +60,6 @@ func NewHub(cfg HubConfig) *Hub {
 		Metrics:    NewRegistry(),
 		capacity:   capacity,
 		slowThr:    cfg.SlowLogThreshold,
-		slowLog:    cfg.SlowLog,
 		slowLogger: cfg.SlowLogger,
 	}
 	if capacity > 0 {
@@ -81,38 +76,30 @@ func (h *Hub) StartTrace(name string) *Trace { return newTrace("", name, h) }
 // stitching into the coordinator's trace); "" generates a fresh one.
 func (h *Hub) StartTraceID(id, name string) *Trace { return newTrace(id, name, h) }
 
-// record stores a completed trace in the ring and writes the slow-log line
-// when it crossed the threshold. Called from Trace.Finish.
+// record stores a completed trace in the ring and logs it as slow when it
+// crossed the threshold. Called from Trace.Finish.
 func (h *Hub) record(td TraceData) {
 	if h == nil {
 		return
 	}
-	if h.slowThr > 0 && td.DurationMS >= durationMS(h.slowThr) {
-		switch {
-		case h.slowLogger != nil:
-			attrs := []slog.Attr{
-				slog.String("trace_id", td.TraceID),
-				slog.String("name", td.Name),
-				slog.Float64("duration_ms", td.DurationMS),
-				slog.Int("spans", td.Root.SpanCount()),
-			}
-			// The platform's shared keys, when the root span carries them
-			// (mine traces do; shard /push traces carry only the dataset).
-			for _, kv := range [...][2]string{
-				{"dataset", "dataset"}, {"algo", "algorithm"}, {"threshold", "threshold"},
-			} {
-				if v := td.Root.Attrs[kv[1]]; v != "" {
-					attrs = append(attrs, slog.String(kv[0], v))
-				}
-			}
-			attrs = append(attrs, slog.Any("root", td.Root))
-			h.slowLogger.LogAttrs(context.Background(), slog.LevelWarn, "slow trace", attrs...)
-		case h.slowLog != nil:
-			line := append(td.MarshalSlowLine(), '\n')
-			h.mu.Lock()
-			h.slowLog.Write(line)
-			h.mu.Unlock()
+	if h.slowThr > 0 && h.slowLogger != nil && td.DurationMS >= durationMS(h.slowThr) {
+		attrs := []slog.Attr{
+			slog.String("trace_id", td.TraceID),
+			slog.String("name", td.Name),
+			slog.Float64("duration_ms", td.DurationMS),
+			slog.Int("spans", td.Root.SpanCount()),
 		}
+		// The platform's shared keys, when the root span carries them
+		// (mine traces do; shard /push traces carry only the dataset).
+		for _, kv := range [...][2]string{
+			{"dataset", "dataset"}, {"algo", "algorithm"}, {"threshold", "threshold"},
+		} {
+			if v := td.Root.Attrs[kv[1]]; v != "" {
+				attrs = append(attrs, slog.String(kv[0], v))
+			}
+		}
+		attrs = append(attrs, slog.Any("root", td.Root))
+		h.slowLogger.LogAttrs(context.Background(), slog.LevelWarn, "slow trace", attrs...)
 	}
 	if h.capacity == 0 {
 		return

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -75,14 +77,14 @@ func TestFinishIdempotent(t *testing.T) {
 	}
 }
 
-// TestSlowLog: traces meeting the threshold emit one JSON line; fast ones
+// TestSlowLog: traces meeting the threshold emit one JSON record; fast ones
 // do not.
 func TestSlowLog(t *testing.T) {
-	var buf strings.Builder
+	var buf bytes.Buffer
 	h := NewHub(HubConfig{
 		TraceCapacity:    2,
 		SlowLogThreshold: 5 * time.Millisecond,
-		SlowLog:          &buf,
+		SlowLogger:       slog.New(slog.NewJSONHandler(&buf, nil)),
 	})
 
 	fast := h.StartTrace("fast")
@@ -101,19 +103,20 @@ func TestSlowLog(t *testing.T) {
 		t.Fatal("slow trace not logged")
 	}
 	var doc struct {
-		Slow       string   `json:"slow"`
+		Msg        string   `json:"msg"`
+		Name       string   `json:"name"`
 		TraceID    string   `json:"trace_id"`
 		DurationMS float64  `json:"duration_ms"`
 		Root       SpanData `json:"root"`
 	}
 	if err := json.Unmarshal([]byte(line), &doc); err != nil {
-		t.Fatalf("slow-log line is not JSON: %v\n%s", err, line)
+		t.Fatalf("slow-log record is not JSON: %v\n%s", err, line)
 	}
-	if doc.Slow != "slow mine" || doc.TraceID != slow.ID() || doc.DurationMS < 5 {
-		t.Errorf("slow-log line fields: %+v", doc)
+	if doc.Msg != "slow trace" || doc.Name != "slow mine" || doc.TraceID != slow.ID() || doc.DurationMS < 5 {
+		t.Errorf("slow-log record fields: %+v", doc)
 	}
 	if _, ok := doc.Root.Find("phase1"); !ok {
-		t.Error("slow-log line lost the span breakdown")
+		t.Error("slow-log record lost the span breakdown")
 	}
 	if strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
 		t.Errorf("slow log must be one line per trace: %q", line)

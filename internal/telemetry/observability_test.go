@@ -136,14 +136,12 @@ func TestParseLogLevel(t *testing.T) {
 
 // TestSlowLoggerStructured: with a SlowLogger configured, a slow trace
 // becomes one structured record carrying the platform's shared keys and the
-// span tree; the legacy SlowLog writer is bypassed.
+// span tree.
 func TestSlowLoggerStructured(t *testing.T) {
 	var buf bytes.Buffer
-	var legacy strings.Builder
 	h := NewHub(HubConfig{
 		TraceCapacity:    2,
 		SlowLogThreshold: time.Millisecond,
-		SlowLog:          &legacy,
 		SlowLogger:       NewLogger(&buf, "userve", slog.LevelInfo),
 	})
 	tr := h.StartTrace("POST /mine")
@@ -154,9 +152,6 @@ func TestSlowLoggerStructured(t *testing.T) {
 	time.Sleep(3 * time.Millisecond)
 	tr.Finish()
 
-	if legacy.Len() != 0 {
-		t.Errorf("legacy writer used despite SlowLogger: %q", legacy.String())
-	}
 	var rec struct {
 		Level     string   `json:"level"`
 		Msg       string   `json:"msg"`

@@ -45,7 +45,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -349,19 +348,6 @@ type TraceData struct {
 	Start      time.Time `json:"start"`
 	DurationMS float64   `json:"duration_ms"`
 	Root       SpanData  `json:"root"`
-}
-
-// MarshalSlowLine renders the trace as the one-line slow-log JSON document.
-func (td TraceData) MarshalSlowLine() []byte {
-	line, err := json.Marshal(struct {
-		Slow string `json:"slow"`
-		TraceData
-	}{Slow: td.Name, TraceData: td})
-	if err != nil {
-		// A TraceData is plain data; Marshal cannot fail in practice.
-		return []byte(fmt.Sprintf(`{"slow":%q,"trace_id":%q,"marshal_error":%q}`, td.Name, td.TraceID, err))
-	}
-	return line
 }
 
 func durationMS(d time.Duration) float64 {

@@ -35,20 +35,6 @@ type (
 	IngestResult = server.IngestResult
 	// ServerStats is a snapshot of the service counters.
 	ServerStats = server.Stats
-	// LoadBenchConfig parameterizes RunServerLoadBench.
-	LoadBenchConfig = server.LoadBenchConfig
-	// LoadBenchReport is the load benchmark outcome (BENCH_server.json).
-	LoadBenchReport = server.LoadBenchReport
-	// PartitionBenchConfig parameterizes RunServerPartitionBench.
-	PartitionBenchConfig = server.PartitionBenchConfig
-	// PartitionBenchReport is the partitioned cold-mine benchmark outcome
-	// (BENCH_partition.json).
-	PartitionBenchReport = server.PartitionBenchReport
-	// IncrementalBenchConfig parameterizes RunServerIncrementalBench.
-	IncrementalBenchConfig = server.IncrementalBenchConfig
-	// IncrementalBenchReport is the incremental-maintenance benchmark
-	// outcome (BENCH_incremental.json).
-	IncrementalBenchReport = server.IncrementalBenchReport
 	// SubscribeRequest registers a continuous query on a dataset.
 	SubscribeRequest = server.SubscribeRequest
 	// Subscription is one live continuous query's diff stream.
@@ -91,26 +77,6 @@ type (
 // NewServer constructs a mining service. The zero ServerConfig is a usable
 // default (cache on, in-flight mining bounded at 2 × GOMAXPROCS).
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// RunServerLoadBench drives the closed-loop server load benchmark and
-// returns its report (see LoadBenchConfig for the knobs).
-func RunServerLoadBench(cfg LoadBenchConfig) (*LoadBenchReport, error) {
-	return server.RunLoadBench(cfg)
-}
-
-// RunServerPartitionBench compares cold partitioned mines across partition
-// counts (K = 1 is the single-shot baseline) and returns the
-// BENCH_partition.json report.
-func RunServerPartitionBench(cfg PartitionBenchConfig) (*PartitionBenchReport, error) {
-	return server.RunPartitionBench(cfg)
-}
-
-// RunServerIncrementalBench measures ingest→notification latency for a
-// continuous query against the cold re-mine baseline and returns the
-// BENCH_incremental.json report.
-func RunServerIncrementalBench(cfg IncrementalBenchConfig) (*IncrementalBenchReport, error) {
-	return server.RunIncrementalBench(cfg)
-}
 
 // NewShardPool validates the shard address list and builds the RPC shard
 // pool backing ServerConfig.ShardPool.
