@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke ci
+.PHONY: all build fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -153,5 +153,25 @@ bench-smoke:
 		printf '%s' "$$res" | grep -q '"correct":true' || { echo "bench-smoke: $$w answered incorrectly"; exit 1; }; \
 	done
 
+## fuzz-smoke: every Fuzz* target in the module for 5 s each — the
+## input parsers, the arena and kernel bit-identity targets, and the shard
+## response decoder. Go fuzzes one target per invocation, so each runs in
+## its own `go test -fuzz` call.
+FUZZ_TARGETS = \
+	./internal/core:FuzzArenaMatchesLegacyConstruction \
+	./internal/dataset:FuzzReadUncertain \
+	./internal/dataset:FuzzReadFIMI \
+	./internal/kernel:FuzzPairBitIdentity \
+	./internal/kernel:FuzzKWayBitIdentity \
+	./internal/kernel:FuzzFreqTailBitIdentity \
+	./internal/shardrpc:FuzzMineShardResponse
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz-smoke $$pkg $$name"; \
+		$(GO) test -run='^$$' -fuzz="^$$name\$$" -fuzztime=5s $$pkg || exit 1; \
+	done
+
 ## ci: everything the pipeline runs
-ci: build fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke
+ci: build fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"umine/internal/exp"
+	"umine/internal/obsq"
 	"umine/internal/profiling"
 	"umine/internal/telemetry"
 )
@@ -110,7 +111,7 @@ func runExperiment(e exp.Experiment, cfg exp.Config, trace bool) *exp.Report {
 		return e.Run(cfg)
 	}
 	tr := telemetry.NewTrace("uexp " + e.ID)
-	cfg.Progress = telemetry.SpanProgress(tr.Root())
+	cfg.Progress = obsq.NewCollector(tr.Root()).Progress()
 	r := e.Run(cfg)
 	td := tr.Finish()
 	fmt.Fprintf(os.Stderr, "trace %s:\n", td.TraceID)

@@ -22,7 +22,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 
 	"umine"
@@ -70,8 +69,8 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the in-flight mine at its next cooperative
 	// checkpoint instead of killing the process mid-write; the Progress
-	// hook keeps the latest counter snapshot so a canceled run still
-	// reports how far it got.
+	// collector keeps the counters so far, so a canceled run still reports
+	// how far it got.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Profiling brackets just the mine (not input parsing/generation), and
@@ -80,33 +79,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	snap := &progressSnapshot{}
-	observers := []umine.ProgressFunc{snap.observe}
-	var col *obsq.Collector
-	if *explain {
-		col = obsq.NewCollector()
-		observers = append(observers, col.Progress())
-	}
+	// One collector observes the mine: it keeps the partial counters for a
+	// canceled run, feeds -explain and, under -trace, records each
+	// checkpoint as a span. Partitioned mines instrument themselves from
+	// the context span (phase1/shards/merge/phase2), so their collector
+	// records no spans.
 	var tr *telemetry.Trace
+	var parent *telemetry.Span
 	if *trace {
 		tr = telemetry.NewTrace("umine " + *algoName)
 		ctx = telemetry.ContextWithSpan(ctx, tr.Root())
 		if *parts <= 1 || !umine.SupportsPartitions(*algoName) {
-			// Single-shot mines have no explicit spans; adapt the Progress
-			// checkpoint stream into spans. Partitioned mines instrument
-			// themselves from the context span (phase1/shards/merge/phase2).
-			observers = append(observers, telemetry.SpanProgress(tr.Root()))
+			parent = tr.Root()
 		}
 	}
-	opts := umine.Options{Workers: *workers, Partitions: *parts, Progress: snap.observe}
-	if len(observers) > 1 {
-		obs := observers
-		opts.Progress = func(ev umine.ProgressEvent) {
-			for _, f := range obs {
-				f(ev)
-			}
-		}
-	}
+	col := obsq.NewCollector(parent)
+	opts := umine.Options{Workers: *workers, Partitions: *parts, Progress: col.Progress()}
 	meas, err := umine.MeasureContext(ctx, *algoName, db, th, opts)
 	stopProf()
 	if tr != nil {
@@ -121,7 +109,7 @@ func main() {
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fatalCanceled("umine", *algoName, err, snap)
+			fatalCanceled("umine", *algoName, err, col)
 		}
 		fatal(err)
 	}
@@ -136,27 +124,18 @@ func main() {
 // Explanation document the server's /explain endpoint serves.
 func printExplain(db *umine.Database, meas *umine.Measurement, col *obsq.Collector, tr *telemetry.Trace, th umine.Thresholds, workers, parts int) {
 	rs := meas.Results
-	steps, totals, events, _ := col.Snapshot()
 	ex := obsq.Explanation{
-		Dataset:   db.Stats().Name,
-		Algorithm: rs.Algorithm,
-		Semantics: rs.Semantics.String(),
-		MinESup:   th.MinESup,
-		MinSup:    th.MinSup,
-		PFT:       th.PFT,
-		Workers:   workers,
-		Backend:   "local",
-		Path:      "mined",
-		Itemsets:  rs.Len(),
-		MaxLevel:  col.MaxLevel(),
-		ElapsedMS: float64(meas.Elapsed.Nanoseconds()) / 1e6,
-		Totals:    obsq.CostFromStats(totals),
-		Steps:     steps,
+		Dataset:    db.Stats().Name,
+		Algorithm:  rs.Algorithm,
+		Semantics:  rs.Semantics.String(),
+		Thresholds: th,
+		Workers:    workers,
+		Backend:    "local",
+		Path:       "mined",
+		Itemsets:   rs.Len(),
+		ElapsedMS:  float64(meas.Elapsed.Nanoseconds()) / 1e6,
 	}
-	ex.ShardEvents = events
-	if sched, ok := col.Exec(); ok {
-		ex.Sched = &sched
-	}
+	col.Fill(&ex)
 	if parts > 1 && umine.SupportsPartitions(rs.Algorithm) {
 		ex.Backend = "sharded"
 		ex.Shards = parts
@@ -172,35 +151,14 @@ func printExplain(db *umine.Database, meas *umine.Measurement, col *obsq.Collect
 	os.Stdout.Write(append(buf, '\n'))
 }
 
-// progressSnapshot retains the most recent ProgressEvent; safe for
-// concurrent use (parallel miners emit from worker goroutines).
-type progressSnapshot struct {
-	mu   sync.Mutex
-	ev   umine.ProgressEvent
-	seen bool
-}
-
-func (p *progressSnapshot) observe(ev umine.ProgressEvent) {
-	p.mu.Lock()
-	p.ev, p.seen = ev, true
-	p.mu.Unlock()
-}
-
-// last returns the latest snapshot and whether any event arrived.
-func (p *progressSnapshot) last() (umine.ProgressEvent, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ev, p.seen
-}
-
 // fatalCanceled reports a canceled mine with the partial MiningStats the
-// Progress hook captured, then exits nonzero.
-func fatalCanceled(tool, algorithm string, err error, snap *progressSnapshot) {
+// Progress collector captured, then exits nonzero.
+func fatalCanceled(tool, algorithm string, err error, col *obsq.Collector) {
 	fmt.Fprintf(os.Stderr, "%s: %s mine aborted: %v\n", tool, algorithm, err)
-	if ev, ok := snap.last(); ok {
-		s := ev.Stats
+	if steps, s, _, _ := col.Snapshot(); len(steps) > 0 {
+		last := steps[len(steps)-1]
 		fmt.Fprintf(os.Stderr, "%s: partial stats (last checkpoint: %s, level %d): candidates=%d pruned=%d chernoff=%d exactEvals=%d dbScans=%d\n",
-			tool, ev.Phase, ev.Level, s.CandidatesGenerated, s.CandidatesPruned, s.ChernoffPruned, s.ExactEvaluations, s.DBScans)
+			tool, last.Phase, last.Level, s.CandidatesGenerated, s.CandidatesPruned, s.ChernoffPruned, s.ExactEvaluations, s.DBScans)
 	} else {
 		fmt.Fprintf(os.Stderr, "%s: canceled before the first checkpoint; no partial stats\n", tool)
 	}

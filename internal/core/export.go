@@ -58,25 +58,21 @@ type resultJSON struct {
 }
 
 type resultSetJSON struct {
-	Algorithm string       `json:"algorithm"`
-	Semantics string       `json:"semantics"`
-	N         int          `json:"n"`
-	MinESup   float64      `json:"min_esup,omitempty"`
-	MinSup    float64      `json:"min_sup,omitempty"`
-	PFT       float64      `json:"pft,omitempty"`
-	Results   []resultJSON `json:"results"`
+	Algorithm string `json:"algorithm"`
+	Semantics string `json:"semantics"`
+	N         int    `json:"n"`
+	Thresholds
+	Results []resultJSON `json:"results"`
 }
 
 // WriteJSON writes rs as a single JSON document.
 func (rs *ResultSet) WriteJSON(w io.Writer) error {
 	doc := resultSetJSON{
-		Algorithm: rs.Algorithm,
-		Semantics: rs.Semantics.String(),
-		N:         rs.N,
-		MinESup:   rs.Thresholds.MinESup,
-		MinSup:    rs.Thresholds.MinSup,
-		PFT:       rs.Thresholds.PFT,
-		Results:   make([]resultJSON, len(rs.Results)),
+		Algorithm:  rs.Algorithm,
+		Semantics:  rs.Semantics.String(),
+		N:          rs.N,
+		Thresholds: rs.Thresholds,
+		Results:    make([]resultJSON, len(rs.Results)),
 	}
 	for i, r := range rs.Results {
 		items := make([]int, len(r.Itemset))
@@ -102,14 +98,10 @@ func ReadJSON(r io.Reader) (*ResultSet, error) {
 		return nil, fmt.Errorf("core: decoding result set: %w", err)
 	}
 	rs := &ResultSet{
-		Algorithm: doc.Algorithm,
-		N:         doc.N,
-		Thresholds: Thresholds{
-			MinESup: doc.MinESup,
-			MinSup:  doc.MinSup,
-			PFT:     doc.PFT,
-		},
-		Results: make([]Result, len(doc.Results)),
+		Algorithm:  doc.Algorithm,
+		N:          doc.N,
+		Thresholds: doc.Thresholds,
+		Results:    make([]Result, len(doc.Results)),
 	}
 	switch doc.Semantics {
 	case Probabilistic.String():

@@ -33,16 +33,18 @@ func (s Semantics) String() string {
 
 // Thresholds carries the frequentness parameters of Section 2. Ratios are
 // relative to the number of transactions N, exactly as in the paper's
-// experiments (Table 7 gives ratio defaults per dataset).
+// experiments (Table 7 gives ratio defaults per dataset). The JSON tags
+// are the one encoding every document and wire message uses: result sets,
+// /mine and /explain bodies, and shard mine requests.
 type Thresholds struct {
 	// MinESup is the minimum expected support ratio min_esup used by
 	// expected-support semantics.
-	MinESup float64
+	MinESup float64 `json:"min_esup,omitempty"`
 	// MinSup is the minimum support ratio min_sup used by probabilistic
 	// semantics.
-	MinSup float64
+	MinSup float64 `json:"min_sup,omitempty"`
 	// PFT is the probabilistic frequentness threshold pft in (0, 1).
-	PFT float64
+	PFT float64 `json:"pft,omitempty"`
 }
 
 // Validate checks the thresholds for the given semantics.
@@ -118,42 +120,44 @@ type ResultSet struct {
 }
 
 // MiningStats counts algorithm work, shared across all miners so that
-// pruning effectiveness can be compared fairly.
+// pruning effectiveness can be compared fairly. It is the one type for these
+// counters: shard responses carry it on the wire and /explain renders it as
+// its totals and, per step, as deltas. The JSON tags fix that encoding.
 type MiningStats struct {
 	// CandidatesGenerated counts itemsets whose frequentness was evaluated
 	// (for Apriori-family miners: candidates; for pattern-growth miners:
 	// enumerated prefixes).
-	CandidatesGenerated int
+	CandidatesGenerated int `json:"candidates_generated"`
 	// CandidatesPruned counts candidates eliminated before a full
 	// frequentness evaluation (subset-infrequency pruning, decremental
 	// pruning, ...).
-	CandidatesPruned int
+	CandidatesPruned int `json:"candidates_pruned"`
 	// ChernoffPruned counts candidates discarded by the Chernoff bound
 	// (Lemma 1) without an exact frequent-probability computation.
-	ChernoffPruned int
+	ChernoffPruned int `json:"chernoff_pruned,omitempty"`
 	// ExactEvaluations counts full exact frequent-probability computations
 	// (DP recurrences or DC convolutions).
-	ExactEvaluations int
+	ExactEvaluations int `json:"exact_evaluations,omitempty"`
 	// DBScans counts complete passes over the transaction list.
-	DBScans int
+	DBScans int `json:"db_scans"`
+	// TransactionsScanned counts individual transactions visited by
+	// horizontal counting passes (one transaction read during one pass
+	// counts once, so a level counted over the full database adds N).
+	TransactionsScanned int `json:"transactions_scanned"`
+	// PostingsProbed counts posting-list entries touched by vertical
+	// (inverted-index) candidate counting — the intersect/multiply work the
+	// vertical plan pays instead of transaction scans.
+	PostingsProbed int `json:"postings_probed"`
+	// HorizontalPlans / VerticalPlans count per-level plan decisions made
+	// by the horizontal-vs-vertical counting crossover, so an EXPLAIN can
+	// report which physical plan each level executed.
+	HorizontalPlans int `json:"horizontal_plans"`
+	VerticalPlans   int `json:"vertical_plans"`
 	// PeakTrackedBytes is a coarse, algorithm-reported measure of the
 	// largest auxiliary structure held (UFP-tree nodes, UH-Struct rows,
 	// candidate tries, DC buffers), in bytes. It complements the runtime
 	// heap measurements done by package eval.
-	PeakTrackedBytes int64
-	// TransactionsScanned counts individual transactions visited by
-	// horizontal counting passes (one transaction read during one pass
-	// counts once, so a level counted over the full database adds N).
-	TransactionsScanned int
-	// PostingsProbed counts posting-list entries touched by vertical
-	// (inverted-index) candidate counting — the intersect/multiply work the
-	// vertical plan pays instead of transaction scans.
-	PostingsProbed int
-	// HorizontalPlans / VerticalPlans count per-level plan decisions made
-	// by the horizontal-vs-vertical counting crossover, so an EXPLAIN can
-	// report which physical plan each level executed.
-	HorizontalPlans int
-	VerticalPlans   int
+	PeakTrackedBytes int64 `json:"peak_tracked_bytes,omitempty"`
 }
 
 // Add accumulates other into s.

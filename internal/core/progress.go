@@ -93,26 +93,3 @@ func (f ProgressFunc) Emit(algorithm string, phase ProgressPhase, level int, sta
 		f(ProgressEvent{Algorithm: algorithm, Phase: phase, Level: level, Stats: stats})
 	}
 }
-
-// ChainProgress composes observers: each event is forwarded to every non-nil
-// fn in order. Nil inputs are dropped; all-nil (or empty) input collapses to
-// a nil ProgressFunc, preserving the zero-cost disabled path.
-func ChainProgress(fns ...ProgressFunc) ProgressFunc {
-	live := fns[:0:0]
-	for _, fn := range fns {
-		if fn != nil {
-			live = append(live, fn)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(ev ProgressEvent) {
-		for _, fn := range live {
-			fn(ev)
-		}
-	}
-}

@@ -15,14 +15,12 @@ import (
 // change the mined bits.
 type Explanation struct {
 	// Query identity.
-	Dataset   string  `json:"dataset,omitempty"`
-	Version   uint64  `json:"version,omitempty"`
-	Algorithm string  `json:"algorithm"`
-	Semantics string  `json:"semantics,omitempty"`
-	MinESup   float64 `json:"min_esup,omitempty"`
-	MinSup    float64 `json:"min_sup,omitempty"`
-	PFT       float64 `json:"pft,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
+	Dataset   string `json:"dataset,omitempty"`
+	Version   uint64 `json:"version,omitempty"`
+	Algorithm string `json:"algorithm"`
+	Semantics string `json:"semantics,omitempty"`
+	core.Thresholds
+	Workers int `json:"workers,omitempty"`
 
 	// Backend names the execution engine: "local" (single-shot miner),
 	// "sharded" (in-process partition engine), "shardrpc" (process-per-shard
@@ -36,10 +34,10 @@ type Explanation struct {
 	Shards int    `json:"shards,omitempty"`
 
 	// Results and totals.
-	Itemsets  int     `json:"itemsets"`
-	MaxLevel  int     `json:"max_level,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	Totals    Cost    `json:"totals"`
+	Itemsets  int              `json:"itemsets"`
+	MaxLevel  int              `json:"max_level,omitempty"`
+	ElapsedMS float64          `json:"elapsed_ms"`
+	Totals    core.MiningStats `json:"totals"`
 	// Sched is the execution-layer breakdown — work-stealing scheduler
 	// traffic and postings-kernel dispatch — when the run's miners reported
 	// one (core.PhaseExec). Unlike Totals it describes how the run executed,
@@ -60,36 +58,6 @@ type Explanation struct {
 	BytesMineRequests int64 `json:"bytes_mine_requests,omitempty"`
 
 	TraceID string `json:"trace_id,omitempty"`
-}
-
-// Cost is the run-total cost breakdown, the JSON face of core.MiningStats.
-type Cost struct {
-	CandidatesGenerated int   `json:"candidates_generated"`
-	CandidatesPruned    int   `json:"candidates_pruned"`
-	ChernoffPruned      int   `json:"chernoff_pruned,omitempty"`
-	ExactEvaluations    int   `json:"exact_evaluations,omitempty"`
-	DBScans             int   `json:"db_scans"`
-	TransactionsScanned int   `json:"transactions_scanned"`
-	PostingsProbed      int   `json:"postings_probed"`
-	HorizontalPlans     int   `json:"horizontal_plans"`
-	VerticalPlans       int   `json:"vertical_plans"`
-	PeakTrackedBytes    int64 `json:"peak_tracked_bytes,omitempty"`
-}
-
-// CostFromStats converts run counters into the explain cost form.
-func CostFromStats(s core.MiningStats) Cost {
-	return Cost{
-		CandidatesGenerated: s.CandidatesGenerated,
-		CandidatesPruned:    s.CandidatesPruned,
-		ChernoffPruned:      s.ChernoffPruned,
-		ExactEvaluations:    s.ExactEvaluations,
-		DBScans:             s.DBScans,
-		TransactionsScanned: s.TransactionsScanned,
-		PostingsProbed:      s.PostingsProbed,
-		HorizontalPlans:     s.HorizontalPlans,
-		VerticalPlans:       s.VerticalPlans,
-		PeakTrackedBytes:    s.PeakTrackedBytes,
-	}
 }
 
 // ShardAttempt is one event of a shard's execution timeline, extracted from

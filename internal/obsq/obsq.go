@@ -9,9 +9,12 @@
 //
 // Four pieces:
 //
-//   - Collector (this file): a core.ProgressFunc that records per-checkpoint
-//     cost deltas from the miners' existing event stream — no miner changes,
-//     zero cost when no explain is requested (the nil-ProgressFunc path).
+//   - Collector (this file): the one observer that turns the miners'
+//     Progress checkpoints into timed, costed steps — no miner changes, zero
+//     cost when nobody observes (the nil-ProgressFunc path). Given a parent
+//     span it also records each step as a child span over the same
+//     interval, so a request's trace and its explanation agree on every
+//     step's duration.
 //
 //   - Explanation (explain.go): the structured /explain (and umine -explain)
 //     document: the executed plan as a sequence of costed steps, the run
@@ -33,16 +36,17 @@
 package obsq
 
 import (
+	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
 	"umine/internal/core"
+	"umine/internal/telemetry"
 )
 
 // Step is one costed plan step of an executed query: a level boundary, a
-// completed prefix subtree, or one partition's phase-1 mine. Counter fields
-// are deltas attributable to this step (PeakTrackedBytes excepted — it is
-// the high-water mark observed so far).
+// completed prefix subtree, or one partition's phase-1 mine.
 type Step struct {
 	// Phase is the checkpoint kind: "level", "subtree" or "partition".
 	Phase string `json:"phase"`
@@ -55,15 +59,9 @@ type Step struct {
 	Plan string `json:"plan,omitempty"`
 	// ElapsedMS covers the interval since the previous checkpoint.
 	ElapsedMS float64 `json:"elapsed_ms"`
-
-	CandidatesGenerated int   `json:"candidates_generated,omitempty"`
-	CandidatesPruned    int   `json:"candidates_pruned,omitempty"`
-	ChernoffPruned      int   `json:"chernoff_pruned,omitempty"`
-	ExactEvaluations    int   `json:"exact_evaluations,omitempty"`
-	DBScans             int   `json:"db_scans,omitempty"`
-	TransactionsScanned int   `json:"transactions_scanned,omitempty"`
-	PostingsProbed      int   `json:"postings_probed,omitempty"`
-	PeakTrackedBytes    int64 `json:"peak_tracked_bytes,omitempty"`
+	// The counters are deltas attributable to this step, PeakTrackedBytes
+	// excepted: it is the high-water mark observed so far.
+	core.MiningStats
 }
 
 // ShardEvent is one shard-robustness progress event observed during the run
@@ -75,14 +73,23 @@ type ShardEvent struct {
 	At    time.Time `json:"at"`
 }
 
-// Collector accumulates a query's cost breakdown from its progress stream.
+// Collector accumulates a query's cost breakdown from its progress stream
+// and is the one place checkpoints are timed: each level, subtree or
+// partition checkpoint closes a step covering the interval since the
+// previous one, and with a parent span that same interval is also recorded
+// as a child span named "level k", "subtree (depth d)" or "partition p".
+// Shard-robustness, exec and done events open no step: the shardrpc backend
+// gives the robustness paths their own spans, and the done interval is the
+// parent span itself.
+//
 // It implements the core.ProgressFunc contract (fast, concurrent-safe, no
-// event retention beyond copying), so it chains with telemetry.SpanProgress
-// via core.ChainProgress. The zero Collector is not usable; construct with
-// NewCollector.
+// event retention beyond copying). Concurrent checkpoints are attributed
+// back to back in emission order. The zero Collector is not usable;
+// construct with NewCollector.
 type Collector struct {
+	parent *telemetry.Span
+
 	mu     sync.Mutex
-	start  time.Time
 	lastT  time.Time
 	last   core.MiningStats
 	steps  []Step
@@ -92,17 +99,16 @@ type Collector struct {
 	hasEx  bool
 	done   bool
 	level  int
-	algo   string
 }
 
 // NewCollector starts a collector; the construction time anchors the first
-// step's interval.
-func NewCollector() *Collector {
-	now := time.Now()
-	return &Collector{start: now, lastT: now}
+// step's interval. A nil parent records steps only.
+func NewCollector(parent *telemetry.Span) *Collector {
+	return &Collector{parent: parent, lastT: time.Now()}
 }
 
-// Progress returns the collector's observer function (nil-safe to chain).
+// Progress returns the collector's observer function (nil on a nil
+// collector, which keeps the miner's disabled path).
 func (c *Collector) Progress() core.ProgressFunc {
 	if c == nil {
 		return nil
@@ -114,9 +120,6 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.algo == "" {
-		c.algo = ev.Algorithm
-	}
 	switch ev.Phase {
 	case core.PhaseShardRetry, core.PhaseShardHedge, core.PhaseShardFailover, core.PhaseShardRepush:
 		c.events = append(c.events, ShardEvent{Kind: string(ev.Phase), Shard: ev.Level, At: now})
@@ -132,6 +135,12 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 		c.total = ev.Stats
 		c.done = true
 		c.level = ev.Level
+		// One stream may carry several runs (uexp -trace observes every
+		// measured mine through one collector). The next run's snapshots
+		// count from zero again, so its deltas and its first interval must
+		// too.
+		c.last = core.MiningStats{}
+		c.lastT = now
 		return
 	case core.PhasePartition:
 		// Partition events carry the completed partition's own counters, not
@@ -140,10 +149,7 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 		// the summed phase-1 stats, so without this the first level step
 		// would re-attribute all of phase 1 to itself.
 		c.last.Add(ev.Stats)
-		step := stepFromDelta(string(ev.Phase), ev.Level, ev.Stats)
-		step.ElapsedMS = float64(now.Sub(c.lastT).Nanoseconds()) / 1e6
-		c.lastT = now
-		c.steps = append(c.steps, step)
+		c.record(ev, ev.Stats, now)
 		return
 	}
 	// Level/subtree events carry cumulative snapshots; attribute the delta
@@ -152,29 +158,41 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 	// the baseline advances field-wise — observability must never go
 	// negative.
 	delta := subClamp(ev.Stats, c.last)
+	delta.PeakTrackedBytes = ev.Stats.PeakTrackedBytes
 	c.last = maxStats(c.last, ev.Stats)
-	step := stepFromDelta(string(ev.Phase), ev.Level, delta)
-	step.PeakTrackedBytes = ev.Stats.PeakTrackedBytes
-	step.ElapsedMS = float64(now.Sub(c.lastT).Nanoseconds()) / 1e6
-	c.lastT = now
-	c.steps = append(c.steps, step)
+	c.record(ev, delta, now)
 }
 
-// stepFromDelta renders one step from per-step counters.
-func stepFromDelta(phase string, level int, d core.MiningStats) Step {
-	return Step{
-		Phase:               phase,
-		Level:               level,
-		Plan:                planLabel(d.HorizontalPlans, d.VerticalPlans),
-		CandidatesGenerated: d.CandidatesGenerated,
-		CandidatesPruned:    d.CandidatesPruned,
-		ChernoffPruned:      d.ChernoffPruned,
-		ExactEvaluations:    d.ExactEvaluations,
-		DBScans:             d.DBScans,
-		TransactionsScanned: d.TransactionsScanned,
-		PostingsProbed:      d.PostingsProbed,
-		PeakTrackedBytes:    d.PeakTrackedBytes,
+// record closes one step ending at now, and its span when there is a
+// parent. c.mu is held.
+func (c *Collector) record(ev core.ProgressEvent, d core.MiningStats, now time.Time) {
+	c.steps = append(c.steps, Step{
+		Phase:       string(ev.Phase),
+		Level:       ev.Level,
+		Plan:        planLabel(d.HorizontalPlans, d.VerticalPlans),
+		ElapsedMS:   float64(now.Sub(c.lastT).Nanoseconds()) / 1e6,
+		MiningStats: d,
+	})
+	if c.parent != nil {
+		c.parent.Record(checkpointName(ev), c.lastT, now,
+			[2]string{"algorithm", ev.Algorithm},
+			[2]string{"candidates", strconv.Itoa(d.CandidatesGenerated)},
+		)
 	}
+	c.lastT = now
+}
+
+// checkpointName labels a checkpoint span after its phase and ordinal.
+func checkpointName(ev core.ProgressEvent) string {
+	switch ev.Phase {
+	case core.PhaseLevel:
+		return fmt.Sprintf("level %d", ev.Level)
+	case core.PhaseSubtree:
+		return fmt.Sprintf("subtree (depth %d)", ev.Level)
+	case core.PhasePartition:
+		return fmt.Sprintf("partition %d", ev.Level)
+	}
+	return string(ev.Phase)
 }
 
 // planLabel names the counting plan(s) a step's deltas reveal.
@@ -193,59 +211,34 @@ func planLabel(horizontal, vertical int) string {
 // subClamp is a field-wise a−b clamped at zero (PeakTrackedBytes carries the
 // max, not a difference, and is left to the caller).
 func subClamp(a, b core.MiningStats) core.MiningStats {
-	d := core.MiningStats{
-		CandidatesGenerated: a.CandidatesGenerated - b.CandidatesGenerated,
-		CandidatesPruned:    a.CandidatesPruned - b.CandidatesPruned,
-		ChernoffPruned:      a.ChernoffPruned - b.ChernoffPruned,
-		ExactEvaluations:    a.ExactEvaluations - b.ExactEvaluations,
-		DBScans:             a.DBScans - b.DBScans,
-		TransactionsScanned: a.TransactionsScanned - b.TransactionsScanned,
-		PostingsProbed:      a.PostingsProbed - b.PostingsProbed,
-		HorizontalPlans:     a.HorizontalPlans - b.HorizontalPlans,
-		VerticalPlans:       a.VerticalPlans - b.VerticalPlans,
+	return core.MiningStats{
+		CandidatesGenerated: max(a.CandidatesGenerated-b.CandidatesGenerated, 0),
+		CandidatesPruned:    max(a.CandidatesPruned-b.CandidatesPruned, 0),
+		ChernoffPruned:      max(a.ChernoffPruned-b.ChernoffPruned, 0),
+		ExactEvaluations:    max(a.ExactEvaluations-b.ExactEvaluations, 0),
+		DBScans:             max(a.DBScans-b.DBScans, 0),
+		TransactionsScanned: max(a.TransactionsScanned-b.TransactionsScanned, 0),
+		PostingsProbed:      max(a.PostingsProbed-b.PostingsProbed, 0),
+		HorizontalPlans:     max(a.HorizontalPlans-b.HorizontalPlans, 0),
+		VerticalPlans:       max(a.VerticalPlans-b.VerticalPlans, 0),
 	}
-	clampInt := func(v *int) {
-		if *v < 0 {
-			*v = 0
-		}
-	}
-	clampInt(&d.CandidatesGenerated)
-	clampInt(&d.CandidatesPruned)
-	clampInt(&d.ChernoffPruned)
-	clampInt(&d.ExactEvaluations)
-	clampInt(&d.DBScans)
-	clampInt(&d.TransactionsScanned)
-	clampInt(&d.PostingsProbed)
-	clampInt(&d.HorizontalPlans)
-	clampInt(&d.VerticalPlans)
-	return d
 }
 
 // maxStats is the field-wise maximum — the baseline update that keeps
 // subtree deltas monotone under parallel emission.
 func maxStats(a, b core.MiningStats) core.MiningStats {
-	maxInt := func(x, y int) int {
-		if x > y {
-			return x
-		}
-		return y
+	return core.MiningStats{
+		CandidatesGenerated: max(a.CandidatesGenerated, b.CandidatesGenerated),
+		CandidatesPruned:    max(a.CandidatesPruned, b.CandidatesPruned),
+		ChernoffPruned:      max(a.ChernoffPruned, b.ChernoffPruned),
+		ExactEvaluations:    max(a.ExactEvaluations, b.ExactEvaluations),
+		DBScans:             max(a.DBScans, b.DBScans),
+		TransactionsScanned: max(a.TransactionsScanned, b.TransactionsScanned),
+		PostingsProbed:      max(a.PostingsProbed, b.PostingsProbed),
+		HorizontalPlans:     max(a.HorizontalPlans, b.HorizontalPlans),
+		VerticalPlans:       max(a.VerticalPlans, b.VerticalPlans),
+		PeakTrackedBytes:    max(a.PeakTrackedBytes, b.PeakTrackedBytes),
 	}
-	out := core.MiningStats{
-		CandidatesGenerated: maxInt(a.CandidatesGenerated, b.CandidatesGenerated),
-		CandidatesPruned:    maxInt(a.CandidatesPruned, b.CandidatesPruned),
-		ChernoffPruned:      maxInt(a.ChernoffPruned, b.ChernoffPruned),
-		ExactEvaluations:    maxInt(a.ExactEvaluations, b.ExactEvaluations),
-		DBScans:             maxInt(a.DBScans, b.DBScans),
-		TransactionsScanned: maxInt(a.TransactionsScanned, b.TransactionsScanned),
-		PostingsProbed:      maxInt(a.PostingsProbed, b.PostingsProbed),
-		HorizontalPlans:     maxInt(a.HorizontalPlans, b.HorizontalPlans),
-		VerticalPlans:       maxInt(a.VerticalPlans, b.VerticalPlans),
-	}
-	out.PeakTrackedBytes = a.PeakTrackedBytes
-	if b.PeakTrackedBytes > out.PeakTrackedBytes {
-		out.PeakTrackedBytes = b.PeakTrackedBytes
-	}
-	return out
 }
 
 // Snapshot returns the collected plan steps, the run totals (the final
@@ -258,6 +251,11 @@ func (c *Collector) Snapshot() (steps []Step, totals core.MiningStats, events []
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.snapshot()
+}
+
+// snapshot is Snapshot with c.mu held.
+func (c *Collector) snapshot() (steps []Step, totals core.MiningStats, events []ShardEvent, done bool) {
 	steps = append([]Step(nil), c.steps...)
 	events = append([]ShardEvent(nil), c.events...)
 	totals = c.last
@@ -267,23 +265,21 @@ func (c *Collector) Snapshot() (steps []Step, totals core.MiningStats, events []
 	return steps, totals, events, c.done
 }
 
-// Exec returns the summed execution-layer counters and whether any PhaseExec
-// event was observed (miners without tunable execution emit none).
-func (c *Collector) Exec() (core.ExecStats, bool) {
+// Fill writes the executed plan into ex: the steps, the run totals, the
+// deepest level the run reported, the shard-robustness events, and the
+// scheduler breakdown when the run's miners reported one (miners without
+// tunable execution emit none). A nil collector — nothing executed —
+// leaves ex as it is.
+func (c *Collector) Fill(ex *Explanation) {
 	if c == nil {
-		return core.ExecStats{}, false
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.exec, c.hasEx
-}
-
-// MaxLevel is the deepest level the run reported ("done" event), 0 if none.
-func (c *Collector) MaxLevel() int {
-	if c == nil {
-		return 0
+	ex.Steps, ex.Totals, ex.ShardEvents, _ = c.snapshot()
+	ex.MaxLevel = c.level
+	if c.hasEx {
+		sched := c.exec
+		ex.Sched = &sched
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.level
 }

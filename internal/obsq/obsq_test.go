@@ -13,7 +13,7 @@ import (
 // TestCollectorLevelDeltas: cumulative level snapshots become per-step
 // deltas; the done event supplies the exact totals and the deepest level.
 func TestCollectorLevelDeltas(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
 	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 1, Stats: core.MiningStats{
 		CandidatesGenerated: 10, DBScans: 1, TransactionsScanned: 100, HorizontalPlans: 1,
@@ -43,8 +43,10 @@ func TestCollectorLevelDeltas(t *testing.T) {
 	if totals.CandidatesGenerated != 25 || totals.DBScans != 2 {
 		t.Errorf("totals: %+v", totals)
 	}
-	if col.MaxLevel() != 2 {
-		t.Errorf("MaxLevel() = %d, want 2", col.MaxLevel())
+	var ex Explanation
+	col.Fill(&ex)
+	if ex.MaxLevel != 2 {
+		t.Errorf("MaxLevel = %d, want 2", ex.MaxLevel)
 	}
 }
 
@@ -53,7 +55,7 @@ func TestCollectorLevelDeltas(t *testing.T) {
 // summed phase-1 stats into every phase-2 snapshot. Without the baseline
 // advance, the first phase-2 level would re-attribute all of phase 1.
 func TestCollectorPartitionOffset(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
 	for i := 1; i <= 2; i++ {
 		fn(core.ProgressEvent{Phase: core.PhasePartition, Level: i, Stats: core.MiningStats{
@@ -82,7 +84,7 @@ func TestCollectorPartitionOffset(t *testing.T) {
 // TestCollectorSubtreeClamp: out-of-order subtree snapshots from parallel
 // workers never produce negative deltas.
 func TestCollectorSubtreeClamp(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
 	fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 20}})
 	fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: 2, Stats: core.MiningStats{CandidatesGenerated: 15}})
@@ -95,7 +97,7 @@ func TestCollectorSubtreeClamp(t *testing.T) {
 // TestCollectorShardEvents: shard-robustness phases land in the event
 // timeline, not the plan steps.
 func TestCollectorShardEvents(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
 	fn(core.ProgressEvent{Phase: core.PhaseShardRetry, Level: 1})
 	fn(core.ProgressEvent{Phase: core.PhaseShardHedge, Level: 0})
@@ -112,9 +114,11 @@ func TestCollectorShardEvents(t *testing.T) {
 // (partitioned queries run several mines, each reporting once) without
 // producing plan steps.
 func TestCollectorExecFold(t *testing.T) {
-	col := NewCollector()
+	col := NewCollector(nil)
 	fn := col.Progress()
-	if _, ok := col.Exec(); ok {
+	var fresh Explanation
+	col.Fill(&fresh)
+	if fresh.Sched != nil {
 		t.Error("fresh collector reports exec counters")
 	}
 	fn(core.ProgressEvent{Phase: core.PhaseExec, Exec: core.ExecStats{
@@ -127,13 +131,14 @@ func TestCollectorExecFold(t *testing.T) {
 	if len(steps) != 0 {
 		t.Errorf("exec events produced %d plan steps", len(steps))
 	}
-	ex, ok := col.Exec()
-	if !ok {
+	var ex Explanation
+	col.Fill(&ex)
+	if ex.Sched == nil {
 		t.Fatal("exec counters not recorded")
 	}
 	want := core.ExecStats{TasksSpawned: 14, TasksStolen: 3, ForksInline: 2, KernelIntersects: 100, ScalarIntersects: 5}
-	if ex != want {
-		t.Errorf("exec = %+v, want %+v", ex, want)
+	if *ex.Sched != want {
+		t.Errorf("exec = %+v, want %+v", *ex.Sched, want)
 	}
 }
 
@@ -143,14 +148,90 @@ func TestNilCollector(t *testing.T) {
 	if col.Progress() != nil {
 		t.Error("nil collector returned a non-nil ProgressFunc")
 	}
-	if col.MaxLevel() != 0 {
-		t.Error("nil collector MaxLevel != 0")
-	}
 	if steps, _, _, done := col.Snapshot(); steps != nil || done {
 		t.Error("nil collector Snapshot not empty")
 	}
-	if _, ok := col.Exec(); ok {
-		t.Error("nil collector Exec reported counters")
+	ex := Explanation{MaxLevel: 7}
+	col.Fill(&ex)
+	if ex.MaxLevel != 7 || ex.Steps != nil || ex.Sched != nil {
+		t.Errorf("nil collector changed the explanation: %+v", ex)
+	}
+}
+
+// TestCollectorDoneResetsBaseline: one stream carrying several runs (uexp
+// -trace observes every measured mine through one collector) attributes
+// each run's first step from zero, not from the previous run's totals.
+func TestCollectorDoneResetsBaseline(t *testing.T) {
+	col := NewCollector(nil)
+	fn := col.Progress()
+	run := core.MiningStats{CandidatesGenerated: 30, DBScans: 2}
+	fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1, Stats: run})
+	fn(core.ProgressEvent{Phase: core.PhaseDone, Level: 1, Stats: run})
+	fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 12, DBScans: 1}})
+	steps, _, _, _ := col.Snapshot()
+	if len(steps) != 2 {
+		t.Fatalf("got %d steps, want 2", len(steps))
+	}
+	if got := steps[1].CandidatesGenerated; got != 12 {
+		t.Errorf("second run's first step candidates = %d, want 12", got)
+	}
+	if got := steps[1].DBScans; got != 1 {
+		t.Errorf("second run's first step db scans = %d, want 1", got)
+	}
+}
+
+// TestCollectorSpans: with a parent span, checkpoint events become
+// completed child spans carrying the algorithm and the step's own
+// candidates; shard-robustness phases and the final done event are skipped
+// (the shardrpc backend owns those spans). A nil parent records steps only.
+func TestCollectorSpans(t *testing.T) {
+	tr := telemetry.NewTrace("mine")
+	fn := NewCollector(tr.Root()).Progress()
+	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 1,
+		Stats: core.MiningStats{CandidatesGenerated: 8}})
+	fn(core.ProgressEvent{Algorithm: "UApriori", Phase: core.PhaseLevel, Level: 2,
+		Stats: core.MiningStats{CandidatesGenerated: 50}})
+	fn(core.ProgressEvent{Phase: core.PhaseShardRetry})
+	fn(core.ProgressEvent{Phase: core.PhaseDone})
+
+	td := tr.Finish()
+	if got := len(td.Root.Children); got != 2 {
+		t.Fatalf("got %d checkpoint spans, want 2 (robustness + done skipped): %+v", got, td.Root.Children)
+	}
+	l2, ok := td.Root.Find("level 2")
+	if !ok || l2.Attrs["candidates"] != "42" || l2.Attrs["algorithm"] != "UApriori" {
+		t.Errorf("level-2 checkpoint span: %+v", l2)
+	}
+
+	nilParent := NewCollector(nil)
+	nilParent.Progress()(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1})
+	if steps, _, _, _ := nilParent.Snapshot(); len(steps) != 1 {
+		t.Errorf("span-less collector recorded %d steps, want 1", len(steps))
+	}
+}
+
+// TestCollectorSpansConcurrent: parallel miners emit checkpoints from
+// worker goroutines; the collector and its spans must be race-free.
+func TestCollectorSpansConcurrent(t *testing.T) {
+	tr := telemetry.NewTrace("mine")
+	col := NewCollector(tr.Root())
+	fn := col.Progress()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: i})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(tr.Finish().Root.Children); got != 400 {
+		t.Errorf("got %d spans, want 400", got)
+	}
+	if steps, _, _, _ := col.Snapshot(); len(steps) != 400 {
+		t.Errorf("got %d steps, want 400", len(steps))
 	}
 }
 

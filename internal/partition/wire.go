@@ -3,10 +3,13 @@ package partition
 // The wire format for phase-1 scatter traffic: what a process-per-shard
 // deployment (umine/internal/shardrpc) puts on the network when a
 // coordinator asks a shard server for its partition-local candidates. The
-// format lives here — next to the candidate-floor derivations it transports
-// — so the in-process engine and every remote transport agree on exactly
-// one encoding of thresholds, itemsets and work counters, and bit-identity
-// proofs about the floors carry over to the RPC deployment unchanged.
+// thresholds and work counters travel as core.Thresholds and
+// core.MiningStats themselves, encoded through their JSON tags, so the
+// in-process engine and every remote transport share one type per concept
+// and bit-identity proofs about the floors carry over to the RPC deployment
+// unchanged. Itemsets get their own encoding here, next to the
+// candidate-floor derivations they transport, because a decoded itemset
+// must be validated before phase 2 trusts it.
 //
 // All numbers are carried losslessly: itemsets are integer item lists and
 // the float64 threshold ratios round-trip through JSON's number encoding
@@ -18,73 +21,6 @@ import (
 
 	"umine/internal/core"
 )
-
-// WireThresholds is the on-wire form of core.Thresholds: the phase-1
-// candidate floor travels as the min_esup ratio Phase1Thresholds derived
-// (min_sup/pft ride along for transports that forward full target queries).
-type WireThresholds struct {
-	MinESup float64 `json:"min_esup,omitempty"`
-	MinSup  float64 `json:"min_sup,omitempty"`
-	PFT     float64 `json:"pft,omitempty"`
-}
-
-// ToWireThresholds converts core thresholds to their wire form.
-func ToWireThresholds(th core.Thresholds) WireThresholds {
-	return WireThresholds{MinESup: th.MinESup, MinSup: th.MinSup, PFT: th.PFT}
-}
-
-// Thresholds converts back to core thresholds.
-func (w WireThresholds) Thresholds() core.Thresholds {
-	return core.Thresholds{MinESup: w.MinESup, MinSup: w.MinSup, PFT: w.PFT}
-}
-
-// WireStats is the on-wire form of core.MiningStats, so a shard's phase-1
-// work counters fold into the coordinator's run totals exactly as an
-// in-process partition's would.
-type WireStats struct {
-	CandidatesGenerated int   `json:"candidates_generated,omitempty"`
-	CandidatesPruned    int   `json:"candidates_pruned,omitempty"`
-	ChernoffPruned      int   `json:"chernoff_pruned,omitempty"`
-	ExactEvaluations    int   `json:"exact_evaluations,omitempty"`
-	DBScans             int   `json:"db_scans,omitempty"`
-	PeakTrackedBytes    int64 `json:"peak_tracked_bytes,omitempty"`
-	TransactionsScanned int   `json:"transactions_scanned,omitempty"`
-	PostingsProbed      int   `json:"postings_probed,omitempty"`
-	HorizontalPlans     int   `json:"horizontal_plans,omitempty"`
-	VerticalPlans       int   `json:"vertical_plans,omitempty"`
-}
-
-// ToWireStats converts core mining counters to their wire form.
-func ToWireStats(s core.MiningStats) WireStats {
-	return WireStats{
-		CandidatesGenerated: s.CandidatesGenerated,
-		CandidatesPruned:    s.CandidatesPruned,
-		ChernoffPruned:      s.ChernoffPruned,
-		ExactEvaluations:    s.ExactEvaluations,
-		DBScans:             s.DBScans,
-		PeakTrackedBytes:    s.PeakTrackedBytes,
-		TransactionsScanned: s.TransactionsScanned,
-		PostingsProbed:      s.PostingsProbed,
-		HorizontalPlans:     s.HorizontalPlans,
-		VerticalPlans:       s.VerticalPlans,
-	}
-}
-
-// Stats converts back to core mining counters.
-func (w WireStats) Stats() core.MiningStats {
-	return core.MiningStats{
-		CandidatesGenerated: w.CandidatesGenerated,
-		CandidatesPruned:    w.CandidatesPruned,
-		ChernoffPruned:      w.ChernoffPruned,
-		ExactEvaluations:    w.ExactEvaluations,
-		DBScans:             w.DBScans,
-		PeakTrackedBytes:    w.PeakTrackedBytes,
-		TransactionsScanned: w.TransactionsScanned,
-		PostingsProbed:      w.PostingsProbed,
-		HorizontalPlans:     w.HorizontalPlans,
-		VerticalPlans:       w.VerticalPlans,
-	}
-}
 
 // EncodeItemsets converts candidate itemsets to their wire form: one
 // uint32 list per itemset, in the order given. core.Itemset is already a

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -218,5 +222,96 @@ func TestExplainShardRPC(t *testing.T) {
 	}
 	if ex.Itemsets != want.Results.Len() {
 		t.Errorf("rpc explain itemsets = %d, plain mine found %d", ex.Itemsets, want.Results.Len())
+	}
+}
+
+// TestExplainTraceAgreement: one collector times every checkpoint, so the
+// request trace's checkpoint spans under "mine" and the explanation's steps
+// are the same intervals — one for one, by name and order, with equal
+// durations.
+func TestExplainTraceAgreement(t *testing.T) {
+	hub := telemetry.NewHub(telemetry.HubConfig{TraceCapacity: 8})
+	s := New(Config{Telemetry: hub})
+	if _, err := s.RegisterDatabase("d", testDB(t), RegisterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := s.Explain(context.Background(), MineRequest{
+		Dataset: "d", Algorithm: "UApriori", Thresholds: core.Thresholds{MinESup: 0.3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, ok := hub.Trace(ex.TraceID)
+	if !ok {
+		t.Fatalf("trace %q not retained", ex.TraceID)
+	}
+	mine, ok := td.Root.Find("mine")
+	if !ok {
+		t.Fatal("trace has no mine span")
+	}
+	if len(ex.Steps) == 0 || len(mine.Children) != len(ex.Steps) {
+		t.Fatalf("mine span has %d checkpoint spans, explanation %d steps", len(mine.Children), len(ex.Steps))
+	}
+	for i, step := range ex.Steps {
+		sp := mine.Children[i]
+		if want := fmt.Sprintf("%s %d", step.Phase, step.Level); sp.Name != want {
+			t.Errorf("checkpoint span %d is %q, step is %q", i, sp.Name, want)
+		}
+		if sp.DurationMS != step.ElapsedMS {
+			t.Errorf("%s: span %.6fms, step %.6fms — two clocks", sp.Name, sp.DurationMS, step.ElapsedMS)
+		}
+		if got, want := sp.Attrs["candidates"], fmt.Sprint(step.CandidatesGenerated); got != want {
+			t.Errorf("%s: span candidates %s, step candidates %s", sp.Name, got, want)
+		}
+	}
+}
+
+// TestMineWithoutObserversHasNilProgress: a mine with neither a trace nor an
+// Explain hands the miner a nil Progress, so observation costs nothing.
+func TestMineWithoutObserversHasNilProgress(t *testing.T) {
+	s := newTestServer(t, testDB(t))
+	base := s.mineFn
+	var calls int
+	var progress core.ProgressFunc
+	s.mineFn = func(ctx context.Context, alg string, db *core.Database, th core.Thresholds, opts core.Options) (*core.ResultSet, error) {
+		calls++
+		progress = opts.Progress
+		return base(ctx, alg, db, th, opts)
+	}
+	if _, err := s.Mine(context.Background(), MineRequest{
+		Dataset: "d", Algorithm: "UApriori", Thresholds: core.Thresholds{MinESup: 0.3},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || progress != nil {
+		t.Errorf("mineFn calls = %d, Progress nil = %v; want 1 call with a nil Progress", calls, progress == nil)
+	}
+}
+
+// TestWorkersClampedToCores: a client's workers value is capped at
+// GOMAXPROCS. An uncapped value reaches the work-stealing scheduler, which
+// allocates one deque and starts one goroutine per requested worker.
+func TestWorkersClampedToCores(t *testing.T) {
+	const huge = 1 << 40
+	s, ts := httpFixture(t)
+	ex, err := s.Explain(context.Background(), MineRequest{
+		Dataset: "d", Algorithm: "UApriori", Thresholds: core.Thresholds{MinESup: 0.3}, Workers: huge,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if procs := runtime.GOMAXPROCS(0); ex.Workers > procs {
+		t.Fatalf("explain reports %d workers, want at most GOMAXPROCS=%d", ex.Workers, procs)
+	}
+
+	th := core.Thresholds{MinESup: 0.1}
+	resp, body := post(t, ts.URL+"/mine", mineRequestJSON{Dataset: "d", Algorithm: "UH-Mine", Thresholds: th, Workers: huge, NoCache: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/mine with workers=%d: %d %s", huge, resp.StatusCode, body)
+	}
+	d, _ := s.reg.get("d")
+	db, _ := d.snapshot()
+	if want := marshal(t, directMine(t, "UH-Mine", db, th)); !bytes.Equal(body, want) {
+		t.Errorf("/mine with workers=%d differs from a direct mine\ngot:  %s\nwant: %s", huge, body, want)
 	}
 }

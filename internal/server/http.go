@@ -229,16 +229,26 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// mineRequestJSON is the POST /mine body.
+// mineRequestJSON is the POST /mine (and POST /explain) body.
 type mineRequestJSON struct {
-	Dataset   string  `json:"dataset"`
-	Algorithm string  `json:"algorithm"`
-	MinESup   float64 `json:"min_esup,omitempty"`
-	MinSup    float64 `json:"min_sup,omitempty"`
-	PFT       float64 `json:"pft,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
-	TimeoutMS int     `json:"timeout_ms,omitempty"`
-	NoCache   bool    `json:"no_cache,omitempty"`
+	Dataset   string `json:"dataset"`
+	Algorithm string `json:"algorithm"`
+	core.Thresholds
+	Workers   int  `json:"workers,omitempty"`
+	TimeoutMS int  `json:"timeout_ms,omitempty"`
+	NoCache   bool `json:"no_cache,omitempty"`
+}
+
+// request converts the body into the query it asks for.
+func (b mineRequestJSON) request() MineRequest {
+	return MineRequest{
+		Dataset:    b.Dataset,
+		Algorithm:  b.Algorithm,
+		Thresholds: b.Thresholds,
+		Workers:    b.Workers,
+		Timeout:    time.Duration(b.TimeoutMS) * time.Millisecond,
+		NoCache:    b.NoCache,
+	}
 }
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
@@ -251,18 +261,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.Root().Record("parse", t0, time.Now())
 	ctx := telemetry.ContextWithSpan(r.Context(), tr.Root())
-	resp, err := s.Mine(ctx, MineRequest{
-		Dataset:   req.Dataset,
-		Algorithm: req.Algorithm,
-		Thresholds: core.Thresholds{
-			MinESup: req.MinESup,
-			MinSup:  req.MinSup,
-			PFT:     req.PFT,
-		},
-		Workers: req.Workers,
-		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		NoCache: req.NoCache,
-	})
+	resp, err := s.Mine(ctx, req.request())
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -294,18 +293,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if !decodeJSON(w, r, &body) {
 			return
 		}
-		req = MineRequest{
-			Dataset:   body.Dataset,
-			Algorithm: body.Algorithm,
-			Thresholds: core.Thresholds{
-				MinESup: body.MinESup,
-				MinSup:  body.MinSup,
-				PFT:     body.PFT,
-			},
-			Workers: body.Workers,
-			Timeout: time.Duration(body.TimeoutMS) * time.Millisecond,
-			NoCache: body.NoCache,
-		}
+		req = body.request()
 	} else {
 		q := r.URL.Query()
 		req.Dataset = q.Get("dataset")

@@ -68,7 +68,7 @@ func TestHTTPHealthz(t *testing.T) {
 func TestHTTPMineBitIdentical(t *testing.T) {
 	s, ts := httpFixture(t)
 	th := core.Thresholds{MinESup: 0.1}
-	req := mineRequestJSON{Dataset: "d", Algorithm: "UApriori", MinESup: th.MinESup}
+	req := mineRequestJSON{Dataset: "d", Algorithm: "UApriori", Thresholds: th}
 
 	resp1, body1 := post(t, ts.URL+"/mine", req)
 	if resp1.StatusCode != http.StatusOK {
@@ -112,7 +112,7 @@ func TestHTTPRegisterMineIngestFlow(t *testing.T) {
 	}
 
 	// Mine the generated profile.
-	resp, body = post(t, ts.URL+"/mine", mineRequestJSON{Dataset: "g", Algorithm: "UH-Mine", MinESup: 0.01})
+	resp, body = post(t, ts.URL+"/mine", mineRequestJSON{Dataset: "g", Algorithm: "UH-Mine", Thresholds: core.Thresholds{MinESup: 0.01}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mine: %d %s", resp.StatusCode, body)
 	}
@@ -141,7 +141,7 @@ func TestHTTPRegisterMineIngestFlow(t *testing.T) {
 	if ing.Version != 1 || ing.Added != 2 {
 		t.Fatalf("ingest result %+v", ing)
 	}
-	resp, _ = post(t, ts.URL+"/mine", mineRequestJSON{Dataset: "g", Algorithm: "UH-Mine", MinESup: 0.01})
+	resp, _ = post(t, ts.URL+"/mine", mineRequestJSON{Dataset: "g", Algorithm: "UH-Mine", Thresholds: core.Thresholds{MinESup: 0.01}})
 	if v := resp.Header.Get(headerVersion); v != "1" {
 		t.Fatalf("post-ingest version header %q, want 1", v)
 	}
@@ -168,8 +168,8 @@ func TestHTTPErrors(t *testing.T) {
 		body   any
 		status int
 	}{
-		{"unknown dataset", "/mine", mineRequestJSON{Dataset: "nope", Algorithm: "UApriori", MinESup: 0.1}, http.StatusNotFound},
-		{"unknown algorithm", "/mine", mineRequestJSON{Dataset: "d", Algorithm: "Nope", MinESup: 0.1}, http.StatusBadRequest},
+		{"unknown dataset", "/mine", mineRequestJSON{Dataset: "nope", Algorithm: "UApriori", Thresholds: core.Thresholds{MinESup: 0.1}}, http.StatusNotFound},
+		{"unknown algorithm", "/mine", mineRequestJSON{Dataset: "d", Algorithm: "Nope", Thresholds: core.Thresholds{MinESup: 0.1}}, http.StatusBadRequest},
 		{"bad thresholds", "/mine", mineRequestJSON{Dataset: "d", Algorithm: "UApriori"}, http.StatusBadRequest},
 		{"duplicate dataset", "/datasets", registerRequest{Name: "d", Profile: "gazelle", Scale: 0.005}, http.StatusConflict},
 		{"unknown profile", "/datasets", registerRequest{Name: "x", Profile: "nope"}, http.StatusBadRequest},

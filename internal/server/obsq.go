@@ -12,10 +12,10 @@ import (
 )
 
 // The server side of query-level observability (umine/internal/obsq):
-// Explain runs one query with a cost collector chained onto its progress
-// stream and renders the executed plan; the ingest pre-warm replays the
-// workload profile's hottest queries after an invalidation; the dashboard
-// assembles every live surface into one page.
+// Explain runs one query and renders the executed plan from the mine's
+// checkpoint collector; the ingest pre-warm replays the workload profile's
+// hottest queries after an invalidation; the dashboard assembles every live
+// surface into one page.
 
 // Explain answers req exactly as Mine would — same cache, coalescing,
 // backend selection, and bit-identical results — while collecting the
@@ -23,9 +23,7 @@ import (
 // observer and one span walk; the mined bits cannot differ from a plain
 // Mine.
 func (s *Server) Explain(ctx context.Context, req MineRequest) (*obsq.Explanation, error) {
-	col := obsq.NewCollector()
 	exec := &execRecord{}
-	req.progress = col.Progress()
 	req.exec = exec
 
 	span := telemetry.SpanFromContext(ctx)
@@ -52,30 +50,21 @@ func (s *Server) Explain(ctx context.Context, req MineRequest) (*obsq.Explanatio
 		return nil, err
 	}
 
-	steps, totals, events, _ := col.Snapshot()
 	ex := &obsq.Explanation{
-		Dataset:   req.Dataset,
-		Version:   resp.DatasetVersion,
-		Algorithm: req.Algorithm,
-		Semantics: resp.Results.Semantics.String(),
-		MinESup:   req.Thresholds.MinESup,
-		MinSup:    req.Thresholds.MinSup,
-		PFT:       req.Thresholds.PFT,
-		Workers:   s.workers(req.Workers),
-		Backend:   exec.backend,
-		Path:      servePath(resp.Cache, exec.source),
-		Shards:    exec.shards,
-		Itemsets:  len(resp.Results.Results),
-		MaxLevel:  col.MaxLevel(),
-		ElapsedMS: float64(resp.Elapsed.Nanoseconds()) / 1e6,
-		Totals:    obsq.CostFromStats(totals),
-		Steps:     steps,
-		TraceID:   span.TraceID(),
+		Dataset:    req.Dataset,
+		Version:    resp.DatasetVersion,
+		Algorithm:  req.Algorithm,
+		Semantics:  resp.Results.Semantics.String(),
+		Thresholds: req.Thresholds,
+		Workers:    s.workers(req.Workers),
+		Backend:    exec.backend,
+		Path:       servePath(resp.Cache, exec.source),
+		Shards:     exec.shards,
+		Itemsets:   len(resp.Results.Results),
+		ElapsedMS:  float64(resp.Elapsed.Nanoseconds()) / 1e6,
+		TraceID:    span.TraceID(),
 	}
-	ex.ShardEvents = events
-	if sched, ok := col.Exec(); ok {
-		ex.Sched = &sched
-	}
+	exec.col.Fill(ex)
 	if ex.Backend == "" {
 		// Nothing executed: the cache (or a coalesced neighbour) answered.
 		ex.Backend = "cache"

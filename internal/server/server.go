@@ -367,13 +367,9 @@ type MineRequest struct {
 	// Used by the load benchmark's cold passes.
 	NoCache bool
 
-	// progress, when set, is chained onto the mining run's observer —
-	// Explain threads its cost collector through here without perturbing
-	// the run (events are copies; the nil path costs nothing).
-	progress core.ProgressFunc
 	// exec, when set, receives the execution decisions Explain reports
 	// (which backend ran, how wide the scatter was, a cache entry's
-	// provenance).
+	// provenance, the run's checkpoint collector).
 	exec *execRecord
 	// internal marks server-originated requests (cache pre-warm): they mine
 	// and fill the cache normally but stay out of the workload profile and
@@ -385,7 +381,8 @@ type MineRequest struct {
 type execRecord struct {
 	backend string // local | sharded | shardrpc ("" when nothing executed)
 	shards  int
-	source  string // cache-entry provenance when served without mining
+	source  string          // cache-entry provenance when served without mining
+	col     *obsq.Collector // the mine's checkpoint steps (nil when nothing executed)
 }
 
 // MineResponse is the outcome of one Mine call.
@@ -625,21 +622,30 @@ func (s *Server) runMine(ctx context.Context, req MineRequest, d *dsEntry, db *c
 		// than failing the mine (results are shard-count independent).
 		shards = p.Width()
 	}
-	if shards > 1 && algo.SupportsPartitions(req.Algorithm) {
+	sharded := shards > 1 && algo.SupportsPartitions(req.Algorithm)
+	// The request's one checkpoint collector times each step for /explain
+	// and, on the plain path, records it as a child span of "mine". The
+	// sharded path's engine spans already cover its structure, so there the
+	// collector runs span-less, for Explain only. With neither a span nor
+	// an Explain, Progress stays nil and costs nothing.
+	parent := span
+	if sharded {
+		parent = nil
+	}
+	if parent != nil || req.exec != nil {
+		col := obsq.NewCollector(parent)
+		opts.Progress = col.Progress()
+		if req.exec != nil {
+			req.exec.col = col
+		}
+	}
+	if sharded {
 		span.SetAttr("shards", fmt.Sprint(shards))
-		// The partition engine's PhasePartition/PhaseDone events feed the
-		// request's cost collector (when Explain attached one).
-		opts.Progress = req.progress
 		return s.mineSharded(ctx, req.Algorithm, d, db, version, shards, req.Thresholds, opts, req.exec)
 	}
-	// Plain (unsharded) path: the miner's own Progress checkpoints become
-	// child spans, chained with the request's cost collector. The sharded
-	// path skips the span observer — the partition engine's explicit phase
-	// spans already cover its structure.
 	if req.exec != nil {
 		req.exec.backend = "local"
 	}
-	opts.Progress = core.ChainProgress(telemetry.SpanProgress(span), req.progress)
 	return s.mineFn(ctx, req.Algorithm, db, req.Thresholds, opts)
 }
 
@@ -666,12 +672,17 @@ func (s *Server) countCache(kind string) {
 	}
 }
 
-// workers resolves a per-request Workers value against the server default.
+// workers resolves a per-request Workers value against the server default,
+// capped at the cores this process has. The cap is an execution decision
+// like minShardTransactions: results are bit-identical at every worker
+// count, and an uncapped client value would make the work-stealing
+// scheduler allocate one deque and goroutine per requested worker.
+// Negative values (all cores) pass through.
 func (s *Server) workers(reqWorkers int) int {
-	if reqWorkers != 0 {
-		return reqWorkers
+	if reqWorkers == 0 {
+		reqWorkers = s.cfg.DefaultWorkers
 	}
-	return s.cfg.DefaultWorkers
+	return min(reqWorkers, runtime.GOMAXPROCS(0))
 }
 
 // acquire claims one in-flight mining slot, honoring ctx while queueing.

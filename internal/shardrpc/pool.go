@@ -278,7 +278,7 @@ func (b *Backend) MineShard(ctx context.Context, shard int, algorithm string, th
 		Lo:        r.Lo,
 		Hi:        r.Hi,
 		Algorithm: algorithm,
-		Th:        partition.ToWireThresholds(th),
+		Th:        th,
 		Workers:   workers,
 		TraceID:   span.TraceID(),
 	}
@@ -298,7 +298,7 @@ func (b *Backend) MineShard(ctx context.Context, shard int, algorithm string, th
 			for _, sd := range res.resp.Spans {
 				span.Attach(sd)
 			}
-			return sets, res.resp.Stats.Stats(), nil
+			return sets, res.resp.Stats, nil
 		case outcomePermanent:
 			return nil, core.MiningStats{}, fmt.Errorf("shardrpc: shard %d: %w", shard, res.err)
 		case outcomeStale:

@@ -1,11 +1,12 @@
 package shardrpc
 
 // The HTTP/JSON wire protocol between the coordinator and shard servers.
-// Candidate itemsets, thresholds and work counters travel in the canonical
-// wire forms of umine/internal/partition; transactions travel as item:prob
-// lines (the exact format of /ingest and dataset.ReadUncertain, with
-// full-precision float64 round-tripping so pushed slices are bit-identical
-// to the coordinator's arena).
+// Thresholds and work counters travel as core.Thresholds and
+// core.MiningStats through their JSON tags, candidate itemsets in the
+// validated wire form of umine/internal/partition; transactions travel as
+// item:prob lines (the exact format of /ingest and dataset.ReadUncertain,
+// with full-precision float64 round-tripping so pushed slices are
+// bit-identical to the coordinator's arena).
 
 import (
 	"fmt"
@@ -16,7 +17,6 @@ import (
 
 	"umine/internal/core"
 	"umine/internal/dataset"
-	"umine/internal/partition"
 	"umine/internal/telemetry"
 )
 
@@ -76,13 +76,13 @@ type PushResponse struct {
 // held slice. The request pins (Version, Lo, Hi); a shard holding anything
 // else answers 409 with a StaleResponse instead of mining.
 type MineShardRequest struct {
-	Dataset   string                   `json:"dataset"`
-	Version   uint64                   `json:"version"`
-	Lo        int                      `json:"lo"`
-	Hi        int                      `json:"hi"`
-	Algorithm string                   `json:"algorithm"`
-	Th        partition.WireThresholds `json:"thresholds"`
-	Workers   int                      `json:"workers,omitempty"`
+	Dataset   string          `json:"dataset"`
+	Version   uint64          `json:"version"`
+	Lo        int             `json:"lo"`
+	Hi        int             `json:"hi"`
+	Algorithm string          `json:"algorithm"`
+	Th        core.Thresholds `json:"thresholds"`
+	Workers   int             `json:"workers,omitempty"`
 	// TraceID, when set, is the coordinator trace this mine belongs to: the
 	// shard runs its mine under a trace with the same ID and returns its
 	// span tree in MineShardResponse.Spans.
@@ -92,8 +92,8 @@ type MineShardRequest struct {
 // MineShardResponse carries a shard's locally frequent itemsets and work
 // counters back to the coordinator.
 type MineShardResponse struct {
-	Itemsets [][]uint32          `json:"itemsets"`
-	Stats    partition.WireStats `json:"stats"`
+	Itemsets [][]uint32       `json:"itemsets"`
+	Stats    core.MiningStats `json:"stats"`
 	// Cached reports a shard-local result-cache hit (no mine ran).
 	Cached bool `json:"cached,omitempty"`
 	// Spans is the shard-side span tree of this response (absent when the

@@ -136,6 +136,32 @@ func TestMineShardRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMineShardWorkersClamped: the shard caps a request's workers at its
+// GOMAXPROCS, so a huge value mines normally (bit-identical to the local
+// mine) instead of starting one stealing worker per requested worker.
+func TestMineShardWorkersClamped(t *testing.T) {
+	db := testDB(2, 200)
+	addrs, _ := startShards(t, 1)
+	pool, err := NewPool(PoolConfig{Addrs: addrs, Tuning: fastTuning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := pool.Backend("d", 1, db, 1, Hooks{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := core.Thresholds{MinESup: 0.1}
+	sets, stats, err := be.MineShard(context.Background(), 0, "UH-Mine", th, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSets, wantStats := localShardMine(t, db, 0, db.N(), "UH-Mine", th)
+	requireSameSets(t, sets, wantSets)
+	if stats != wantStats {
+		t.Fatalf("stats: got %+v, want %+v", stats, wantStats)
+	}
+}
+
 // TestVersionInvalidationDeltaPush: after an append-only "ingest" bumps the
 // version, the shard rejects the stale pin and the coordinator re-pushes
 // only the delta (the held slice hash-verifies as a prefix).

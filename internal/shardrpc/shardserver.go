@@ -14,6 +14,7 @@ import (
 
 	"umine/internal/algo"
 	"umine/internal/core"
+	"umine/internal/obsq"
 	"umine/internal/partition"
 	"umine/internal/telemetry"
 )
@@ -54,10 +55,9 @@ type heldSlice struct {
 // cacheKey identifies one phase-1 query against a held slice. The version
 // is deliberately absent: the cache lives inside the heldSlice, which a
 // version change replaces wholesale.
-func cacheKey(alg string, th core.Thresholds, workers int) string {
-	// Workers never changes results (the determinism contract), so it is
-	// not part of the key.
-	_ = workers
+// Workers never changes results (the determinism contract), so it is not
+// part of the key.
+func cacheKey(alg string, th core.Thresholds) string {
 	return fmt.Sprintf("%s|%x|%x|%x", alg,
 		math.Float64bits(th.MinESup), math.Float64bits(th.MinSup), math.Float64bits(th.PFT))
 }
@@ -318,8 +318,7 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	th := req.Th.Thresholds()
-	key := cacheKey(req.Algorithm, th, req.Workers)
+	key := cacheKey(req.Algorithm, req.Th)
 	h.cacheMu.Lock()
 	cached, ok := h.cache[key]
 	h.cacheMu.Unlock()
@@ -336,18 +335,22 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 
 	mineSpan := tr.Root().StartChild("mine")
 	mineSpan.SetAttr("algorithm", req.Algorithm)
-	m, err := algo.NewWith(req.Algorithm, core.Options{
-		Workers: req.Workers,
+	// Workers is client input: cap it at the cores this process has, so a
+	// request cannot make the scheduler allocate one deque and goroutine
+	// per requested worker. Results are identical at every worker count.
+	opts := core.Options{Workers: min(req.Workers, runtime.GOMAXPROCS(0))}
+	if mineSpan != nil {
 		// The miner's own checkpoints (levels, subtrees) become child
 		// spans, so the coordinator's stitched tree shows where the shard's
 		// time went, not just that it went.
-		Progress: telemetry.SpanProgress(mineSpan),
-	})
+		opts.Progress = obsq.NewCollector(mineSpan).Progress()
+	}
+	m, err := algo.NewWith(req.Algorithm, opts)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	rs, err := m.Mine(r.Context(), h.db, th)
+	rs, err := m.Mine(r.Context(), h.db, req.Th)
 	mineSpan.End()
 	if err != nil {
 		// Mining errors (including a canceled hedge loser's ctx) are 422:
@@ -358,7 +361,7 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 	s.mines.Add(1)
 	resp := MineShardResponse{
 		Itemsets: partition.EncodeItemsets(rs.Itemsets()),
-		Stats:    partition.ToWireStats(rs.Stats),
+		Stats:    rs.Stats,
 	}
 	h.cacheMu.Lock()
 	if h.cache == nil {

@@ -23,10 +23,11 @@
 //
 //   - Span/Progress relationship: miners do not know about spans — they
 //     emit core.ProgressEvents at their cooperative checkpoints, exactly
-//     as before. SpanProgress (progress.go) adapts that stream into child
-//     spans (one per checkpoint, covering the interval since the previous
-//     one), so every existing miner's level/subtree/partition structure
-//     shows up in traces without touching miner code. Explicit spans and
+//     as before. obsq.Collector, the one observer that times those
+//     checkpoints, records each as a completed child span (Span.Record)
+//     of the span it was given, over the same interval as its /explain
+//     step, so every miner's level/subtree/partition structure shows up
+//     in traces without touching miner code. Explicit spans and
 //     Progress-fed spans coexist in one tree.
 //
 //   - Metrics (metrics.go): a Registry of counters, gauges and fixed-bucket
