@@ -164,6 +164,7 @@ FUZZ_TARGETS = \
 	./internal/kernel:FuzzPairBitIdentity \
 	./internal/kernel:FuzzKWayBitIdentity \
 	./internal/kernel:FuzzFreqTailBitIdentity \
+	./internal/kernel:FuzzFreqTailAbove \
 	./internal/shardrpc:FuzzMineShardResponse
 
 fuzz-smoke:

@@ -17,6 +17,16 @@
 //     expected support, which the shared counting pass already produced)
 //     and skip the exact computation when the bound already rules the
 //     candidate out.
+//
+// The DP kernel also stops on a candidate as soon as a union bound (the DP
+// row so far plus a Chernoff tail on the remaining transactions) proves it
+// cannot pass; see internal/kernel. That is an execution shortcut, not a
+// pruning rule: DPNB still runs the full DP for every accepted candidate,
+// each candidate still counts once in ExactEvaluations, and results and
+// MiningStats are unchanged — only wall time moves. The paper's count-based
+// comparisons (Tables 4 and 5) therefore stand, while the DPNB-vs-DPB
+// wall-time gap narrows: the kernel now drops most of the candidates that
+// Lemma 1 spares DPB from computing, a little later in their DP.
 package exact
 
 import (
@@ -110,7 +120,7 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 	}
 	msc := th.MinSupCount(db.N())
 
-	freqProb := m.freqProbFunc(msc)
+	above := m.aboveFunc(msc, th.PFT+core.Eps)
 
 	// Decide runs on the worker pool (ParallelDecide), so its two counters
 	// are atomics, folded into the run stats afterwards.
@@ -128,8 +138,7 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 				return core.Result{}, false
 			}
 			exactEvals.Add(1)
-			fp := freqProb(c.Probs)
-			if fp > th.PFT+core.Eps {
+			if fp, ok := above(c.Probs); ok {
 				return core.Result{Itemset: c.Items, ESup: c.ESup, Var: c.Var, FreqProb: fp}, true
 			}
 			return core.Result{}, false
@@ -161,19 +170,27 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 	}, nil
 }
 
-// freqProbFunc returns the per-itemset exact tail computation for the
-// configured method. The DP method dispatches to the internal/kernel
-// verification kernel — bit-identical to the prob package's reference
-// recurrence, which Exec.DisableKernel forces at runtime.
-func (m *Miner) freqProbFunc(msc int) func(ps []float64) float64 {
+// aboveFunc returns the per-itemset exact frequentness test for the
+// configured method: the frequent probability and whether it exceeds thr.
+// The DP method dispatches to the internal/kernel verification kernel,
+// which stops on a candidate once a union bound rules it out and otherwise
+// returns bits identical to the prob package's reference recurrence, which
+// Exec.DisableKernel forces at runtime.
+func (m *Miner) aboveFunc(msc int, thr float64) func(ps []float64) (float64, bool) {
 	switch m.Method {
 	case DP:
 		if m.Exec.DisableKernel {
-			return func(ps []float64) float64 { return prob.PBFreqProbDP(ps, msc) }
+			return func(ps []float64) (float64, bool) {
+				fp := prob.PBFreqProbDP(ps, msc)
+				return fp, fp > thr
+			}
 		}
-		return func(ps []float64) float64 { return kernel.FreqTailDP(ps, msc) }
+		return func(ps []float64) (float64, bool) { return kernel.FreqTailAbove(ps, msc, thr) }
 	case DC:
-		return func(ps []float64) float64 { return freqProbDC(ps, msc) }
+		return func(ps []float64) (float64, bool) {
+			fp := freqProbDC(ps, msc)
+			return fp, fp > thr
+		}
 	default:
 		panic(fmt.Sprintf("exact: unknown method %d", m.Method))
 	}

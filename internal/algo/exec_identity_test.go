@@ -11,10 +11,11 @@ import (
 // The execution-tuning acceptance gate: every registered configuration must
 // return a bit-identical ResultSet — itemsets, measure bits AND MiningStats —
 // across Workers ∈ {1, 4, 8} × steal {on, off} × kernel {optimized, scalar
-// reference}. core.ExecTuning only moves work between implementations that
-// are asserted equal (the work-stealing scheduler vs inline recursion, the
-// internal/kernel intersection loops vs their scalar references), so no
-// combination may move a bit. Run under -race with -cpu 1,4,8 in CI, this is
+// reference}, at every threshold pair below. core.ExecTuning only moves work
+// between implementations that are asserted equal (the work-stealing
+// scheduler vs inline recursion, the internal/kernel intersection loops and
+// the early-rejecting DP vs their references), so no combination may move a
+// bit. Run under -race with -cpu 1,4,8 in CI, this is
 // also the shake-out for scheduler and accumulator races.
 func TestExecTuningDeterminism(t *testing.T) {
 	// Large enough that counting splits into several chunks, the UH-Mine
@@ -35,26 +36,45 @@ func TestExecTuningDeterminism(t *testing.T) {
 		tunings = []core.ExecTuning{{}, {DisableSteal: true, DisableKernel: true}}
 	}
 	for _, name := range Names() {
-		var th core.Thresholds
+		var ths []core.Thresholds
 		switch MustNew(name).Semantics() {
 		case core.ExpectedSupport:
-			th = core.Thresholds{MinESup: 0.2}
+			ths = []core.Thresholds{{MinESup: 0.2}}
 		case core.Probabilistic:
-			th = core.Thresholds{MinSup: 0.25, PFT: 0.9}
+			// The DP kernel's early rejection must not move a bit where it
+			// fires on most candidates (the cold-exact regime) nor where
+			// accepted candidates crowd the threshold (a low PFT).
+			ths = []core.Thresholds{
+				{MinSup: 0.25, PFT: 0.9},
+				{MinSup: 0.2, PFT: 0.7},
+				{MinSup: 0.25, PFT: 0.05},
+			}
+			switch {
+			case testing.Short() && name != "DPNB" && name != "DPB":
+				// Short mode keeps the extra pairs for the DP kernel's miners.
+				ths = ths[:1]
+			case name == "MCSampling":
+				// Its sequential early stop cannot settle below PFT − ε =
+				// 0.03 before the full world budget, so a low PFT costs
+				// minutes here; it runs no DP kernel either.
+				ths = ths[:2]
+			}
 		}
-		var ref *core.ResultSet
-		for _, w := range workerCounts {
-			for _, tu := range tunings {
-				rs, err := MustNewWith(name, core.Options{Workers: w, Exec: tu}).
-					Mine(context.Background(), db, th)
-				if err != nil {
-					t.Fatalf("%s on %s (workers=%d, tuning=%+v): %v", name, db.Name, w, tu, err)
+		for _, th := range ths {
+			var ref *core.ResultSet
+			for _, w := range workerCounts {
+				for _, tu := range tunings {
+					rs, err := MustNewWith(name, core.Options{Workers: w, Exec: tu}).
+						Mine(context.Background(), db, th)
+					if err != nil {
+						t.Fatalf("%s on %s at %+v (workers=%d, tuning=%+v): %v", name, db.Name, th, w, tu, err)
+					}
+					if ref == nil {
+						ref = rs
+						continue
+					}
+					requireIdenticalResults(t, name, db.Name, workerCounts[0], w, ref, rs)
 				}
-				if ref == nil {
-					ref = rs
-					continue
-				}
-				requireIdenticalResults(t, name, db.Name, workerCounts[0], w, ref, rs)
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package kernel
 
+import "math"
+
 // The exact probabilistic miners' verification kernel: the §3.2.1 dynamic
 // program for Pr{K ≥ minCount} over a candidate's per-transaction
 // containment probabilities. Profiles of the DP miner family are >95% this
@@ -12,7 +14,8 @@ package kernel
 // that domain — the skipped regions below are exactly zero only because no
 // input is NaN or infinite.
 //
-// Three observations let FreqTailDP skip work without moving a bit:
+// Three observations let FreqTailDP skip work without moving a bit, and a
+// fourth lets FreqTailAbove stop on a candidate that cannot pass:
 //
 //   - Zero triangle (top): after s probability-bearing transactions, mass
 //     can sit at index ≤ s only. The reference's updates above that index
@@ -30,20 +33,89 @@ package kernel
 //     each element still computes row[i−1]·p + row[i]·(1−p), same
 //     multiplications, same additions, same order.
 //
+//   - Early rejection (union bound): split K = S + R, S the count over the
+//     transactions processed so far and R over the r remaining ones. For
+//     any k, K ≥ minCount needs S ≥ k or R ≥ minCount − k + 1, so
+//
+//     Pr{K ≥ minCount} ≤ row[k] + Pr{R ≥ minCount − k + 1}.
+//
+//     The second term is 0 when minCount − k + 1 > r, and otherwise at most
+//     the Chernoff bound Pr{R ≥ a} ≤ e^{−µ}(eµ/a)^a for a > µ, which holds
+//     for any µ at least R's mean. Every checkEvery steps FreqTailAbove
+//     takes the minimum over the live k (the updated window plus the exact
+//     zero just above it); once that bound is at or below thr − slack the
+//     candidate is rejected without finishing the DP. A candidate that is
+//     never rejected runs the same loop to the end, so its value keeps
+//     FreqTailDP's bits.
+//
+// The rounding slack makes the rejection certain for the computed value,
+// not just the exact one. With u = 2⁻⁵³:
+//
+//   - Each DP update is a convex combination evaluated with at most three
+//     roundings (1−p, two products, their sum; fewer if fused). If the row
+//     so far is off by at most E, the update is off by at most
+//     E + 4u·(1+E), so after j steps every live entry is within
+//     (1+4u)^j − 1 ≤ 5ju of the exact Pr{S ≥ k} (for n ≤ 2⁴⁰), and the
+//     returned value within 5nu of the exact tail; clamping to [0, 1] only
+//     moves it toward the tail.
+//   - R's mean is a running total, off by at most 2nu·Σp after n
+//     subtractions; adding (n+1)·8u·Σp gives µ ≥ the true mean, and the
+//     bound only grows with µ. The exponent a − µ + a·ln(µ/a) is computed
+//     with error under 3u·(a + µ + a·|ln(µ/a)|) and padded by 8u times
+//     that sum, so the computed bound is at least the exact one less the
+//     few ulps of exp's own error: under 4u absolute, as it only matters
+//     when it is at most 1.
+//   - The sum row[k] + bound and the cut thr − slack round by at most 2u
+//     and 3u (for |thr| ≤ 2; outside that range every verdict is fixed).
+//
+// So the computed tail is at most bound + 10nu + 9u ≤ bound + slack with
+// slack = 16(n+1)u: whenever bound ≤ thr − slack, FreqTailDP ≤ thr, and the
+// early verdict equals the full DP's. The slack is ~6·10⁻¹² at n = 3400,
+// far inside core.Eps, so it costs no measurable rejections.
+//
 // Together the triangles cut the O(N·minCount) reference to
 // O(minCount·(N−minCount)) — for candidates whose support barely clears the
 // threshold (the ones count pruning lets through), that approaches O(N).
+// Early rejection then cuts most candidates that fail well before the end.
+
+// checkEvery is how many transactions FreqTailAbove processes between
+// union-bound checks.
+const checkEvery = 64
 
 // FreqTailDP computes Pr{K ≥ minCount} for the Poisson-Binomial with trial
 // probabilities ps. Bit-identical to FreqTailDPScalar on every input in the
 // [0, 1] domain.
 func FreqTailDP(ps []float64, minCount int) float64 {
+	fp, _ := freqTail(ps, minCount, 0, false)
+	return fp
+}
+
+// FreqTailAbove reports whether FreqTailDP(ps, minCount) > thr. When ok,
+// fp is FreqTailDP's result, bit for bit; when not, fp is 0 if the union
+// bound stopped the DP early and FreqTailDP's result otherwise.
+func FreqTailAbove(ps []float64, minCount int, thr float64) (fp float64, ok bool) {
+	return freqTail(ps, minCount, thr, true)
+}
+
+// freqTail is the one DP loop behind both entry points; reject enables the
+// union-bound checks against thr.
+func freqTail(ps []float64, minCount int, thr float64, reject bool) (float64, bool) {
 	if minCount <= 0 {
-		return 1
+		return 1, 1 > thr
 	}
 	n := len(ps)
 	if minCount > n {
-		return 0
+		return 0, 0 > thr
+	}
+	next := n // index of the next union-bound check; n = never
+	var rest, muPad, cut float64
+	if reject {
+		for _, p := range ps {
+			rest += p
+		}
+		muPad = rest * float64(n+1) * 0x1p-50
+		cut = thr - float64(n+1)*0x1p-49
+		next = checkEvery - 1
 	}
 	// row[i] = Pr{≥ i among transactions seen so far}; row[0] ≡ 1.
 	row := make([]float64, minCount+1)
@@ -60,7 +132,7 @@ func FreqTailDP(ps []float64, minCount int) float64 {
 		if top+rem < minCount {
 			// Even promoting mass every remaining step cannot reach
 			// row[minCount]: the reference would return an untouched 0.
-			return 0
+			return 0, 0 > thr
 		}
 		lo := minCount - rem
 		if lo < 1 {
@@ -80,6 +152,13 @@ func FreqTailDP(ps []float64, minCount int) float64 {
 		if i == lo {
 			row[i] = row[i-1]*p + hi*q
 		}
+		rest -= p
+		if j >= next {
+			next = j + checkEvery
+			if unionBoundBelow(row, lo, top, minCount, rem, rest+muPad, cut) {
+				return 0, false
+			}
+		}
 	}
 	v := row[minCount]
 	if v > 1 {
@@ -88,7 +167,52 @@ func FreqTailDP(ps []float64, minCount int) float64 {
 	if v < 0 {
 		v = 0
 	}
-	return v
+	return v, v > thr
+}
+
+// unionBoundBelow reports whether row[k] + Pr{R ≥ minCount−k+1} ≤ cut for
+// some live k in [lo, min(top+1, minCount)], where R counts the rem
+// remaining transactions and has mean at most mu.
+func unionBoundBelow(row []float64, lo, top, minCount, rem int, mu, cut float64) bool {
+	// The tail bound is vacuous (1) unless a = minCount−k+1 exceeds mu.
+	hi := min(top+1, minCount, minCount-int(mu))
+	// row[k] falls as k rises while the tail term rises, so only k at or
+	// above the lowest k with row[k] ≤ cut can pass. Find it with plain
+	// compares, then walk up until the tail term alone exceeds cut.
+	k := hi
+	for k >= lo && row[k] <= cut {
+		k--
+	}
+	for k++; k <= hi; k++ {
+		c := chernoffTail(minCount-k+1, rem, mu)
+		if c > cut {
+			return false
+		}
+		if row[k]+c <= cut {
+			return true
+		}
+	}
+	return false
+}
+
+// chernoffTail bounds Pr{R ≥ a} from above, rounding included, for R a sum
+// of rem independent Bernoulli trials whose mean is at most mu.
+func chernoffTail(a, rem int, mu float64) float64 {
+	if a > rem {
+		return 0
+	}
+	x := float64(a)
+	if x <= mu {
+		return 1
+	}
+	r := mu / x
+	if r <= 0 {
+		// mu ≤ 0, or so small that the bound is below any slack.
+		return 0
+	}
+	l := math.Log(r) // < 0
+	e := x - mu + x*l
+	return math.Exp(e + (x+mu-x*l)*0x1p-50)
 }
 
 // FreqTailDPScalar is the reference dynamic program — the prob package's

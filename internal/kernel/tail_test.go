@@ -114,6 +114,128 @@ func FuzzFreqTailBitIdentity(f *testing.F) {
 	})
 }
 
+// aboveEqual checks FreqTailAbove against the full DP at thr: the verdict
+// must be FreqTailDP > thr, an accepted value must carry FreqTailDP's bits,
+// and a rejected one is either those bits or the early-stop 0. It reports
+// whether the union bound stopped the DP early.
+func aboveEqual(t *testing.T, label string, ps []float64, minCount int, thr float64) bool {
+	t.Helper()
+	want := FreqTailDP(ps, minCount)
+	got, ok := FreqTailAbove(ps, minCount, thr)
+	if ok != (want > thr) {
+		t.Fatalf("%s (n=%d, minCount=%d, thr=%v): ok=%v but FreqTailDP=%v (%#x)",
+			label, len(ps), minCount, thr, ok, want, math.Float64bits(want))
+	}
+	if math.Float64bits(got) == math.Float64bits(want) {
+		return false
+	}
+	if ok || got != 0 {
+		t.Fatalf("%s (n=%d, minCount=%d, thr=%v): FreqTailAbove %v (%#x) != FreqTailDP %v (%#x)",
+			label, len(ps), minCount, thr, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	return true
+}
+
+// edgeThresholds are the thresholds at the rounding edge of v: v itself,
+// one ulp either side, and v ± 1e-12 and ± 1e-9 (core.Eps).
+func edgeThresholds(v float64) []float64 {
+	out := []float64{v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1))}
+	for _, d := range []float64{1e-12, 1e-9} {
+		out = append(out, v-d, v+d)
+	}
+	return out
+}
+
+// TestFreqTailAboveMatchesDP pins the early-rejecting DP to the full one:
+// the same verdict at every threshold, including the ones within rounding
+// of the value itself, where the union bound's slack is all that keeps a
+// rejection honest, and the same bits for every accepted candidate. Shapes
+// cover exact zeros and ones, small probabilities (where the Chernoff term
+// is tightest), and the borderline (n barely above minCount) and wide
+// verification shapes; fixed thresholds make the early stop fire often.
+func TestFreqTailAboveMatchesDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	early := 0
+	check := func(label string, ps []float64, minCounts []int) {
+		for _, minCount := range minCounts {
+			thrs := append(edgeThresholds(FreqTailDP(ps, minCount)), 0, 0.05, 0.5, 0.9+1e-9, 1)
+			for _, thr := range thrs {
+				if aboveEqual(t, label, ps, minCount, thr) {
+					early++
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(400)
+		var ps []float64
+		label := "random"
+		switch trial % 5 {
+		case 0:
+			ps = genProbs(rng, n, 0, 0)
+		case 1:
+			label = "zeros"
+			ps = genProbs(rng, n, 0.3, 0)
+		case 2:
+			label = "ones"
+			ps = genProbs(rng, n, 0, 0.2)
+		case 3:
+			label = "zeros+ones"
+			ps = genProbs(rng, n, 0.4, 0.1)
+		case 4:
+			label = "small"
+			ps = genProbs(rng, n, 0.1, 0)
+			for i := range ps {
+				ps[i] /= 16
+			}
+		}
+		check(label, ps, []int{0, 1, n / 4, n / 2, n - 1, n, n + 1})
+	}
+	for trial := 0; trial < 4; trial++ {
+		for _, shape := range []struct {
+			label string
+			n     int
+		}{{"borderline", 800}, {"wide", 3400}} {
+			ps := genProbs(rng, shape.n, 0.05, 0.02)
+			// Scale the mean across minCount 681 so the tails span 0 to 1.
+			scale := float64(1+trial) / 4 * 681 / (0.5 * float64(shape.n))
+			for i := range ps {
+				ps[i] = math.Min(1, ps[i]*scale)
+			}
+			n := shape.n
+			check(shape.label, ps, []int{0, 1, n / 4, n / 2, 681, n - 1, n, n + 1})
+		}
+	}
+	zeros := make([]float64, 200)
+	check("all-zero", zeros, []int{0, 1, 100, 200, 201})
+	if early == 0 {
+		t.Fatal("the union bound never stopped a DP early")
+	}
+}
+
+// FuzzFreqTailAbove fuzzes FreqTailAbove against the full DP with the
+// TestFreqTailAboveMatchesDP oracle, at the fuzzed threshold and at the
+// rounding edge of the value. Short inputs are tiled so the vector spans
+// several union-bound checks.
+func FuzzFreqTailAbove(f *testing.F) {
+	f.Add([]byte{}, 0, 0.5)
+	f.Add([]byte{32, 0, 64, 17}, 2, 0.7)
+	f.Add([]byte{1, 2, 3, 0, 5}, 300, 0.05)
+	f.Fuzz(func(t *testing.T, data []byte, minCount int, thr float64) {
+		ps := decodeProbs(data)
+		for len(ps) > 0 && len(ps) < 4*checkEvery {
+			ps = append(ps, ps...)
+		}
+		if minCount < -1 || minCount > len(ps)+1 {
+			minCount = len(ps) / 2
+		}
+		aboveEqual(t, "fuzz", ps, minCount, thr)
+		for _, edge := range edgeThresholds(FreqTailDP(ps, minCount)) {
+			aboveEqual(t, "fuzz-edge", ps, minCount, edge)
+		}
+	})
+}
+
 func benchProbs(n int) []float64 {
 	rng := rand.New(rand.NewSource(5))
 	return genProbs(rng, n, 0, 0)
@@ -149,5 +271,26 @@ func BenchmarkFreqTailDPScalarWide(b *testing.B) {
 	ps := benchProbs(3400)
 	for i := 0; i < b.N; i++ {
 		FreqTailDPScalar(ps, 681)
+	}
+}
+
+// The early-rejection benchmarks pair with BenchmarkFreqTailDPWide: the
+// accept case is the same vector at a threshold it clears (the full DP plus
+// the union-bound checks), the reject case a vector whose mean sits well
+// below minCount, stopped by the first checks.
+func BenchmarkFreqTailAboveAccept(b *testing.B) {
+	ps := benchProbs(3400)
+	for i := 0; i < b.N; i++ {
+		FreqTailAbove(ps, 681, 0.7)
+	}
+}
+
+func BenchmarkFreqTailAboveReject(b *testing.B) {
+	ps := benchProbs(3400)
+	for i := range ps {
+		ps[i] *= 0.3
+	}
+	for i := 0; i < b.N; i++ {
+		FreqTailAbove(ps, 681, 0.7)
 	}
 }
