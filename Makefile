@@ -80,8 +80,8 @@ test-incmine:
 ## test-steal: the work-stealing scheduler and parallel-determinism suites
 ## under the race detector at -cpu 1,4,8 — the scheduler's determinism,
 ## steal-under-skew, cancellation and leak checks, plus the miner-level
-## exec-tuning identity matrix (short mode) pinning every registry miner
-## bit-identical across Workers × steal on/off × kernel vs scalar
+## execution-path identity matrix (short mode) pinning every registry miner
+## bit-identical, stats included, across Workers ∈ {1, 8} at each threshold pair
 test-steal:
 	$(GO) test -race -cpu 1,4,8 -count=1 ./internal/parallel
 	$(GO) test -race -cpu 1,4,8 -count=1 -short -run TestExecTuningDeterminism ./internal/algo
@@ -99,12 +99,11 @@ bench-storage:
 
 ## bench-kernels: the hot-loop kernel benchmarks — intersection kernels vs
 ## their scalar references per postings-density band (the dense band's margin
-## is enforced), the DP verification kernel on the borderline and wide
-## candidate shapes, steal-on vs steal-off cold mines, and the accident@0.01
-## DPNB cold-mine p50 (recorded only: perfbench's cold-exact workload runs
-## the same mine and guards it); writes BENCH_kernels.json
+## is enforced) and the DP verification kernel vs prob.PBFreqProbDP on the
+## borderline and wide candidate shapes (both margins enforced); writes
+## BENCH_kernels.json. End-to-end mine time is perfbench's cold-exact workload
 bench-kernels:
-	BENCH_KERNELS_OUT=$$(pwd)/BENCH_kernels.json $(GO) test ./internal/algo -run TestWriteKernelsBench -count=1 -v
+	BENCH_KERNELS_OUT=$$(pwd)/BENCH_kernels.json $(GO) test ./internal/kernel -run TestWriteKernelsBench -count=1 -v
 
 ## smoke-server: boot userve, register a profile over HTTP, mine, ingest, assert 200s
 smoke-server:

@@ -152,7 +152,7 @@ func count(ctx context.Context, db *core.Database, cands []Candidate, k int, cfg
 	// so these counters are too.
 	if useVertical(db, cands, k) {
 		stats.VerticalPlans++
-		return countVertical(ctx, db, cands, cfg.CollectProbs, cfg.Workers, stats, cfg.Exec, exec)
+		return countVertical(ctx, db, cands, cfg.CollectProbs, cfg.Workers, stats, exec)
 	}
 	stats.HorizontalPlans++
 	return countChunked(ctx, db, cands, k, cfg.CollectProbs, cfg.Workers, stats)

@@ -75,12 +75,10 @@ func useVertical(db *core.Database, cands []Candidate, k int) bool {
 // are bit-identical for every worker count and to the horizontal plan.
 // Cancellation lands between candidates (parallel.DoCtx's per-task check).
 //
-// The intersections themselves live in internal/kernel: the optimized
-// kernels by default, the scalar references (this plan's original loops)
-// under ExecTuning.DisableKernel. Both are asserted bit-identical, so the
-// toggle moves instructions, never bits; exec counts which side served the
-// level's candidates.
-func countVertical(ctx context.Context, db *core.Database, cands []Candidate, collectProbs bool, workers int, stats *core.MiningStats, tuning core.ExecTuning, exec *core.ExecStats) error {
+// The intersections themselves live in internal/kernel, whose package
+// tests pin them bit for bit to scalar references (this plan's original
+// loops); exec counts the level's kernel intersections.
+func countVertical(ctx context.Context, db *core.Database, cands []Candidate, collectProbs bool, workers int, stats *core.MiningStats, exec *core.ExecStats) error {
 	if len(cands) == 0 {
 		return ctx.Err()
 	}
@@ -89,9 +87,8 @@ func countVertical(ctx context.Context, db *core.Database, cands []Candidate, co
 	// keeping DBScans comparable across plans and levels.
 	stats.DBScans++
 	size := chunkSizeFor(db)
-	useKernel := !tuning.DisableKernel
 	outs, err := parallel.MapCtx(ctx, workers, cands, func(ci int, _ Candidate) kernel.Agg {
-		return intersect(v, cands[ci].Items, size, collectProbs, useKernel)
+		return intersect(v, cands[ci].Items, size, collectProbs)
 	})
 	if err != nil {
 		return err
@@ -104,11 +101,7 @@ func countVertical(ctx context.Context, db *core.Database, cands []Candidate, co
 		}
 		stats.PostingsProbed += outs[ci].Probes
 	}
-	if useKernel {
-		exec.KernelIntersects += int64(len(cands))
-	} else {
-		exec.ScalarIntersects += int64(len(cands))
-	}
+	exec.KernelIntersects += int64(len(cands))
 	// The index is this plan's dominant live structure — tracked like the
 	// horizontal plan's trie so the paper-style memory reports compare like
 	// quantities across plans and families.
@@ -116,27 +109,21 @@ func countVertical(ctx context.Context, db *core.Database, cands []Candidate, co
 	return nil
 }
 
-// intersect runs one candidate's postings intersection through the selected
-// kernel implementation. The k = 2 fast path and the generic k-way driver
-// are dispatched here (not inside the kernels) so the generic path stays
-// independently testable; probe accounting follows the dispatched path, the
-// aggregates are bit-identical either way.
-func intersect(v *core.VerticalIndex, items core.Itemset, chunkSize int, collectProbs, useKernel bool) kernel.Agg {
+// intersect runs one candidate's postings intersection through the kernels.
+// The k = 2 fast path and the generic k-way driver are dispatched here (not
+// inside the kernels) so the generic path stays independently testable;
+// probe accounting follows the dispatched path, the aggregates are
+// bit-identical either way.
+func intersect(v *core.VerticalIndex, items core.Itemset, chunkSize int, collectProbs bool) kernel.Agg {
 	if len(items) == 2 {
 		var a, b kernel.List
 		a.TIDs, a.Probs = v.Postings(items[0])
 		b.TIDs, b.Probs = v.Postings(items[1])
-		if useKernel {
-			return kernel.Pair(a, b, chunkSize, collectProbs)
-		}
-		return kernel.PairScalar(a, b, chunkSize, collectProbs)
+		return kernel.Pair(a, b, chunkSize, collectProbs)
 	}
 	lists := make([]kernel.List, len(items))
 	for i, it := range items {
 		lists[i].TIDs, lists[i].Probs = v.Postings(it)
 	}
-	if useKernel {
-		return kernel.KWay(lists, chunkSize, collectProbs)
-	}
-	return kernel.KWayScalar(lists, chunkSize, collectProbs)
+	return kernel.KWay(lists, chunkSize, collectProbs)
 }

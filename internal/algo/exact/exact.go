@@ -27,6 +27,11 @@
 // comparisons (Tables 4 and 5) therefore stand, while the DPNB-vs-DPB
 // wall-time gap narrows: the kernel now drops most of the candidates that
 // Lemma 1 spares DPB from computing, a little later in their DP.
+//
+// DP has one execution path, the kernel. prob.PBFreqProbDP, the paper's
+// recurrence written out plainly, is its test oracle: the kernel package's
+// tests and fuzz targets, and this package's miner-level test, check every
+// accepted frequent probability against it bit for bit.
 package exact
 
 import (
@@ -81,16 +86,10 @@ type Miner struct {
 	// itemsets (phase 2 of the SON partition engine); see
 	// apriori.Config.Restrict. May be nil.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *Miner) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetRestrict implements core.RestrictableMiner.
 func (m *Miner) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
@@ -131,7 +130,6 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 		ParallelDecide: true,
 		Name:           m.Name(),
 		Restrict:       m.Restrict,
-		Exec:           m.Exec,
 		Decide: func(c *apriori.Candidate) (core.Result, bool) {
 			if m.Chernoff && prob.ChernoffInfrequent(c.ESup, msc, th.PFT) {
 				chernoffPruned.Add(1)
@@ -174,17 +172,10 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 // configured method: the frequent probability and whether it exceeds thr.
 // The DP method dispatches to the internal/kernel verification kernel,
 // which stops on a candidate once a union bound rules it out and otherwise
-// returns bits identical to the prob package's reference recurrence, which
-// Exec.DisableKernel forces at runtime.
+// returns bits identical to the prob package's reference recurrence.
 func (m *Miner) aboveFunc(msc int, thr float64) func(ps []float64) (float64, bool) {
 	switch m.Method {
 	case DP:
-		if m.Exec.DisableKernel {
-			return func(ps []float64) (float64, bool) {
-				fp := prob.PBFreqProbDP(ps, msc)
-				return fp, fp > thr
-			}
-		}
 		return func(ps []float64) (float64, bool) { return kernel.FreqTailAbove(ps, msc, thr) }
 	case DC:
 		return func(ps []float64) (float64, bool) {

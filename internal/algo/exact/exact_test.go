@@ -8,6 +8,7 @@ import (
 
 	"umine/internal/core"
 	"umine/internal/core/coretest"
+	"umine/internal/dataset"
 	"umine/internal/prob"
 )
 
@@ -168,6 +169,43 @@ func TestChernoffReducesExactEvaluations(t *testing.T) {
 	if pruned.Stats.ExactEvaluations >= plain.Stats.ExactEvaluations {
 		t.Fatalf("Chernoff did not reduce exact evaluations: %d vs %d",
 			pruned.Stats.ExactEvaluations, plain.Stats.ExactEvaluations)
+	}
+}
+
+// TestDPMatchesReferenceDP is the miner-level oracle for the DP kernel:
+// every itemset DPNB and DPB report carries exactly the bits of the paper's
+// recurrence written out plainly (prob.PBFreqProbDP) over the itemset's
+// per-transaction probabilities, and clears PFT. The thresholds span the
+// regime where the kernel's early rejection fires on most candidates (the
+// cold-exact pair) and where accepted candidates crowd the threshold (a low
+// PFT).
+func TestDPMatchesReferenceDP(t *testing.T) {
+	db := dataset.Accident.GenerateUncertain(0.004, 11)
+	for _, th := range []core.Thresholds{
+		{MinSup: 0.25, PFT: 0.9},
+		{MinSup: 0.2, PFT: 0.7},
+		{MinSup: 0.25, PFT: 0.05},
+	} {
+		msc := th.MinSupCount(db.N())
+		for _, m := range []*Miner{{Method: DP}, {Method: DP, Chernoff: true}} {
+			rs, err := m.Mine(context.Background(), db, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.Len() == 0 {
+				t.Fatalf("%s at %+v: no results to check", m.Name(), th)
+			}
+			for _, r := range rs.Results {
+				want := prob.PBFreqProbDP(db.TxProbs(r.Itemset), msc)
+				if math.Float64bits(r.FreqProb) != math.Float64bits(want) {
+					t.Fatalf("%s at %+v: %v FreqProb %v (%#x) != prob.PBFreqProbDP %v (%#x)",
+						m.Name(), th, r.Itemset, r.FreqProb, math.Float64bits(r.FreqProb), want, math.Float64bits(want))
+				}
+				if r.FreqProb <= th.PFT+core.Eps {
+					t.Fatalf("%s at %+v: %v reported with FreqProb %v <= PFT+Eps", m.Name(), th, r.Itemset, r.FreqProb)
+				}
+			}
+		}
 	}
 }
 

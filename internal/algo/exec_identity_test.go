@@ -8,32 +8,23 @@ import (
 	"umine/internal/dataset"
 )
 
-// The execution-tuning acceptance gate: every registered configuration must
+// The execution-path acceptance gate: every registered configuration must
 // return a bit-identical ResultSet — itemsets, measure bits AND MiningStats —
-// across Workers ∈ {1, 4, 8} × steal {on, off} × kernel {optimized, scalar
-// reference}, at every threshold pair below. core.ExecTuning only moves work
-// between implementations that are asserted equal (the work-stealing
-// scheduler vs inline recursion, the internal/kernel intersection loops and
-// the early-rejecting DP vs their references), so no combination may move a
-// bit. Run under -race with -cpu 1,4,8 in CI, this is
-// also the shake-out for scheduler and accumulator races.
+// across Workers ∈ {1, 4, 8}, at every threshold pair below. Each miner has
+// one execution path (work-stealing recursion, inline when Workers is 1, and
+// the internal/kernel intersection and early-rejecting DP kernels, which the
+// kernel package's tests pin to their scalar references), so no worker count
+// may move a bit. Run under -race with -cpu 1,4,8 in CI, this is also the
+// shake-out for scheduler and accumulator races.
 func TestExecTuningDeterminism(t *testing.T) {
 	// Large enough that counting splits into several chunks, the UH-Mine
 	// fan-out has many first-level prefixes, and occurrence lists cross the
 	// fork cutoff so subtrees actually land on the stealing pool.
 	db := dataset.Accident.GenerateUncertain(0.004, 11)
 	workerCounts := []int{1, 4, 8}
-	tunings := []core.ExecTuning{
-		{},
-		{DisableSteal: true},
-		{DisableKernel: true},
-		{DisableSteal: true, DisableKernel: true},
-	}
 	if testing.Short() {
-		// Keep the extremes: everything on vs everything off already crosses
-		// both implementation boundaries.
+		// Keep the extremes: serial inline recursion vs the widest pool.
 		workerCounts = []int{1, 8}
-		tunings = []core.ExecTuning{{}, {DisableSteal: true, DisableKernel: true}}
 	}
 	for _, name := range Names() {
 		var ths []core.Thresholds
@@ -63,18 +54,16 @@ func TestExecTuningDeterminism(t *testing.T) {
 		for _, th := range ths {
 			var ref *core.ResultSet
 			for _, w := range workerCounts {
-				for _, tu := range tunings {
-					rs, err := MustNewWith(name, core.Options{Workers: w, Exec: tu}).
-						Mine(context.Background(), db, th)
-					if err != nil {
-						t.Fatalf("%s on %s at %+v (workers=%d, tuning=%+v): %v", name, db.Name, th, w, tu, err)
-					}
-					if ref == nil {
-						ref = rs
-						continue
-					}
-					requireIdenticalResults(t, name, db.Name, workerCounts[0], w, ref, rs)
+				rs, err := MustNewWith(name, core.Options{Workers: w}).
+					Mine(context.Background(), db, th)
+				if err != nil {
+					t.Fatalf("%s on %s at %+v (workers=%d): %v", name, db.Name, th, w, err)
 				}
+				if ref == nil {
+					ref = rs
+					continue
+				}
+				requireIdenticalResults(t, name, db.Name, workerCounts[0], w, ref, rs)
 			}
 		}
 	}

@@ -65,16 +65,10 @@ type Miner struct {
 	// umine/internal/partition). May receive transient itemsets it must
 	// not retain.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning.
-	Exec core.ExecTuning
 }
 
 // SetWorkers implements core.ParallelMiner.
 func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetExecTuning implements core.ExecTunableMiner.
-func (m *Miner) SetExecTuning(t core.ExecTuning) { m.Exec = t }
 
 // SetProgress implements core.ObservableMiner.
 func (m *Miner) SetProgress(fn core.ProgressFunc) { m.Progress = fn }
@@ -230,10 +224,9 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 	// the pool. Each task mines into its own accumulator node; nodes merge
 	// in fork order and roots in walk order below, so the result list —
 	// and, after the canonical sort, the ResultSet — is identical for
-	// every worker count and steal setting.
+	// every worker count and steal interleaving.
 	statsBase := stats
 	done := ctx.Done()
-	forkOK := !m.Exec.DisableSteal
 	name := m.Name()
 	var rootRanks []int32
 	for r := len(t.headers) - 1; r >= 0; r-- {
@@ -258,7 +251,6 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 				progress: m.Progress,
 				restrict: m.Restrict,
 				forker:   f,
-				forkOK:   forkOK,
 				node:     &ra.node,
 				root:     ra,
 			}
@@ -370,11 +362,10 @@ type mineState struct {
 	name     string
 	progress core.ProgressFunc
 	restrict func(core.Itemset) bool
-	// forker schedules forked conditional subtrees; forkOK gates forking
-	// (false under Exec.DisableSteal). node is this task's accumulator,
-	// root the top-level walk it belongs to.
+	// forker schedules forked conditional subtrees (inline when the run is
+	// serial). node is this task's accumulator, root the top-level walk it
+	// belongs to.
 	forker *parallel.Forker
-	forkOK bool
 	node   *mineNode
 	root   *rootAgg
 	// done is the run context's cancellation channel (nil when the context
@@ -469,7 +460,7 @@ func (st *mineState) mineOne(tr *tree, prefix []core.Item, r int32, liveBytes in
 		cond.insert(path, n.weight*n.prob, n.weightSq*n.prob*n.prob)
 	}
 	condBytes := cond.bytes()
-	if st.forkOK && cond.nodes >= stealForkMinNodes {
+	if cond.nodes >= stealForkMinNodes {
 		st.forkSubtree(ext, cond, condBytes, liveBytes)
 		return
 	}
@@ -505,7 +496,6 @@ func (st *mineState) forkSubtree(ext []core.Item, cond *tree, condBytes, liveByt
 			progress: progress,
 			restrict: restrict,
 			forker:   f,
-			forkOK:   true,
 			node:     child,
 			root:     root,
 			done:     done,

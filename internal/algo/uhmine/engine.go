@@ -80,12 +80,6 @@ type Engine struct {
 	// Called concurrently from the fan-out when Workers > 1; it may receive
 	// transient itemsets it must not retain.
 	Restrict func(core.Itemset) bool
-	// Exec selects between equivalent execution strategies (results are
-	// bit-identical either way); see core.ExecTuning. DisableSteal confines
-	// parallelism to the first-level fan-out — the pre-steal execution
-	// shape — instead of forking large extension subtrees onto the
-	// work-stealing pool.
-	Exec core.ExecTuning
 	// Name labels ProgressEvents with the mounting miner's registry name
 	// (UH-Mine and NDUH-Mine share the engine).
 	Name string
@@ -186,7 +180,7 @@ func (e *Engine) Mine(ctx context.Context, db *core.Database) ([]core.Result, co
 	// Every task mines into its own accumulator node; nodes merge in fork
 	// order and roots in frequency-rank order below, so the result list —
 	// and, after the canonical sort, the ResultSet — is identical for every
-	// worker count and steal setting. Peak memory stays accounted on the
+	// worker count and steal interleaving. Peak memory stays accounted on the
 	// serial platform's DFS-path model (a forked child inherits the live
 	// bytes the inline recursion would have at that point), keeping the
 	// Figure 4-style memory reports comparable across worker counts.
@@ -197,7 +191,6 @@ func (e *Engine) Mine(ctx context.Context, db *core.Database) ([]core.Result, co
 	// completions can emit consistent snapshots without sharing counters.
 	statsBase := stats
 	done := ctx.Done()
-	forkOK := !e.Exec.DisableSteal
 
 	aggs := make([]*rootAgg, len(items))
 	tasks := make([]parallel.Task, len(items))
@@ -219,7 +212,6 @@ func (e *Engine) Mine(ctx context.Context, db *core.Database) ([]core.Result, co
 				liveOcc: topBytes,
 				done:    done,
 				forker:  f,
-				forkOK:  forkOK,
 				node:    &ra.node,
 				root:    ra,
 				pool:    scratchPool,
@@ -331,12 +323,11 @@ type mineState struct {
 	results []core.Result
 	stats   *core.MiningStats
 	liveOcc int64
-	// forker schedules forked extension subtrees; forkOK gates forking
-	// (false under Exec.DisableSteal). node is this task's accumulator,
-	// root the first-level subtree it belongs to, pool the scratch-buffer
-	// source for forked children.
+	// forker schedules forked extension subtrees (inline when the run is
+	// serial). node is this task's accumulator, root the first-level
+	// subtree it belongs to, pool the scratch-buffer source for forked
+	// children.
 	forker *parallel.Forker
-	forkOK bool
 	node   *mineNode
 	root   *rootAgg
 	pool   *sync.Pool
@@ -404,7 +395,7 @@ func (m *mineState) mine(prefix []core.Item, occs []occ, baseBytes int64) {
 		// to be worth scheduling, fork onto the work-stealing pool.
 		sub := collectOcc(m.rows, occs, r)
 		subBytes := int64(len(sub)) * int64(unsafe.Sizeof(occ{}))
-		if m.forkOK && len(sub) >= stealForkMinOcc {
+		if len(sub) >= stealForkMinOcc {
 			m.forkSubtree(ext, sub, subBytes, baseBytes)
 			continue
 		}
@@ -445,7 +436,6 @@ func (m *mineState) forkSubtree(ext []core.Item, sub []occ, subBytes, baseBytes 
 			liveOcc: liveAtFork,
 			done:    done,
 			forker:  f,
-			forkOK:  true,
 			node:    child,
 			root:    root,
 			pool:    pool,

@@ -1,17 +1,17 @@
 package core
 
-// Execution-layer observability and tuning. MiningStats is part of the
+// Execution-layer observability. MiningStats is part of the
 // deterministic result contract — bit-identical at every Workers value — so
 // counters that describe *how* a run executed rather than *what* it computed
-// (steal interleavings, which kernel implementation served an intersection)
+// (steal interleavings, forks run inline, kernel intersections)
 // must live elsewhere. ExecStats is that elsewhere: a side channel surfaced
 // through Progress (PhaseExec) and the EXPLAIN plan, never through the
 // ResultSet.
 
 // ExecStats counts execution-layer activity during one run: work-stealing
 // scheduler traffic and postings-kernel dispatch. The counts are
-// observational — Stolen depends on timing and worker count, Kernel/Scalar
-// on the ExecTuning toggles — and must never feed result data or
+// observational — Stolen depends on timing and worker count, ForksInline
+// on whether the run was serial — and must never feed result data or
 // MiningStats.
 type ExecStats struct {
 	// TasksSpawned counts tasks submitted to the work-stealing scheduler
@@ -21,15 +21,11 @@ type ExecStats struct {
 	// that forked them. Timing-dependent; always 0 in a serial run.
 	TasksStolen int64 `json:"tasks_stolen,omitempty"`
 	// ForksInline counts forks executed as direct recursion because the
-	// run was serial or stealing was disabled.
+	// run was serial.
 	ForksInline int64 `json:"forks_inline,omitempty"`
 	// KernelIntersects counts vertical-plan intersections served by the
 	// optimized internal/kernel implementations.
 	KernelIntersects int64 `json:"kernel_intersects,omitempty"`
-	// ScalarIntersects counts vertical-plan intersections served by the
-	// scalar reference path (ExecTuning.DisableKernel, or builds where the
-	// kernels are unavailable).
-	ScalarIntersects int64 `json:"scalar_intersects,omitempty"`
 }
 
 // Add accumulates other into s. All fields are sums.
@@ -38,36 +34,11 @@ func (s *ExecStats) Add(other ExecStats) {
 	s.TasksStolen += other.TasksStolen
 	s.ForksInline += other.ForksInline
 	s.KernelIntersects += other.KernelIntersects
-	s.ScalarIntersects += other.ScalarIntersects
 }
 
 // Zero reports whether no execution-layer activity was recorded.
 func (s ExecStats) Zero() bool {
 	return s == ExecStats{}
-}
-
-// ExecTuning selects between equivalent execution strategies. Every
-// combination produces a bit-identical ResultSet — the toggles move work
-// between implementations that are asserted equal, existing so benchmarks
-// and the identity matrix can pin one side of each comparison. The zero
-// value enables everything (the fast paths).
-type ExecTuning struct {
-	// DisableSteal forces recursive miners onto inline recursion below
-	// their fan-out level even when Workers > 1 (the pre-steal execution
-	// shape; first-level fan-out still parallelizes).
-	DisableSteal bool
-	// DisableKernel forces the vertical counting plan onto the scalar
-	// reference loops instead of the internal/kernel implementations.
-	DisableKernel bool
-}
-
-// ExecTunableMiner is implemented by miners honoring ExecTuning. Like every
-// optional knob, miners without tunable execution simply do not implement
-// it.
-type ExecTunableMiner interface {
-	Miner
-	// SetExecTuning installs the Options.Exec knob.
-	SetExecTuning(t ExecTuning)
 }
 
 // EmitExec invokes the hook with a PhaseExec event when non-nil and the

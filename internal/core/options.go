@@ -1,7 +1,11 @@
 package core
 
-// Options carries the cross-cutting execution knobs shared by every miner.
-// The zero value reproduces the paper's single-threaded uniform platform.
+// Options carries the cross-cutting execution knobs shared by every miner:
+// Workers, Partitions and Progress. The zero value reproduces the paper's
+// single-threaded uniform platform, and no value changes the mined bits.
+// Each miner has one execution path (work-stealing recursion and the
+// internal/kernel postings and DP kernels); the kernels' scalar references
+// are test oracles in that package's tests.
 type Options struct {
 	// Workers bounds the number of goroutines a miner may use for its
 	// parallel phases: 0 or 1 means serial (the paper's platform), n > 1
@@ -33,11 +37,6 @@ type Options struct {
 	// far. Observation is passive — installing a Progress hook never changes
 	// the mined results. See ProgressFunc for the concurrency contract.
 	Progress ProgressFunc
-	// Exec selects between equivalent execution strategies (work stealing,
-	// postings kernels). Every ExecTuning value produces a bit-identical
-	// ResultSet; the zero value enables all fast paths. Honored by miners
-	// implementing ExecTunableMiner, ignored otherwise.
-	Exec ExecTuning
 }
 
 // ParallelMiner is implemented by miners whose execution can be sharded
@@ -90,10 +89,6 @@ func ApplyOptions(m Miner, opts Options) bool {
 	}
 	if om, ok := m.(ObservableMiner); ok && opts.Progress != nil {
 		om.SetProgress(opts.Progress)
-		applied = true
-	}
-	if em, ok := m.(ExecTunableMiner); ok {
-		em.SetExecTuning(opts.Exec)
 		applied = true
 	}
 	return applied

@@ -41,10 +41,9 @@ const (
 	// ordinal.
 	PhaseShardRepush ProgressPhase = "shard-repush"
 	// PhaseExec is a run's execution-layer report: scheduler and kernel
-	// counters (ExecStats) that depend on timing, worker count, or the
-	// ExecTuning toggles and therefore live outside MiningStats. Emitted at
-	// most once per run, before the done event; Stats is empty and Exec
-	// carries the counters.
+	// counters (ExecStats) that depend on timing or worker count and
+	// therefore live outside MiningStats. Emitted at most once per run,
+	// before the done event; Stats is empty and Exec carries the counters.
 	PhaseExec ProgressPhase = "exec"
 	// PhaseDone is the final event of a completed (uncanceled) run, with
 	// the run's total counters.

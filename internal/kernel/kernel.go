@@ -5,12 +5,11 @@
 // code can be tuned — and pinned bitwise — independently of the plan logic
 // around it.
 //
-// Every optimized entry point (Pair, KWay) has a scalar reference
-// (PairScalar, KWayScalar) that is the plan's original loop moved here
-// verbatim; the optimized kernels are asserted bit-identical to the
-// references by the package tests (including a fuzz target) and by the
-// miner-level identity matrix, and callers can force the reference path at
-// runtime through core.ExecTuning.DisableKernel.
+// Every optimized entry point (Pair, KWay) has a scalar reference in the
+// package tests (scalar_test.go) that is the plan's original loop kept
+// verbatim; the package tests and fuzz targets assert the kernels
+// bit-identical to the references, which are test oracles, not an
+// execution path.
 //
 // # The layout contract
 //
@@ -67,11 +66,12 @@ type Agg struct {
 const pairSkewCutoff = 2
 
 // Pair intersects two postings lists — the allocation-free fast path for
-// pair candidates, the bulk of any real level-2 load. Bit-identical to
-// PairScalar: same merge positions, same products, same chunk-grouped
-// accumulation, same probe count (computed arithmetically from the final
-// cursor positions: each reference iteration touches exactly one entry, so
-// probes = iAdvances + jAdvances − matches = i + j − matches).
+// pair candidates, the bulk of any real level-2 load. Bit-identical to the
+// scalar reference merge: same merge positions, same products, same
+// chunk-grouped accumulation, same probe count (computed arithmetically
+// from the final cursor positions: each reference iteration touches
+// exactly one entry, so probes = iAdvances + jAdvances − matches =
+// i + j − matches).
 //
 // Two equivalent scan strategies, picked by length skew: lists of similar
 // length advance mostly one step at a time, where the 4-wide skip-ahead's
@@ -202,53 +202,14 @@ func pairSkip(a, b List, chunkSize int, collect bool) Agg {
 	return out
 }
 
-// PairScalar is the reference two-pointer merge — the vertical plan's
-// original pair loop, moved here verbatim. It defines the bits Pair must
-// reproduce.
-func PairScalar(a, b List, chunkSize int, collect bool) Agg {
-	var out Agg
-	atids, aprobs := a.TIDs, a.Probs
-	btids, bprobs := b.TIDs, b.Probs
-	chunkEsup, chunkVar := 0.0, 0.0
-	chunk := -1
-	i, j := 0, 0
-	for i < len(atids) && j < len(btids) {
-		at, bt := atids[i], btids[j]
-		out.Probes++
-		switch {
-		case at < bt:
-			i++
-		case bt < at:
-			j++
-		default:
-			p := aprobs[i] * bprobs[j]
-			if c := int(at) / chunkSize; c != chunk {
-				out.ESup += chunkEsup
-				out.Var += chunkVar
-				chunkEsup, chunkVar = 0, 0
-				chunk = c
-			}
-			chunkEsup += p
-			chunkVar += p * (1 - p)
-			if collect {
-				out.Probs = append(out.Probs, p)
-			}
-			i++
-			j++
-		}
-	}
-	out.ESup += chunkEsup
-	out.Var += chunkVar
-	return out
-}
-
 // KWay intersects k ≥ 2 postings lists, driven by the smallest (first
 // minimal length wins, matching the reference's strict-< selection).
-// Bit-identical to KWayScalar: products multiply in list (= canonical item)
-// order, accumulation is chunk-grouped, the early return when a list runs
-// dry happens at the same driving entry, and probes count the same touches
-// (driving entries, cursor advances, and the head comparison after each
-// advance) — computed per list from cursor deltas instead of per step.
+// Bit-identical to the scalar reference: products multiply in list
+// (= canonical item) order, accumulation is chunk-grouped, the early return
+// when a list runs dry happens at the same driving entry, and probes count
+// the same touches (driving entries, cursor advances, and the head
+// comparison after each advance) — computed per list from cursor deltas
+// instead of per step.
 // KWay stays the generic driver at every k — including 2, where callers
 // dispatch to Pair themselves (as the vertical plan does): keeping the
 // generic path exercisable at k = 2 is what lets the tests pin the pair
@@ -327,79 +288,5 @@ func KWay(lists []List, chunkSize int, collect bool) Agg {
 	}
 	out.ESup += chunkEsup
 	out.Var += chunkVar
-	return out
-}
-
-// KWayScalar is the reference k-way intersection — the vertical plan's
-// original loop, moved here verbatim. It defines the bits KWay must
-// reproduce.
-func KWayScalar(lists []List, chunkSize int, collect bool) Agg {
-	var out Agg
-	k := len(lists)
-	drive := 0
-	for i := 1; i < k; i++ {
-		if len(lists[i].TIDs) < len(lists[drive].TIDs) {
-			drive = i
-		}
-	}
-	if len(lists[drive].TIDs) == 0 {
-		return out
-	}
-	cur := make([]int, k)
-	pos := make([]int, k)
-	chunkEsup, chunkVar := 0.0, 0.0
-	chunk := -1
-	flush := func() {
-		out.ESup += chunkEsup
-		out.Var += chunkVar
-		chunkEsup, chunkVar = 0, 0
-	}
-	for di, tid := range lists[drive].TIDs {
-		out.Probes++ // the driving list's entry
-		match := true
-		for i := 0; i < k; i++ {
-			if i == drive {
-				pos[i] = di
-				continue
-			}
-			j := cur[i]
-			lst := lists[i].TIDs
-			for j < len(lst) && lst[j] < tid {
-				j++
-				out.Probes++
-			}
-			if j < len(lst) {
-				out.Probes++ // the entry compared against tid
-			}
-			cur[i] = j
-			if j == len(lst) {
-				// This list is exhausted: no further TID can match either.
-				flush()
-				return out
-			}
-			if lst[j] != tid {
-				match = false
-				break
-			}
-			pos[i] = j
-		}
-		if !match {
-			continue
-		}
-		p := 1.0
-		for i := 0; i < k; i++ {
-			p *= lists[i].Probs[pos[i]]
-		}
-		if c := int(tid) / chunkSize; c != chunk {
-			flush()
-			chunk = c
-		}
-		chunkEsup += p
-		chunkVar += p * (1 - p)
-		if collect {
-			out.Probs = append(out.Probs, p)
-		}
-	}
-	flush()
 	return out
 }

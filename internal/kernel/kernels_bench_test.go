@@ -1,7 +1,6 @@
-package algo
+package kernel
 
 import (
-	"context"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -13,8 +12,8 @@ import (
 	"umine/internal/benchenv"
 	"umine/internal/core"
 	"umine/internal/dataset"
-	"umine/internal/kernel"
 	"umine/internal/parallel"
+	"umine/internal/prob"
 )
 
 // The hot-loop benchmark behind `make bench-kernels` and BENCH_kernels.json:
@@ -22,16 +21,13 @@ import (
 //   - the intersection kernels (Pair/KWay) against their scalar references
 //     across postings density bands — the dense band is where the 4-wide
 //     skip-ahead and bounds-check elimination must show up;
-//   - the DP verification kernel (FreqTailDP) against its reference on the
-//     borderline and wide candidate shapes;
-//   - cold mines with the work-stealing scheduler on vs off (UH-Mine, the
-//     subtree-recursion family the scheduler exists for);
-//   - the accident @ 0.01 DPNB cold mine at GOMAXPROCS ≥ 4, recorded for
-//     reference; perfbench's cold-exact workload runs the same mine and is
-//     what guards it against regressions (see BENCHMARK.json).
+//   - the DP verification kernel (FreqTailDP) against its reference,
+//     prob.PBFreqProbDP, on the borderline and wide candidate shapes.
 //
-// TestWriteKernelsBench (gated by BENCH_KERNELS_OUT) writes the JSON
-// document.
+// End-to-end mining time is perfbench's job: its cold-exact workload runs
+// the accident @ 0.01 DPNB mine these kernels dominate (see
+// BENCHMARK.json). TestWriteKernelsBench (gated by BENCH_KERNELS_OUT)
+// writes the JSON document.
 
 // kernelsBandReport is one postings-density row of BENCH_kernels.json.
 type kernelsBandReport struct {
@@ -64,36 +60,18 @@ type kernelsTailReport struct {
 
 // kernelsBenchReport is the BENCH_kernels.json document.
 type kernelsBenchReport struct {
-	Benchmark string              `json:"benchmark"`
-	Bands     []kernelsBandReport `json:"bands"`
-	Tail      []kernelsTailReport `json:"tail"`
-
-	// The steal pair: the same UH-Mine cold mine with the work-stealing
-	// scheduler on vs off (results are bit-identical; only wall-clock moves).
-	StealProfile      string  `json:"steal_profile"`
-	StealScale        float64 `json:"steal_scale"`
-	StealMinESup      float64 `json:"steal_min_esup"`
-	ColdRuns          int     `json:"cold_runs"`
-	StealOnColdP50MS  float64 `json:"steal_on_cold_p50_ms"`
-	StealOffColdP50MS float64 `json:"steal_off_cold_p50_ms"`
-
-	// The end-to-end number: accident @ 0.01 DPNB (verification-dominated)
-	// with every kernel enabled.
-	DPNBProfile     string       `json:"dpnb_profile"`
-	DPNBScale       float64      `json:"dpnb_scale"`
-	DPNBMinSup      float64      `json:"dpnb_min_sup"`
-	DPNBPFT         float64      `json:"dpnb_pft"`
-	DPNBColdP50MS   float64      `json:"dpnb_cold_p50_ms"`
-	BenchGOMAXPROCS int          `json:"bench_gomaxprocs"`
-	GOMAXPROCS      int          `json:"gomaxprocs"`
-	Env             benchenv.Env `json:"env"`
-	Timestamp       string       `json:"timestamp"`
+	Benchmark  string              `json:"benchmark"`
+	Bands      []kernelsBandReport `json:"bands"`
+	Tail       []kernelsTailReport `json:"tail"`
+	GOMAXPROCS int                 `json:"gomaxprocs"`
+	Env        benchenv.Env        `json:"env"`
+	Timestamp  string              `json:"timestamp"`
 }
 
 // benchPostings builds one postings list: ascending TIDs where each of span
 // transactions is included with the band's density, quantized probabilities.
-func benchPostings(rng *rand.Rand, span int, density float64) kernel.List {
-	var l kernel.List
+func benchPostings(rng *rand.Rand, span int, density float64) List {
+	var l List
 	for t := 0; t < span; t++ {
 		if rng.Float64() < density {
 			l.TIDs = append(l.TIDs, uint32(t))
@@ -111,35 +89,11 @@ func benchTailProbs(rng *rand.Rand, n int) []float64 {
 	return ps
 }
 
-// coldMineP50 runs `runs` uncached mines and returns the p50 wall-clock in
-// ms, checking every run returns the same number of itemsets.
-func coldMineP50(t *testing.T, name string, opts core.Options, db *core.Database, th core.Thresholds, runs int) float64 {
-	t.Helper()
-	var times []float64
-	count := -1
-	for i := 0; i < runs; i++ {
-		m := MustNewWith(name, opts)
-		start := time.Now()
-		rs, err := m.Mine(context.Background(), db, th)
-		if err != nil {
-			t.Fatalf("%s cold mine: %v", name, err)
-		}
-		times = append(times, float64(time.Since(start).Nanoseconds())/1e6)
-		if count == -1 {
-			count = rs.Len()
-		} else if rs.Len() != count {
-			t.Fatalf("%s cold mine run %d: %d itemsets, previous runs found %d", name, i, rs.Len(), count)
-		}
-	}
-	sort.Float64s(times)
-	return times[len(times)/2]
-}
-
-// TestWriteKernelsBench runs the kernel and scheduler benchmarks and writes
+// TestWriteKernelsBench runs the kernel benchmarks and writes
 // BENCH_kernels.json to the path in BENCH_KERNELS_OUT (skipped when unset —
 // `make bench-kernels` sets it). It enforces the acceptance margins: the
-// optimized kernels beat their scalar references on the dense band and both
-// DP shapes, and the DPNB cold mine beats the committed partition baseline.
+// optimized kernels beat their scalar references on the dense band and
+// both DP shapes.
 func TestWriteKernelsBench(t *testing.T) {
 	out := os.Getenv("BENCH_KERNELS_OUT")
 	if out == "" {
@@ -188,27 +142,27 @@ func TestWriteKernelsBench(t *testing.T) {
 		}
 		a := benchPostings(rng, span, band.density)
 		b := benchPostings(rng, span, db)
-		four := []kernel.List{a, b, benchPostings(rng, span, band.density), benchPostings(rng, span, db)}
+		four := []List{a, b, benchPostings(rng, span, band.density), benchPostings(rng, span, db)}
 		chunk := parallel.ChunkSizeForSpan(span, int(float64(span)*(band.density+db))*2)
 		row := kernelsBandReport{Band: band.name, Density: band.density, DensityB: band.densityB, Span: span, Len: len(a.TIDs)}
 		row.PairKernelNsOp = testing.Benchmark(func(b2 *testing.B) {
 			for i := 0; i < b2.N; i++ {
-				kernel.Pair(a, b, chunk, false)
+				Pair(a, b, chunk, false)
 			}
 		}).NsPerOp()
 		row.PairScalarNsOp = testing.Benchmark(func(b2 *testing.B) {
 			for i := 0; i < b2.N; i++ {
-				kernel.PairScalar(a, b, chunk, false)
+				PairScalar(a, b, chunk, false)
 			}
 		}).NsPerOp()
 		row.KWayKernelNsOp = testing.Benchmark(func(b2 *testing.B) {
 			for i := 0; i < b2.N; i++ {
-				kernel.KWay(four, chunk, false)
+				KWay(four, chunk, false)
 			}
 		}).NsPerOp()
 		row.KWayScalarNsOp = testing.Benchmark(func(b2 *testing.B) {
 			for i := 0; i < b2.N; i++ {
-				kernel.KWayScalar(four, chunk, false)
+				KWayScalar(four, chunk, false)
 			}
 		}).NsPerOp()
 		row.PairSpeedup = float64(row.PairScalarNsOp) / float64(row.PairKernelNsOp)
@@ -245,11 +199,11 @@ func TestWriteKernelsBench(t *testing.T) {
 		if len(items) > 64 {
 			items = items[:64]
 		}
-		lists := make([]kernel.List, len(items))
+		lists := make([]List, len(items))
 		totalLen := 0
 		for i, it := range items {
 			tids, probs := vert.Postings(it)
-			lists[i] = kernel.List{TIDs: tids, Probs: probs}
+			lists[i] = List{TIDs: tids, Probs: probs}
 			totalLen += len(tids)
 		}
 		chunk := parallel.ChunkSizeForSpan(ddb.N(), ddb.NumUnits())
@@ -263,7 +217,7 @@ func TestWriteKernelsBench(t *testing.T) {
 			for i := 0; i < b2.N; i++ {
 				for x := 0; x < len(lists); x++ {
 					for y := x + 1; y < len(lists); y++ {
-						kernel.Pair(lists[x], lists[y], chunk, false)
+						Pair(lists[x], lists[y], chunk, false)
 					}
 				}
 			}
@@ -272,7 +226,7 @@ func TestWriteKernelsBench(t *testing.T) {
 			for i := 0; i < b2.N; i++ {
 				for x := 0; x < len(lists); x++ {
 					for y := x + 1; y < len(lists); y++ {
-						kernel.PairScalar(lists[x], lists[y], chunk, false)
+						PairScalar(lists[x], lists[y], chunk, false)
 					}
 				}
 			}
@@ -280,14 +234,14 @@ func TestWriteKernelsBench(t *testing.T) {
 		kwayKernelFn := func(b2 *testing.B) {
 			for i := 0; i < b2.N; i++ {
 				for x := 0; x+4 <= len(lists); x += 4 {
-					kernel.KWay(lists[x:x+4], chunk, false)
+					KWay(lists[x:x+4], chunk, false)
 				}
 			}
 		}
 		kwayScalarFn := func(b2 *testing.B) {
 			for i := 0; i < b2.N; i++ {
 				for x := 0; x+4 <= len(lists); x += 4 {
-					kernel.KWayScalar(lists[x:x+4], chunk, false)
+					KWayScalar(lists[x:x+4], chunk, false)
 				}
 			}
 		}
@@ -316,11 +270,11 @@ func TestWriteKernelsBench(t *testing.T) {
 		row := kernelsTailReport{Shape: shape.name, N: shape.n, MinCount: shape.minCount}
 		mins := bestOf3(func(b2 *testing.B) {
 			for i := 0; i < b2.N; i++ {
-				kernel.FreqTailDP(ps, shape.minCount)
+				FreqTailDP(ps, shape.minCount)
 			}
 		}, func(b2 *testing.B) {
 			for i := 0; i < b2.N; i++ {
-				kernel.FreqTailDPScalar(ps, shape.minCount)
+				prob.PBFreqProbDP(ps, shape.minCount)
 			}
 		})
 		row.KernelNsOp, row.ScalarNsOp = mins[0], mins[1]
@@ -331,36 +285,6 @@ func TestWriteKernelsBench(t *testing.T) {
 		}
 		report.Tail = append(report.Tail, row)
 	}
-
-	// Cold mines below run at GOMAXPROCS ≥ 4 — the acceptance criterion's
-	// regime, where the stealing pool actually has somewhere to put work.
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 4 {
-		procs = 4
-	}
-	prev := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
-	report.BenchGOMAXPROCS = procs
-
-	const runs = 5
-	report.ColdRuns = runs
-
-	// Steal on vs off: UH-Mine, whose below-first-level subtree recursion is
-	// what the scheduler parallelizes.
-	report.StealProfile, report.StealScale, report.StealMinESup = "accident", 0.01, 0.2
-	stealDB := dataset.Accident.GenerateUncertain(report.StealScale, 1)
-	stealTh := core.Thresholds{MinESup: report.StealMinESup}
-	report.StealOnColdP50MS = coldMineP50(t, "UH-Mine", core.Options{Workers: -1}, stealDB, stealTh, runs)
-	report.StealOffColdP50MS = coldMineP50(t, "UH-Mine",
-		core.Options{Workers: -1, Exec: core.ExecTuning{DisableSteal: true}}, stealDB, stealTh, runs)
-	t.Logf("UH-Mine cold p50: steal on %.2fms, steal off %.2fms", report.StealOnColdP50MS, report.StealOffColdP50MS)
-
-	// The end-to-end number, same mine as perfbench's cold-exact workload.
-	report.DPNBProfile, report.DPNBScale, report.DPNBMinSup, report.DPNBPFT = "accident", 0.01, 0.2, 0.7
-	dpnbDB := dataset.Accident.GenerateUncertain(report.DPNBScale, 1)
-	report.DPNBColdP50MS = coldMineP50(t, "DPNB", core.Options{Workers: -1}, dpnbDB,
-		core.Thresholds{MinSup: report.DPNBMinSup, PFT: report.DPNBPFT}, runs)
-	t.Logf("DPNB cold p50: %.2fms", report.DPNBColdP50MS)
 
 	f, err := os.Create(out)
 	if err != nil {

@@ -6,9 +6,10 @@ import "math"
 // program for Pr{K ≥ minCount} over a candidate's per-transaction
 // containment probabilities. Profiles of the DP miner family are >95% this
 // one rolling-row loop, so it gets the same treatment as the intersection
-// kernels: an optimized entry point (FreqTailDP) pinned bitwise against the
-// verbatim reference (FreqTailDPScalar), selectable at runtime through
-// core.ExecTuning.DisableKernel.
+// kernels: an optimized entry point (FreqTailDP) pinned bitwise by the
+// package tests and fuzz targets against the plain recurrence,
+// prob.PBFreqProbDP. The reference is a test oracle only; the miners always
+// run the kernel.
 //
 // The contract: ps are probabilities in [0, 1]. The optimizations lean on
 // that domain — the skipped regions below are exactly zero only because no
@@ -83,8 +84,8 @@ import "math"
 const checkEvery = 64
 
 // FreqTailDP computes Pr{K ≥ minCount} for the Poisson-Binomial with trial
-// probabilities ps. Bit-identical to FreqTailDPScalar on every input in the
-// [0, 1] domain.
+// probabilities ps. Bit-identical to prob.PBFreqProbDP on every input in
+// the [0, 1] domain.
 func FreqTailDP(ps []float64, minCount int) float64 {
 	fp, _ := freqTail(ps, minCount, 0, false)
 	return fp
@@ -213,34 +214,4 @@ func chernoffTail(a, rem int, mu float64) float64 {
 	l := math.Log(r) // < 0
 	e := x - mu + x*l
 	return math.Exp(e + (x+mu-x*l)*0x1p-50)
-}
-
-// FreqTailDPScalar is the reference dynamic program — the prob package's
-// original rolling-row loop, moved here verbatim. It defines the bits
-// FreqTailDP must reproduce.
-func FreqTailDPScalar(ps []float64, minCount int) float64 {
-	if minCount <= 0 {
-		return 1
-	}
-	if minCount > len(ps) {
-		return 0
-	}
-	row := make([]float64, minCount+1)
-	row[0] = 1
-	for _, p := range ps {
-		if p == 0 {
-			continue
-		}
-		for i := minCount; i >= 1; i-- {
-			row[i] = row[i-1]*p + row[i]*(1-p)
-		}
-	}
-	v := row[minCount]
-	if v > 1 {
-		v = 1
-	}
-	if v < 0 {
-		v = 0
-	}
-	return v
 }

@@ -30,15 +30,15 @@ func genProbs(rng *rand.Rand, n int, zeroFrac, oneFrac float64) []float64 {
 func tailEqual(t *testing.T, label string, ps []float64, minCount int) {
 	t.Helper()
 	got := FreqTailDP(ps, minCount)
-	want := FreqTailDPScalar(ps, minCount)
+	want := prob.PBFreqProbDP(ps, minCount)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%s (n=%d, minCount=%d): FreqTailDP %v (%#x) != scalar %v (%#x)",
+		t.Fatalf("%s (n=%d, minCount=%d): FreqTailDP %v (%#x) != prob.PBFreqProbDP %v (%#x)",
 			label, len(ps), minCount, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
 
 // TestFreqTailDPMatchesScalar pins the optimized DP bitwise to the scalar
-// reference across the shapes that exercise each skipped region: minCount
+// reference, prob.PBFreqProbDP, across the shapes that exercise each skipped region: minCount
 // close to n (the dead window dominates), minCount tiny (the zero triangle
 // dominates), vectors with exact zeros (the conservative remaining-steps
 // bound) and exact ones, plus the degenerate thresholds.
@@ -99,7 +99,7 @@ func decodeProbs(data []byte) []float64 {
 }
 
 // FuzzFreqTailBitIdentity fuzzes the satellite property for the DP kernel:
-// bit-identity to the scalar reference across arbitrary probability vectors
+// bit-identity to prob.PBFreqProbDP across arbitrary probability vectors
 // and thresholds.
 func FuzzFreqTailBitIdentity(f *testing.F) {
 	f.Add([]byte{}, 0)
@@ -114,23 +114,24 @@ func FuzzFreqTailBitIdentity(f *testing.F) {
 	})
 }
 
-// aboveEqual checks FreqTailAbove against the full DP at thr: the verdict
-// must be FreqTailDP > thr, an accepted value must carry FreqTailDP's bits,
-// and a rejected one is either those bits or the early-stop 0. It reports
-// whether the union bound stopped the DP early.
+// aboveEqual checks FreqTailAbove against the full reference DP
+// (prob.PBFreqProbDP) at thr: the verdict must be reference > thr, an
+// accepted value must carry the reference's bits, and a rejected one is
+// either those bits or the early-stop 0. It reports whether the union bound
+// stopped the DP early.
 func aboveEqual(t *testing.T, label string, ps []float64, minCount int, thr float64) bool {
 	t.Helper()
-	want := FreqTailDP(ps, minCount)
+	want := prob.PBFreqProbDP(ps, minCount)
 	got, ok := FreqTailAbove(ps, minCount, thr)
 	if ok != (want > thr) {
-		t.Fatalf("%s (n=%d, minCount=%d, thr=%v): ok=%v but FreqTailDP=%v (%#x)",
+		t.Fatalf("%s (n=%d, minCount=%d, thr=%v): ok=%v but prob.PBFreqProbDP=%v (%#x)",
 			label, len(ps), minCount, thr, ok, want, math.Float64bits(want))
 	}
 	if math.Float64bits(got) == math.Float64bits(want) {
 		return false
 	}
 	if ok || got != 0 {
-		t.Fatalf("%s (n=%d, minCount=%d, thr=%v): FreqTailAbove %v (%#x) != FreqTailDP %v (%#x)",
+		t.Fatalf("%s (n=%d, minCount=%d, thr=%v): FreqTailAbove %v (%#x) != prob.PBFreqProbDP %v (%#x)",
 			label, len(ps), minCount, thr, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 	return true
@@ -158,7 +159,7 @@ func TestFreqTailAboveMatchesDP(t *testing.T) {
 	early := 0
 	check := func(label string, ps []float64, minCounts []int) {
 		for _, minCount := range minCounts {
-			thrs := append(edgeThresholds(FreqTailDP(ps, minCount)), 0, 0.05, 0.5, 0.9+1e-9, 1)
+			thrs := append(edgeThresholds(prob.PBFreqProbDP(ps, minCount)), 0, 0.05, 0.5, 0.9+1e-9, 1)
 			for _, thr := range thrs {
 				if aboveEqual(t, label, ps, minCount, thr) {
 					early++
@@ -213,7 +214,7 @@ func TestFreqTailAboveMatchesDP(t *testing.T) {
 	}
 }
 
-// FuzzFreqTailAbove fuzzes FreqTailAbove against the full DP with the
+// FuzzFreqTailAbove fuzzes FreqTailAbove against prob.PBFreqProbDP with the
 // TestFreqTailAboveMatchesDP oracle, at the fuzzed threshold and at the
 // rounding edge of the value. Short inputs are tiled so the vector spans
 // several union-bound checks.
@@ -230,7 +231,7 @@ func FuzzFreqTailAbove(f *testing.F) {
 			minCount = len(ps) / 2
 		}
 		aboveEqual(t, "fuzz", ps, minCount, thr)
-		for _, edge := range edgeThresholds(FreqTailDP(ps, minCount)) {
+		for _, edge := range edgeThresholds(prob.PBFreqProbDP(ps, minCount)) {
 			aboveEqual(t, "fuzz-edge", ps, minCount, edge)
 		}
 	})
@@ -253,10 +254,10 @@ func BenchmarkFreqTailDPBorderline(b *testing.B) {
 	}
 }
 
-func BenchmarkFreqTailDPScalarBorderline(b *testing.B) {
+func BenchmarkFreqTailReferenceBorderline(b *testing.B) {
 	ps := benchProbs(800)
 	for i := 0; i < b.N; i++ {
-		FreqTailDPScalar(ps, 681)
+		prob.PBFreqProbDP(ps, 681)
 	}
 }
 
@@ -267,10 +268,10 @@ func BenchmarkFreqTailDPWide(b *testing.B) {
 	}
 }
 
-func BenchmarkFreqTailDPScalarWide(b *testing.B) {
+func BenchmarkFreqTailReferenceWide(b *testing.B) {
 	ps := benchProbs(3400)
 	for i := 0; i < b.N; i++ {
-		FreqTailDPScalar(ps, 681)
+		prob.PBFreqProbDP(ps, 681)
 	}
 }
 

@@ -41,8 +41,8 @@ type Explanation struct {
 	// Sched is the execution-layer breakdown — work-stealing scheduler
 	// traffic and postings-kernel dispatch — when the run's miners reported
 	// one (core.PhaseExec). Unlike Totals it describes how the run executed,
-	// not what it computed: the counters vary with worker count and
-	// core.ExecTuning while the mined bits do not.
+	// not what it computed: the counters vary with worker count and steal
+	// timing while the mined bits do not.
 	Sched *core.ExecStats `json:"sched,omitempty"`
 
 	// The executed plan, step by step, plus shard-robustness activity.

@@ -125,7 +125,7 @@ func TestCollectorExecFold(t *testing.T) {
 		TasksSpawned: 10, TasksStolen: 3, KernelIntersects: 100,
 	}})
 	fn(core.ProgressEvent{Phase: core.PhaseExec, Exec: core.ExecStats{
-		TasksSpawned: 4, ForksInline: 2, ScalarIntersects: 5,
+		TasksSpawned: 4, ForksInline: 2, KernelIntersects: 5,
 	}})
 	steps, _, _, _ := col.Snapshot()
 	if len(steps) != 0 {
@@ -136,7 +136,7 @@ func TestCollectorExecFold(t *testing.T) {
 	if ex.Sched == nil {
 		t.Fatal("exec counters not recorded")
 	}
-	want := core.ExecStats{TasksSpawned: 14, TasksStolen: 3, ForksInline: 2, KernelIntersects: 100, ScalarIntersects: 5}
+	want := core.ExecStats{TasksSpawned: 14, TasksStolen: 3, ForksInline: 2, KernelIntersects: 105}
 	if *ex.Sched != want {
 		t.Errorf("exec = %+v, want %+v", *ex.Sched, want)
 	}

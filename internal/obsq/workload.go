@@ -29,6 +29,10 @@ const DefaultWorkloadHalfLife = 5 * time.Minute
 // triples is far past any realistic serving mix.
 const maxWorkloadEntries = 256
 
+// workloadLatencyBuckets are the groups' millisecond-scale latency buckets:
+// 0.25ms doubling to ~4s.
+var workloadLatencyBuckets = []float64{0.25, 0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+
 // Record is one served query observation.
 type Record struct {
 	Dataset   string
@@ -132,8 +136,7 @@ func (w *Workload) Observe(rec Record) {
 			band:      band,
 			paths:     make(map[string]float64),
 			lastT:     now,
-			// Millisecond-scale latency buckets, 0.25ms..~4s.
-			lat: telemetry.NewHistogram(telemetry.ExponentialBuckets(0.25, 2, 15)),
+			lat:       telemetry.NewHistogram(workloadLatencyBuckets),
 		}
 		w.evictColdestLocked(now)
 		w.entries[key] = e

@@ -200,21 +200,6 @@ var DefBuckets = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// ExponentialBuckets returns count upper bounds starting at start and
-// multiplying by factor — the fine-grained latency grid the load benchmark
-// derives tail quantiles from.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	if start <= 0 || factor <= 1 || count < 1 {
-		panic("telemetry: ExponentialBuckets needs start > 0, factor > 1, count >= 1")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket histogram with atomic buckets: Observe is
 // lock-free and safe for concurrent use. Bucket semantics match
 // Prometheus: an observation v lands in the first bucket whose upper bound

@@ -101,20 +101,6 @@ func TestRegistryPanics(t *testing.T) {
 		r.CounterFunc("m_total", "m", nil, func() float64 { return 0 })
 	})
 	mustPanic("non-increasing bounds", func() { NewHistogram([]float64{1, 1}) })
-	mustPanic("bad exponential", func() { ExponentialBuckets(0, 2, 4) })
-}
-
-func TestExponentialBuckets(t *testing.T) {
-	got := ExponentialBuckets(0.001, 2, 4)
-	want := []float64{0.001, 0.002, 0.004, 0.008}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("bucket %d: got %g, want %g", i, got[i], want[i])
-		}
-	}
 }
 
 // TestHistogramQuantile checks the histogram_quantile-style interpolation

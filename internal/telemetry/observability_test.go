@@ -14,7 +14,7 @@ import (
 // panic, no negative or NaN result) while writers are racing the reader —
 // the /debug/workload snapshot path under live traffic.
 func TestHistogramQuantileConcurrentWriters(t *testing.T) {
-	h := NewHistogram(ExponentialBuckets(0.25, 2, 15))
+	h := NewHistogram([]float64{0.25, 0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -169,8 +169,9 @@ type (
 	MiningStats = core.MiningStats
 	// Miner is the uniform interface implemented by all algorithms.
 	Miner = core.Miner
-	// Options carries cross-cutting execution knobs (Workers, Progress);
-	// the zero value is the paper's single-threaded platform.
+	// Options carries the cross-cutting execution knobs (Workers,
+	// Partitions, Progress); the zero value is the paper's
+	// single-threaded platform, and no value changes the mined bits.
 	Options = core.Options
 	// ProgressEvent is one observation streamed during a mining run.
 	ProgressEvent = core.ProgressEvent
