@@ -50,7 +50,6 @@ func main() {
 		shardTimeout = flag.Duration("shard_timeout", 0, "per-attempt shard RPC timeout (0 = default 60s)")
 		shardRetries = flag.Int("shard_retries", 0, "shard RPC retries per request (0 = default 2, negative = none)")
 		shardHedge   = flag.Duration("shard_hedge", 0, "hedge a straggling shard RPC after this delay (0 = disabled)")
-		prewarm      = flag.Int("prewarm", 0, "after an ingest invalidates a dataset's cache, re-mine up to N of its hottest observed query groups off the request path (0 = disabled)")
 		traceRing    = flag.Int("traces", 0, "completed traces retained at /debug/traces (0 = default 128, negative = none)")
 		slowlog      = flag.Duration("slowlog", 0, "log any mine exceeding this duration as one JSON line with its span breakdown (0 = disabled)")
 		loglevel     = flag.String("loglevel", "info", "minimum log level: debug, info, warn, error")
@@ -74,7 +73,6 @@ func main() {
 		MaxInFlight:    *maxInflight,
 		DefaultTimeout: *timeout,
 		CacheEntries:   *cacheEntries,
-		PrewarmHot:     *prewarm,
 		Telemetry: umine.NewTelemetryHub(umine.TelemetryConfig{
 			TraceCapacity:    *traceRing,
 			SlowLogThreshold: *slowlog,

@@ -25,8 +25,7 @@
 //   - Workload (workload.go): a rolling, exponentially-decayed profile of
 //     the query mix — arrival rate, latency quantiles and cache/ledger hit
 //     ratios per (dataset, algorithm, threshold band) — served at
-//     /debug/workload and used to pre-warm the result cache for the hottest
-//     triples after an ingest invalidates them.
+//     /debug/workload.
 //
 //   - SLO (slo.go): per-route latency objectives with multi-window burn-rate
 //     gauges, so a scrape shows not just the p99 but how fast the error

@@ -288,35 +288,6 @@ func TestWorkloadDecayAndRatios(t *testing.T) {
 	}
 }
 
-// TestWorkloadHottest: ranked by decayed weight, scoped to the dataset,
-// error-only groups skipped, capped at n.
-func TestWorkloadHottest(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	w := NewWorkload(time.Minute)
-	w.now = func() time.Time { return now }
-
-	for i := 0; i < 3; i++ {
-		w.Observe(Record{Dataset: "d", Algorithm: "UApriori", MinESup: 0.05, Path: "mined"})
-	}
-	w.Observe(Record{Dataset: "d", Algorithm: "UH-Mine", MinESup: 0.01, Path: "cache-hit"})
-	w.Observe(Record{Dataset: "d", Algorithm: "DPB", MinSup: 0.2, PFT: 0.9, Path: "error"})
-	w.Observe(Record{Dataset: "other", Algorithm: "UApriori", MinESup: 0.05, Path: "mined"})
-
-	hot := w.Hottest("d", 8)
-	if len(hot) != 2 {
-		t.Fatalf("Hottest returned %d records, want 2 (error-only group and other dataset skipped): %+v", len(hot), hot)
-	}
-	if hot[0].Algorithm != "UApriori" || hot[1].Algorithm != "UH-Mine" {
-		t.Errorf("Hottest order: %+v", hot)
-	}
-	if got := w.Hottest("d", 1); len(got) != 1 {
-		t.Errorf("Hottest(1) returned %d", len(got))
-	}
-	if w.Hottest("d", 0) != nil {
-		t.Error("Hottest(0) != nil")
-	}
-}
-
 // TestWorkloadEviction: the table caps at maxWorkloadEntries by evicting
 // the coldest group.
 func TestWorkloadEviction(t *testing.T) {
@@ -344,7 +315,7 @@ func TestWorkloadEviction(t *testing.T) {
 // fraction, per window.
 func TestSLOBurnRate(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
-	slo := NewSLO(100*time.Millisecond, 0.99)
+	slo := NewSLO(100 * time.Millisecond)
 	slo.now = func() time.Time { return now }
 
 	for i := 0; i < 98; i++ {
@@ -380,7 +351,7 @@ func TestSLOBurnRate(t *testing.T) {
 
 // TestSLOConcurrent: Observe and BurnRate race-free under parallel use.
 func TestSLOConcurrent(t *testing.T) {
-	slo := NewSLO(time.Millisecond, 0.99)
+	slo := NewSLO(time.Millisecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -47,13 +47,9 @@ type SLO struct {
 	ring [sloRingBuckets]sloBucket
 }
 
-// NewSLO builds a tracker for a latency target; objective ≤ 0 (or ≥ 1)
-// selects DefaultSLOObjective.
-func NewSLO(target time.Duration, objective float64) *SLO {
-	if objective <= 0 || objective >= 1 {
-		objective = DefaultSLOObjective
-	}
-	return &SLO{target: target, objective: objective, now: time.Now}
+// NewSLO builds a tracker for a latency target at DefaultSLOObjective.
+func NewSLO(target time.Duration) *SLO {
+	return &SLO{target: target, objective: DefaultSLOObjective, now: time.Now}
 }
 
 // Target returns the latency target.

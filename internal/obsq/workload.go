@@ -17,8 +17,7 @@ import (
 // while 0.0004 is a different workload entirely. Each group keeps an
 // exponentially-decayed arrival weight (half-life WindowHalfLife), decayed
 // per-outcome counts, and a latency histogram, so /debug/workload shows the
-// *current* mix, not the process-lifetime average, and the ingest pre-warm
-// can rank groups by what is hot now.
+// *current* mix, not the process-lifetime average.
 
 // DefaultWorkloadHalfLife halves a group's observed weight every 5 minutes —
 // a query mix change is fully visible within a few half-lives.
@@ -59,7 +58,8 @@ type workloadEntry struct {
 	paths  map[string]float64
 	lastT  time.Time
 
-	// The most recent exact query in the group — what the pre-warm replays.
+	// The most recent exact query in the group (the last_* fields of
+	// /debug/workload).
 	lastRec Record
 
 	lat *telemetry.Histogram
@@ -253,47 +253,6 @@ func (w *Workload) renderLocked(e *workloadEntry) WorkloadEntry {
 	if e.weight > 0 {
 		out.CacheHitRatio = (e.paths["cache-hit"] + e.paths["cache-filtered"] + e.paths["coalesced"]) / e.weight
 		out.LedgerRatio = e.paths["ledger"] / e.weight
-	}
-	return out
-}
-
-// Hottest returns up to n of the dataset's hottest groups' most recent exact
-// queries — the pre-warm set replayed after an ingest invalidates the
-// dataset's cache. Error-only groups are skipped (replaying a failing query
-// warms nothing).
-func (w *Workload) Hottest(dataset string, n int) []Record {
-	if w == nil || n <= 0 {
-		return nil
-	}
-	now := w.now()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var hot []*workloadEntry
-	for _, e := range w.entries {
-		if e.dataset != dataset {
-			continue
-		}
-		e.decayTo(now, w.halfLife)
-		if e.weight <= 0 || e.lastRec.Path == "error" {
-			continue
-		}
-		hot = append(hot, e)
-	}
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].weight != hot[j].weight {
-			return hot[i].weight > hot[j].weight
-		}
-		if hot[i].algorithm != hot[j].algorithm {
-			return hot[i].algorithm < hot[j].algorithm
-		}
-		return hot[i].band < hot[j].band
-	})
-	if len(hot) > n {
-		hot = hot[:n]
-	}
-	out := make([]Record, len(hot))
-	for i, e := range hot {
-		out[i] = e.lastRec
 	}
 	return out
 }

@@ -139,33 +139,3 @@ func TestMineCancelLeaderHandsOff(t *testing.T) {
 		t.Errorf("mineFn ran %d times, want 2 (dead leader + retrying follower)", got)
 	}
 }
-
-// TestIngestCancelRefresh: a canceled context aborts a windowed refresh
-// re-mine; the ingest itself still commits (transactions applied, version
-// bumped) with the refresh failure reported, matching the documented
-// atomicity.
-func TestIngestCancelRefresh(t *testing.T) {
-	db := coretest.RandomDB(rand.New(rand.NewSource(5)), 8, 5, 0.8)
-	s := New(Config{})
-	if _, err := s.RegisterDatabase("w", db, RegisterOptions{Window: &WindowOptions{
-		Size:             10,
-		RefreshEvery:     1,
-		RefreshAlgorithm: "UApriori",
-		Thresholds:       core.Thresholds{MinESup: 0.2},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := s.Dataset("w")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := s.Ingest(ctx, "w", [][]core.Unit{{{Item: 0, Prob: 0.9}}})
-	if err != nil {
-		t.Fatalf("ingest err=%v; a canceled refresh must not fail the commit", err)
-	}
-	if res.Version != before.Version+1 || res.Added != 1 {
-		t.Fatalf("ingest did not commit: %+v", res)
-	}
-	if res.RefreshError == "" {
-		t.Fatal("canceled refresh not reported in RefreshError")
-	}
-}

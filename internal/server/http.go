@@ -37,10 +37,15 @@ const (
 const maxRequestBytes = 64 << 20
 
 // decodeJSON decodes a size-capped request body into v, writing the error
-// response (413 for oversize, 400 otherwise) itself when it fails.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// response (413 for oversize, 400 otherwise) itself when it fails. strict
+// rejects fields v does not declare, naming the first one in the 400.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any, strict bool) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
@@ -126,22 +131,16 @@ type registerRequest struct {
 	// runs the SON two-phase decomposition across this many sub-shards,
 	// bit-identical to an unsharded mine (see RegisterOptions.Shards).
 	Shards int `json:"shards,omitempty"`
-	// WindowSize > 0 bounds retention to a sliding window; RefreshEvery and
-	// RefreshAlgorithm optionally enable periodic re-discovery over it, at
-	// the window thresholds below (which must fit the refresh algorithm's
-	// semantics — min_esup for expected-support miners, min_sup + pft for
-	// probabilistic ones; mismatches are rejected at registration).
-	WindowSize       int     `json:"window_size,omitempty"`
-	RefreshEvery     int     `json:"refresh_every,omitempty"`
-	RefreshAlgorithm string  `json:"refresh_algorithm,omitempty"`
-	WindowMinESup    float64 `json:"window_min_esup,omitempty"`
-	WindowMinSup     float64 `json:"window_min_sup,omitempty"`
-	WindowPFT        float64 `json:"window_pft,omitempty"`
+	// WindowSize > 0 bounds retention to a sliding window of that many
+	// transactions; a negative size is rejected.
+	WindowSize int `json:"window_size,omitempty"`
 }
 
 func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
+	// Unknown fields are rejected so a misspelt or retired option fails
+	// loudly instead of registering a dataset that silently ignores it.
 	var req registerRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req, true) {
 		return
 	}
 	if req.Name == "" {
@@ -149,20 +148,9 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := RegisterOptions{Shards: req.Shards}
-	if req.WindowSize > 0 {
-		wo := &WindowOptions{
-			Size:             req.WindowSize,
-			RefreshEvery:     req.RefreshEvery,
-			RefreshAlgorithm: req.RefreshAlgorithm,
-		}
-		if req.WindowMinESup > 0 || req.WindowMinSup > 0 {
-			wo.Thresholds = core.Thresholds{
-				MinESup: req.WindowMinESup,
-				MinSup:  req.WindowMinSup,
-				PFT:     req.WindowPFT,
-			}
-		}
-		opts.Window = wo
+	if req.WindowSize != 0 {
+		// RegisterDatabase rejects a non-positive size with a 400.
+		opts.Window = &WindowOptions{Size: req.WindowSize}
 	}
 	var (
 		info DatasetInfo
@@ -206,7 +194,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	t0 := time.Now()
 	var req ingestRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req, false) {
 		return
 	}
 	if len(req.Transactions) == 0 {
@@ -256,7 +244,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	defer tr.Finish()
 	t0 := time.Now()
 	var req mineRequestJSON
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, &req, false) {
 		return
 	}
 	tr.Root().Record("parse", t0, time.Now())
@@ -290,7 +278,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req MineRequest
 	if r.Method == http.MethodPost {
 		var body mineRequestJSON
-		if !decodeJSON(w, r, &body) {
+		if !decodeJSON(w, r, &body, false) {
 			return
 		}
 		req = body.request()

@@ -243,3 +243,33 @@ func TestHTTPWindowedRegister(t *testing.T) {
 		t.Fatalf("info %+v, want windowed with 2 retained transactions", info)
 	}
 }
+
+// TestHTTPRegisterRejects: the register body rejects fields it does not
+// declare (naming the field, so a client still sending a retired option
+// learns why) and a negative window size, registering nothing in either
+// case. The other bodies keep ignoring unknown fields.
+func TestHTTPRegisterRejects(t *testing.T) {
+	s, ts := httpFixture(t)
+	text := "0:0.9\n1:0.8\n0:0.7 1:0.6\n"
+	cases := []struct {
+		name string
+		body map[string]any
+		want string
+	}{
+		{"unknown field", map[string]any{"name": "w", "text": text, "window_size": 2, "refresh_every": 4}, `refresh_every`},
+		{"negative window", map[string]any{"name": "w", "text": text, "window_size": -1}, `window size -1`},
+	}
+	for _, c := range cases {
+		resp, body := post(t, ts.URL+"/datasets", c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: HTTP %d %s, want 400 naming %q", c.name, resp.StatusCode, body, c.want)
+		}
+		if _, ok := s.Dataset("w"); ok {
+			t.Fatalf("%s: dataset registered despite the 400", c.name)
+		}
+	}
+	resp, body := post(t, ts.URL+"/ingest", map[string]any{"dataset": "d", "transactions": []string{"0:0.5"}, "extra": true})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("ingest with an unknown field: HTTP %d %s, want 200", resp.StatusCode, body)
+	}
+}

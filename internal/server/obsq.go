@@ -6,16 +6,14 @@ import (
 	"strconv"
 	"time"
 
-	"umine/internal/core"
 	"umine/internal/obsq"
 	"umine/internal/telemetry"
 )
 
 // The server side of query-level observability (umine/internal/obsq):
 // Explain runs one query and renders the executed plan from the mine's
-// checkpoint collector; the ingest pre-warm replays the workload profile's
-// hottest queries after an invalidation; the dashboard assembles every live
-// surface into one page.
+// checkpoint collector; the dashboard assembles every live surface into one
+// page.
 
 // Explain answers req exactly as Mine would — same cache, coalescing,
 // backend selection, and bit-identical results — while collecting the
@@ -83,74 +81,6 @@ func (s *Server) Explain(ctx context.Context, req MineRequest) (*obsq.Explanatio
 // /debug/workload document).
 func (s *Server) WorkloadProfile() obsq.WorkloadProfile {
 	return s.workload.Snapshot()
-}
-
-// prewarmTimeout bounds each pre-warm mine; a query the profile considers
-// hot but that cannot finish in this budget is not worth warming.
-const prewarmTimeout = 30 * time.Second
-
-// prewarmState is one dataset's pre-warm coalescing state (the same
-// running/dirty shape as the ledger refresh loop).
-type prewarmState struct {
-	running bool
-	dirty   bool
-}
-
-// kickPrewarm queues a cache pre-warm for the dataset, starting the
-// coalescing goroutine if none is running. Ingests landing mid-warm mark
-// dirty and the loop runs once more against the newest version.
-func (s *Server) kickPrewarm(name string) {
-	if s.cfg.PrewarmHot <= 0 {
-		return
-	}
-	s.prewarmMu.Lock()
-	st := s.prewarms[name]
-	if st == nil {
-		st = &prewarmState{}
-		s.prewarms[name] = st
-	}
-	if st.running {
-		st.dirty = true
-		s.prewarmMu.Unlock()
-		return
-	}
-	st.running = true
-	s.prewarmMu.Unlock()
-	go s.prewarmLoop(name, st)
-}
-
-// prewarmLoop replays the dataset's hottest observed queries so the next
-// client of the post-ingest version hits a warm cache. Queries are marked
-// internal: they fill the cache but stay out of the workload profile (a
-// pre-warm must not make its own queries look hotter) and the SLO.
-func (s *Server) prewarmLoop(name string, st *prewarmState) {
-	for {
-		s.prewarmMu.Lock()
-		st.dirty = false
-		s.prewarmMu.Unlock()
-		for _, rec := range s.workload.Hottest(name, s.cfg.PrewarmHot) {
-			ctx, cancel := context.WithTimeout(context.Background(), prewarmTimeout)
-			_, _ = s.Mine(ctx, MineRequest{
-				Dataset:   name,
-				Algorithm: rec.Algorithm,
-				Thresholds: core.Thresholds{
-					MinESup: rec.MinESup,
-					MinSup:  rec.MinSup,
-					PFT:     rec.PFT,
-				},
-				Workers:  rec.Workers,
-				internal: true,
-			})
-			cancel()
-		}
-		s.prewarmMu.Lock()
-		if !st.dirty {
-			st.running = false
-			s.prewarmMu.Unlock()
-			return
-		}
-		s.prewarmMu.Unlock()
-	}
 }
 
 // dashboardData assembles the /debug/dashboard snapshot from every live

@@ -1,17 +1,14 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"time"
 
-	"umine/internal/algo"
 	"umine/internal/core"
 	"umine/internal/dataset"
-	"umine/internal/stream"
 )
 
 // The dataset registry: databases are loaded or generated once and shared
@@ -22,10 +19,10 @@ import (
 
 // RegisterOptions controls how a dataset is registered.
 type RegisterOptions struct {
-	// Window, when non-nil, bounds the dataset's retention: ingested
-	// transactions flow through a stream.Window and queries mine its
-	// current snapshot, so the dataset holds at most Window.Size
-	// transactions (the streaming deployments of the paper's §1).
+	// Window, when non-nil, bounds the dataset's retention: registration
+	// and every ingest keep only the trailing Window.Size transactions, so
+	// queries mine a sliding window (the streaming deployments of the
+	// paper's §1).
 	Window *WindowOptions
 	// Source labels the dataset's origin in DatasetInfo (e.g.
 	// "profile:gazelle@0.02"); Register* methods fill it when empty.
@@ -49,19 +46,6 @@ type RegisterOptions struct {
 type WindowOptions struct {
 	// Size is the window capacity in transactions. Required.
 	Size int
-	// RefreshEvery re-mines the window and replaces its watch list after
-	// this many ingested transactions (0 disables re-discovery).
-	RefreshEvery int
-	// RefreshAlgorithm names the miner used for refresh (required when
-	// RefreshEvery > 0). Its semantics override Semantics below, and
-	// Thresholds must validate against them — a mismatch (e.g. a
-	// probabilistic refresh miner with only MinESup set) is rejected at
-	// registration rather than failing every refresh-boundary ingest.
-	RefreshAlgorithm string
-	// Thresholds and Semantics configure the window's frequentness queries
-	// and the refresh mining. Zero Thresholds default to MinESup 0.5.
-	Thresholds core.Thresholds
-	Semantics  core.Semantics
 }
 
 // DatasetInfo describes one registered dataset.
@@ -76,7 +60,6 @@ type DatasetInfo struct {
 	// Windowed datasets retain at most WindowSize transactions.
 	Windowed   bool `json:"windowed,omitempty"`
 	WindowSize int  `json:"window_size,omitempty"`
-	Watched    int  `json:"watched,omitempty"`
 	// Shards > 1 marks the dataset for scatter-gather mining across that
 	// many sub-shards (see RegisterOptions.Shards).
 	Shards int `json:"shards,omitempty"`
@@ -93,9 +76,9 @@ type dsEntry struct {
 	name       string
 	version    uint64
 	db         *core.Database
-	window     *stream.Window // nil unless windowed
-	windowSize int
-	shards     int // > 1: scatter-gather mining (immutable after Register)
+	windowSize int   // > 0: retain only the trailing windowSize transactions
+	evicted    int64 // transactions the window has dropped since registration
+	shards     int   // > 1: scatter-gather mining (immutable after Register)
 	ingested   int64
 	source     string
 	registered time.Time
@@ -149,10 +132,9 @@ func (d *dsEntry) info() DatasetInfo {
 		BytesResident: d.db.BytesResident(),
 		Registered:    d.registered.UTC().Format(time.RFC3339),
 	}
-	if d.window != nil {
+	if d.windowSize > 0 {
 		info.Windowed = true
 		info.WindowSize = d.windowSize
-		info.Watched = len(d.window.Watched())
 	}
 	if d.shards > 1 {
 		info.Shards = d.shards
@@ -179,31 +161,18 @@ type IngestResult struct {
 	N int `json:"n"`
 	// Added is how many transactions the call appended.
 	Added int `json:"added"`
-	// Refreshed reports whether a windowed refresh re-mine ran.
-	Refreshed bool `json:"refreshed,omitempty"`
 	// Evicted reports whether the ingest pushed transactions out of a
 	// sliding window — the signal that incremental result maintenance for
 	// this dataset cannot treat the new snapshot as an append-only
 	// extension.
 	Evicted bool `json:"evicted,omitempty"`
-	// RefreshError carries a refresh re-mine failure. The ingest itself
-	// still committed (transactions applied, version bumped); only the
-	// watch-list re-discovery is stale.
-	RefreshError string `json:"refresh_error,omitempty"`
 }
 
-// ingest appends the raw transactions and swaps in a new snapshot. The whole
-// append happens under the write lock, so concurrent queries see either the
-// old snapshot or the new one, never an intermediate state — this is the
-// locking that keeps stream.Window (not itself goroutine-safe, and mutated
-// wholesale by a refresh re-mine) race-free under concurrent readers.
-//
-// Ingest is atomic over the batch: validation happens up front (an invalid
-// transaction fails the whole call with nothing applied), and once pushing
-// starts nothing aborts it — a windowed refresh re-mine failure is reported
-// via IngestResult.RefreshError with the batch still fully committed, never
-// as a half-applied "error" a client would wrongly retry.
-func (d *dsEntry) ingest(ctx context.Context, raw [][]core.Unit) (IngestResult, error) {
+// ingest appends the raw transactions and swaps in a new snapshot under the
+// write lock, so concurrent queries see either the old snapshot or the new
+// one, never an intermediate state. Validation happens up front: an invalid
+// transaction fails the whole call with nothing applied.
+func (d *dsEntry) ingest(raw [][]core.Unit) (IngestResult, error) {
 	txs := make([]core.Transaction, len(raw))
 	for i, units := range raw {
 		t, err := core.NormalizeTransaction(units)
@@ -222,67 +191,54 @@ func (d *dsEntry) ingest(ctx context.Context, raw [][]core.Unit) (IngestResult, 
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	refreshed := false
-	evicted := false
-	var refreshErr error
-	if d.window != nil {
-		ev0 := d.window.Evictions()
-		for _, t := range txs {
-			// txs are pre-normalized with columns this loop owns (built by
-			// NormalizeTransaction above, never retained), so PushOwned
-			// skips the defensive copy; an error here is a refresh re-mine
-			// failure, after the push itself already applied.
-			r, err := d.window.PushOwned(ctx, t)
-			if err != nil {
-				refreshErr = err
-			}
-			refreshed = refreshed || r
-		}
-		evicted = d.window.Evictions() != ev0
-		snap := d.window.Snapshot()
-		snap.Name = d.name
-		if snap.NumItems < d.db.NumItems {
-			snap.SetNumItems(d.db.NumItems)
-		}
-		d.db = snap
-	} else {
-		// Rebuild the arena with the batch appended: one columnar copy of
-		// the old snapshot plus the new transactions, so the new snapshot is
-		// again one contiguous backing store shared by every reader. This
-		// keeps every mine maximally scan-friendly at the cost of O(N) copy
-		// per ingest batch — fine for batch-append workloads; the ROADMAP's
-		// "delta arenas" item covers amortizing append-heavy streams.
-		old := d.db
-		b := core.NewBuilder(d.name)
-		units := old.NumUnits()
-		for _, t := range txs {
-			units += t.Len()
-		}
-		b.Grow(old.N()+len(txs), units)
-		b.AddDatabase(old)
-		for _, t := range txs {
-			b.AddCanonical(t)
-		}
-		d.db = b.Build()
+	// A window keeps only the trailing windowSize transactions of old +
+	// txs: drop the oldest, from old first and then from the batch.
+	old := d.db
+	drop := 0
+	if d.windowSize > 0 {
+		drop = max(0, old.N()+len(txs)-d.windowSize)
 	}
+	dropOld := min(drop, old.N())
+	d.db = rebuild(d.name, old, dropOld, txs[drop-dropOld:])
+	d.evicted += int64(drop)
 	// The scatter-backend cache is keyed on the snapshot pointer; drop it
 	// with the snapshot so the replaced arena does not stay pinned until
 	// (or beyond) the next sharded mine.
 	d.shardBE, d.shardBEdb, d.shardBEk = nil, nil, 0
 	d.version++
 	d.ingested += int64(len(txs))
-	res := IngestResult{
-		Dataset:   d.name,
-		Version:   d.version,
-		N:         d.db.N(),
-		Added:     len(txs),
-		Refreshed: refreshed,
-		Evicted:   evicted,
+	return IngestResult{
+		Dataset: d.name,
+		Version: d.version,
+		N:       d.db.N(),
+		Added:   len(txs),
+		Evicted: drop > 0,
+	}, nil
+}
+
+// rebuild copies old without its first skip transactions, then txs, into
+// one fresh arena named name, so every snapshot is again one contiguous
+// backing store shared by every reader. The item universe never shrinks
+// below old's, even when the window has dropped every transaction that used
+// the highest items. The copy is O(N) per ingest batch — fine for
+// batch-append workloads; the ROADMAP's "delta arenas" item covers
+// amortizing append-heavy streams.
+func rebuild(name string, old *core.Database, skip int, txs []core.Transaction) *core.Database {
+	base := old
+	if skip > 0 {
+		base = old.Slice(skip, old.N())
 	}
-	if refreshErr != nil {
-		res.RefreshError = refreshErr.Error()
+	b := core.NewBuilder(name)
+	units := base.NumUnits()
+	for _, t := range txs {
+		units += t.Len()
 	}
-	return res, nil
+	b.Grow(base.N()+len(txs), units)
+	b.AddDatabase(base)
+	for _, t := range txs {
+		b.AddCanonical(t)
+	}
+	return b.Build()
 }
 
 // registry holds the datasets by name.
@@ -352,28 +308,16 @@ func (s *Server) RegisterDatabase(name string, db *core.Database, opts RegisterO
 	}
 	d := &dsEntry{name: name, db: db, shards: opts.Shards, source: opts.Source, registered: time.Now()}
 	if opts.Window != nil {
-		w, size, err := newWindow(*opts.Window)
-		if err != nil {
-			return DatasetInfo{}, err
+		size := opts.Window.Size
+		if size <= 0 {
+			return DatasetInfo{}, fmt.Errorf("server: window size %d must be positive", size)
 		}
-		d.window = w
+		// Retention applies from the start: only the seed's trailing Size
+		// transactions survive, copied so the dropped prefix is not pinned.
+		drop := max(0, db.N()-size)
 		d.windowSize = size
-		// Replay the seed database through the window so retention applies
-		// from the start: only the trailing Size transactions survive.
-		// Load defers the (at most one) refresh re-mine to the end instead
-		// of re-mining every RefreshEvery arrivals of the replay.
-		// Registration is a one-shot setup call, so the seed replay's
-		// refresh runs uncancellable; per-request contexts govern ingest
-		// and mining, not registration.
-		if err := w.Load(context.Background(), db.Transactions()); err != nil {
-			return DatasetInfo{}, err
-		}
-		snap := w.Snapshot()
-		snap.Name = name
-		if snap.NumItems < db.NumItems {
-			snap.SetNumItems(db.NumItems)
-		}
-		d.db = snap
+		d.evicted = int64(drop)
+		d.db = rebuild(name, db, drop, nil)
 	}
 	if err := s.reg.add(d); err != nil {
 		return DatasetInfo{}, err
@@ -428,62 +372,4 @@ func (s *Server) Dataset(name string) (DatasetInfo, bool) {
 		return DatasetInfo{}, false
 	}
 	return d.info(), true
-}
-
-// WindowFrequent returns the currently-frequent watched itemsets of a
-// windowed dataset (populated by its refresh re-mines), in canonical order.
-// A non-windowed dataset returns nil results.
-func (s *Server) WindowFrequent(name string) ([]core.Result, error) {
-	d, ok := s.reg.get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.window == nil {
-		return nil, nil
-	}
-	return d.window.Frequent(), nil
-}
-
-// newWindow builds the stream.Window for WindowOptions.
-func newWindow(o WindowOptions) (*stream.Window, int, error) {
-	if o.Size <= 0 {
-		return nil, 0, fmt.Errorf("server: window size %d must be positive", o.Size)
-	}
-	th := o.Thresholds
-	if th == (core.Thresholds{}) {
-		th = core.Thresholds{MinESup: 0.5}
-	}
-	cfg := stream.Config{
-		Size:         o.Size,
-		Thresholds:   th,
-		Semantics:    o.Semantics,
-		RefreshEvery: o.RefreshEvery,
-	}
-	if o.RefreshEvery > 0 {
-		if o.RefreshAlgorithm == "" {
-			return nil, 0, fmt.Errorf("server: window RefreshEvery set without RefreshAlgorithm")
-		}
-		m, err := newRefreshMiner(o.RefreshAlgorithm)
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg.Miner = m
-		// The refresh miner defines the window's semantics; NewWindow then
-		// validates the thresholds against them, so a miner/threshold
-		// mismatch fails here instead of at the first refresh.
-		cfg.Semantics = m.Semantics()
-	}
-	w, err := stream.NewWindow(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return w, o.Size, nil
-}
-
-// newRefreshMiner constructs the batch miner a windowed dataset re-mines
-// with. Split out so registry.go does not import the algo registry twice.
-func newRefreshMiner(name string) (core.Miner, error) {
-	return algo.New(name)
 }

@@ -13,7 +13,8 @@
 // arXiv:2009.11558, measures). Package server is that layer:
 //
 //   - registry.go — named, versioned datasets; ingest appends transactions
-//     (optionally through a bounded stream.Window) and bumps the version;
+//     (optionally keeping only a sliding window's trailing transactions)
+//     and bumps the version;
 //   - cache.go — results keyed by (dataset, version, algorithm,
 //     thresholds); a higher-threshold query is answered by filtering a
 //     cached lower-threshold result set, exploiting the anti-monotonicity
@@ -75,23 +76,14 @@ type Config struct {
 	// histograms are registered on the hub's Registry. Nil disables all of
 	// it at zero per-request cost.
 	Telemetry *telemetry.Hub
-	// MineSLOTarget / IngestSLOTarget are the per-route latency objectives
-	// behind the umine_slo_burn_rate gauges and the dashboard's SLO table
-	// (0 selects the defaults below). 99% of requests are expected under
-	// the target; errors burn budget regardless of latency.
-	MineSLOTarget   time.Duration
-	IngestSLOTarget time.Duration
-	// PrewarmHot > 0 re-mines up to this many of a dataset's hottest
-	// workload groups after an ingest invalidates its cache, so the next
-	// queries of the observed mix hit a warm cache instead of paying a cold
-	// mine. 0 disables pre-warming.
-	PrewarmHot int
 }
 
-// Default per-route SLO latency targets.
+// Per-route SLO latency targets behind the umine_slo_burn_rate gauges and
+// the dashboard's SLO table: obsq.DefaultSLOObjective of requests are
+// expected under the target; errors burn budget regardless of latency.
 const (
-	defaultMineSLOTarget   = 500 * time.Millisecond
-	defaultIngestSLOTarget = 250 * time.Millisecond
+	mineSLOTarget   = 500 * time.Millisecond
+	ingestSLOTarget = 250 * time.Millisecond
 )
 
 // defaultCacheEntries is the result-cache capacity when Config leaves it 0.
@@ -158,13 +150,11 @@ type Server struct {
 	subscribers  atomic.Int64
 
 	// Query-level observability (obsq.go in this package): the rolling
-	// workload profile behind /debug/workload and the ingest pre-warm, the
-	// per-route SLO trackers, and the pre-warm coalescing state.
+	// workload profile behind /debug/workload and the per-route SLO
+	// trackers.
 	workload  *obsq.Workload
 	sloMine   *obsq.SLO
 	sloIngest *obsq.SLO
-	prewarmMu sync.Mutex
-	prewarms  map[string]*prewarmState
 }
 
 // partitionCounters is the /stats partition block, moved as a unit under
@@ -181,17 +171,8 @@ type partitionCounters struct {
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, start: time.Now(), ledgers: map[string]*ledgerEntry{}}
 	s.workload = obsq.NewWorkload(0)
-	mineTarget := cfg.MineSLOTarget
-	if mineTarget == 0 {
-		mineTarget = defaultMineSLOTarget
-	}
-	ingestTarget := cfg.IngestSLOTarget
-	if ingestTarget == 0 {
-		ingestTarget = defaultIngestSLOTarget
-	}
-	s.sloMine = obsq.NewSLO(mineTarget, 0)
-	s.sloIngest = obsq.NewSLO(ingestTarget, 0)
-	s.prewarms = map[string]*prewarmState{}
+	s.sloMine = obsq.NewSLO(mineSLOTarget)
+	s.sloIngest = obsq.NewSLO(ingestSLOTarget)
 	s.reg.init()
 	if cfg.CacheEntries >= 0 {
 		max := cfg.CacheEntries
@@ -371,10 +352,6 @@ type MineRequest struct {
 	// (which backend ran, how wide the scatter was, a cache entry's
 	// provenance, the run's checkpoint collector).
 	exec *execRecord
-	// internal marks server-originated requests (cache pre-warm): they mine
-	// and fill the cache normally but stay out of the workload profile and
-	// the SLO — they are not client traffic.
-	internal bool
 }
 
 // execRecord captures one request's execution decisions for /explain.
@@ -446,9 +423,6 @@ func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 	defer func() {
 		elapsed := time.Since(start)
 		s.histMine.ObserveExemplar(elapsed.Seconds(), traceID)
-		if req.internal {
-			return
-		}
 		if path == "error" {
 			s.sloMine.ObserveBad()
 		} else {
@@ -721,9 +695,9 @@ func adoptThresholds(rs *core.ResultSet, th core.Thresholds) *core.ResultSet {
 }
 
 // Ingest appends raw transactions to a dataset, bumps its version and
-// invalidates its cached results. On a windowed dataset the transactions are
-// pushed through the sliding window (evicting the oldest beyond its size and
-// triggering a configured refresh re-mine).
+// invalidates its cached results. A windowed dataset then drops its oldest
+// transactions beyond the window size. No miner runs on the ingest path: the
+// dataset's continuous queries refresh in the background (subscribe.go).
 func (s *Server) Ingest(ctx context.Context, name string, raw [][]core.Unit) (IngestResult, error) {
 	t0 := time.Now()
 	d, ok := s.reg.get(name)
@@ -731,7 +705,7 @@ func (s *Server) Ingest(ctx context.Context, name string, raw [][]core.Unit) (In
 		s.sloIngest.ObserveBad()
 		return IngestResult{}, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	res, err := d.ingest(ctx, raw)
+	res, err := d.ingest(raw)
 	if err != nil {
 		s.sloIngest.ObserveBad()
 		return IngestResult{}, err
@@ -745,9 +719,6 @@ func (s *Server) Ingest(ctx context.Context, name string, raw [][]core.Unit) (In
 		// ingest responds now, subscribers get their diffs when the
 		// background refresh lands (subscribe.go).
 		s.notifyIngest(name, t0)
-		// Re-warm the invalidated cache for the observed hot queries, also
-		// off the request path (obsq.go in this package).
-		s.kickPrewarm(name)
 	}
 	s.sloIngest.Observe(time.Since(t0))
 	return res, nil

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -50,122 +54,108 @@ func TestRegisterUncertain(t *testing.T) {
 	}
 }
 
-// TestWindowedRetention: a windowed dataset keeps only the trailing Size
-// transactions, from registration replay and across ingests.
+// TestWindowedRetention: after registration and after every ingest, a
+// windowed dataset's snapshot is exactly the last Size transactions of seed +
+// ingested, and /mine over it is byte-identical to a direct mine of that
+// reference database. Covers a seed longer and shorter than the window, and
+// batches that fit, cross the window edge, and exceed the window outright.
 func TestWindowedRetention(t *testing.T) {
-	db := coretest.RandomDB(rand.New(rand.NewSource(3)), 30, 6, 0.6)
-	s := New(Config{})
-	info, err := s.RegisterDatabase("w", db, RegisterOptions{Window: &WindowOptions{Size: 10}})
-	if err != nil {
-		t.Fatal(err)
+	const size = 10
+	queries := []struct {
+		alg string
+		th  core.Thresholds
+	}{
+		{"UApriori", core.Thresholds{MinESup: 0.1}},
+		{"DCB", core.Thresholds{MinSup: 0.2, PFT: 0.6}},
 	}
-	if !info.Windowed || info.WindowSize != 10 || info.NumTrans != 10 {
-		t.Fatalf("info %+v, want windowed size 10 with 10 transactions", info)
-	}
-	res, err := s.Ingest(context.Background(), "w", [][]core.Unit{
-		{{Item: 0, Prob: 1}},
-		{{Item: 1, Prob: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.N != 10 || res.Version != 1 {
-		t.Fatalf("ingest result %+v, want n 10 version 1", res)
-	}
-	// The snapshot served to miners is the window's content: the two new
-	// transactions are its tail.
-	d, _ := s.reg.get("w")
-	snap, _ := d.snapshot()
-	last := snap.Tx(snap.N() - 1)
-	if last.Len() != 1 || last.Items[0] != 1 {
-		t.Fatalf("window tail %v, want the last ingested transaction", last)
-	}
-}
+	for _, seedN := range []int{30, 4} {
+		t.Run(fmt.Sprintf("seed%d", seedN), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(seedN)))
+			seed := coretest.RandomDB(rng, seedN, 8, 0.6)
+			s := New(Config{})
+			info, err := s.RegisterDatabase("w", seed, RegisterOptions{Window: &WindowOptions{Size: size}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.Windowed || info.WindowSize != size || info.NumTrans != min(seedN, size) {
+				t.Fatalf("info %+v, want windowed size %d with %d transactions", info, size, min(seedN, size))
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-// TestWindowedRefresh: RefreshEvery re-mines the window during ingest and
-// populates the watch list behind WindowFrequent.
-func TestWindowedRefresh(t *testing.T) {
-	s := New(Config{})
-	_, err := s.RegisterDatabase("w", coretest.RandomDB(rand.New(rand.NewSource(5)), 8, 5, 0.8),
-		RegisterOptions{Window: &WindowOptions{
-			Size:             16,
-			RefreshEvery:     4,
-			RefreshAlgorithm: "UApriori",
-			Thresholds:       core.Thresholds{MinESup: 0.1},
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refreshed bool
-	for i := 0; i < 8; i++ {
-		res, err := s.Ingest(context.Background(), "w", [][]core.Unit{{{Item: 0, Prob: 0.9}, {Item: 1, Prob: 0.8}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refreshed = refreshed || res.Refreshed
-	}
-	if !refreshed {
-		t.Fatal("no ingest triggered a window refresh")
-	}
-	freq, err := s.WindowFrequent("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(freq) == 0 {
-		t.Fatal("WindowFrequent empty after refresh re-mine")
-	}
-}
+			all := seed.Transactions()
+			numItems := 0
+			check := func(stage string) {
+				t.Helper()
+				d, _ := s.reg.get("w")
+				snap, _ := d.snapshot()
+				ref := core.FromTransactions("ref", all[max(0, len(all)-size):])
+				if snap.N() != ref.N() {
+					t.Fatalf("%s: snapshot holds %d transactions, want %d", stage, snap.N(), ref.N())
+				}
+				for j := 0; j < ref.N(); j++ {
+					got, want := snap.Tx(j), ref.Tx(j)
+					if !slices.Equal(got.Items, want.Items) || !slices.Equal(got.Probs, want.Probs) {
+						t.Fatalf("%s: transaction %d = %v, want %v", stage, j, got, want)
+					}
+				}
+				if snap.NumItems < numItems {
+					t.Fatalf("%s: NumItems shrank from %d to %d", stage, numItems, snap.NumItems)
+				}
+				numItems = snap.NumItems
+				for _, q := range queries {
+					resp, body := post(t, ts.URL+"/mine", mineRequestJSON{Dataset: "w", Algorithm: q.alg, Thresholds: q.th})
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s: /mine %s: %d %s", stage, q.alg, resp.StatusCode, body)
+					}
+					if want := marshal(t, directMine(t, q.alg, ref, q.th)); !bytes.Equal(body, want) {
+						t.Fatalf("%s: /mine %s differs from a direct mine of the reference window\ngot:  %s\nwant: %s", stage, q.alg, body, want)
+					}
+				}
+			}
+			check("register")
 
-// TestWindowedRefreshSemanticsValidated: a refresh algorithm whose
-// semantics do not fit the window thresholds must fail at registration,
-// not at the first refresh-boundary ingest.
-func TestWindowedRefreshSemanticsValidated(t *testing.T) {
-	s := New(Config{})
-	db := coretest.RandomDB(rand.New(rand.NewSource(2)), 6, 4, 0.7)
-	// DCB is probabilistic; MinESup-only thresholds cannot drive it.
-	_, err := s.RegisterDatabase("bad", db, RegisterOptions{Window: &WindowOptions{
-		Size:             8,
-		RefreshEvery:     2,
-		RefreshAlgorithm: "DCB",
-		Thresholds:       core.Thresholds{MinESup: 0.1},
-	}})
-	if err == nil {
-		t.Fatal("probabilistic refresh miner with expected-support thresholds accepted")
-	}
-	// With matching thresholds the same configuration registers and
-	// refreshes fine.
-	if _, err := s.RegisterDatabase("good", db, RegisterOptions{Window: &WindowOptions{
-		Size:             8,
-		RefreshEvery:     2,
-		RefreshAlgorithm: "DCB",
-		Thresholds:       core.Thresholds{MinSup: 0.2, PFT: 0.5},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Ingest(context.Background(), "good", [][]core.Unit{
-		{{Item: 0, Prob: 0.9}},
-		{{Item: 0, Prob: 0.8}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Refreshed || res.RefreshError != "" {
-		t.Fatalf("ingest result %+v, want a clean refresh", res)
+			// The last batch only uses items 0..2, so the window ends up
+			// without the seed's higher items: the universe must not shrink.
+			for _, b := range []struct {
+				name     string
+				n, items int
+			}{{"fits", 3, 8}, {"crosses", 5, 8}, {"exceeds", size + 4, 3}} {
+				raw := make([][]core.Unit, b.n)
+				for i := range raw {
+					raw[i] = []core.Unit{
+						{Item: core.Item(rng.Intn(b.items)), Prob: 0.5 + 0.5*rng.Float64()},
+						{Item: core.Item(rng.Intn(b.items)), Prob: 0.5 + 0.5*rng.Float64()},
+					}
+				}
+				before := min(len(all), size)
+				for _, units := range raw {
+					tx, err := core.NormalizeTransaction(units)
+					if err != nil {
+						t.Fatal(err)
+					}
+					all = append(all, tx)
+				}
+				res, err := s.Ingest(context.Background(), "w", raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantEvicted := before+b.n > size; res.Evicted != wantEvicted || res.Added != b.n || res.N != min(len(all), size) {
+					t.Fatalf("%s: ingest result %+v, want evicted=%v added=%d n=%d", b.name, res, wantEvicted, b.n, min(len(all), size))
+				}
+				check(b.name)
+			}
+		})
 	}
 }
 
 // TestWindowedConcurrency hammers a windowed dataset with concurrent
-// ingests (triggering refresh re-mines), queries and metadata reads; run
-// under -race this is the regression test for the window/query data races.
+// ingests (evicting past the window), queries and metadata reads; run under
+// -race this is the regression test for the window/query data races.
 func TestWindowedConcurrency(t *testing.T) {
 	s := New(Config{})
 	_, err := s.RegisterDatabase("w", coretest.RandomDB(rand.New(rand.NewSource(11)), 20, 6, 0.7),
-		RegisterOptions{Window: &WindowOptions{
-			Size:             24,
-			RefreshEvery:     3,
-			RefreshAlgorithm: "UApriori",
-			Thresholds:       core.Thresholds{MinESup: 0.1},
-		}})
+		RegisterOptions{Window: &WindowOptions{Size: 24}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +172,7 @@ func TestWindowedConcurrency(t *testing.T) {
 		}
 	}
 	wg.Add(3)
-	go func() { // ingester: every push may trigger a refresh re-mine
+	go func() { // ingester: every push past the window evicts
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < iters; i++ {
@@ -193,7 +183,7 @@ func TestWindowedConcurrency(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // miner: queries race against window refreshes
+	go func() { // miner: queries race against snapshot swaps
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			_, err := s.Mine(context.Background(), MineRequest{
@@ -209,14 +199,10 @@ func TestWindowedConcurrency(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // reader: metadata + watch list
+	go func() { // reader: metadata
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			s.Datasets()
-			if _, err := s.WindowFrequent("w"); err != nil {
-				report(err)
-				return
-			}
 		}
 	}()
 	wg.Wait()

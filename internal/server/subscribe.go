@@ -92,11 +92,7 @@ func ledgerKey(dataset, algorithm string, sem core.Semantics, th core.Thresholds
 func (d *dsEntry) ledgerSnapshot() incmine.Snapshot {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	snap := incmine.Snapshot{DB: d.db, Version: d.version}
-	if d.window != nil {
-		snap.Evictions = d.window.Evictions()
-	}
-	return snap
+	return incmine.Snapshot{DB: d.db, Version: d.version, Evictions: d.evicted}
 }
 
 // Subscribe registers a continuous query against a dataset and returns its

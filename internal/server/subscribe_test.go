@@ -245,7 +245,7 @@ func TestSubscribeWindowedFallback(t *testing.T) {
 	db := testDB(t)
 	s := New(Config{})
 	if _, err := s.RegisterDatabase("w", db, RegisterOptions{
-		Window: &WindowOptions{Size: db.N(), Thresholds: core.Thresholds{MinESup: 0.3}},
+		Window: &WindowOptions{Size: db.N()},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -146,19 +146,9 @@ func (w *Window) Push(ctx context.Context, units []core.Unit) (refreshed bool, e
 // by NormalizeTransaction, or taken from a Database), skipping the
 // redundant normalization pass. The transaction's columns are copied into
 // the ring: retaining the caller's view unchanged would pin the whole
-// arena it aliases for as long as the entry survives. Callers that built
-// the columns themselves can skip the copy with PushOwned.
+// arena it aliases for as long as the entry survives.
 func (w *Window) PushCanonical(ctx context.Context, tx core.Transaction) (refreshed bool, err error) {
 	return w.arrive(ctx, tx.Clone())
-}
-
-// PushOwned is PushCanonical transferring ownership: the window keeps tx's
-// columns as-is, so they must be freshly allocated for this call (e.g. by
-// NormalizeTransaction) and never retained, reused or arena-backed by the
-// caller. This is the ingest hot path of callers that normalize batches up
-// front — one copy total instead of two.
-func (w *Window) PushOwned(ctx context.Context, tx core.Transaction) (refreshed bool, err error) {
-	return w.arrive(ctx, tx)
 }
 
 // arrive applies one owned transaction and triggers a refresh re-mine at

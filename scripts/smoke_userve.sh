@@ -3,9 +3,11 @@
 #
 # Default (local) mode: boot the real binary, register a generated profile
 # over HTTP, run one /mine query and assert 200 + a non-empty result set,
-# exercise /ingest + the version bump, assert a tiny-timeout /mine aborts
-# its in-flight job promptly (503, canceled count bumped, server still
-# healthy), and shut down.
+# exercise /ingest + the version bump, register a window_size 50 dataset and
+# assert an ingest past the window reports n 50 and evicted true, assert a
+# register body carrying an unknown field (refresh_every) answers 400,
+# assert a tiny-timeout /mine aborts its in-flight job promptly (503,
+# canceled count bumped, server still healthy), and shut down.
 # Mirrored by the "Server smoke" CI job; run locally via `make smoke-server`.
 #
 # `smoke_userve.sh shards` instead boots a real multi-process cluster — two
@@ -534,6 +536,34 @@ grep -q '"version": 1' "$TMP/ingest.json" || {
 
 STATUS=$(curl -s -o "$TMP/stats.json" -w '%{http_code}' "$BASE/stats")
 check "/stats" 200 "$TMP/stats.json" "$STATUS"
+
+# Windowed retention: a dataset registered with window_size 50 keeps only
+# its last 50 transactions, so an ingest past the window reports n 50 and
+# evicted true. The register body rejects unknown fields, so a retired
+# option such as refresh_every fails with a 400 instead of being ignored.
+STATUS=$(curl -s -o "$TMP/win.json" -w '%{http_code}' -X POST "$BASE/datasets" \
+    -H 'Content-Type: application/json' \
+    -d '{"name":"win","profile":"gazelle","scale":0.01,"seed":1,"window_size":50}')
+check "register windowed profile" 201 "$TMP/win.json" "$STATUS"
+STATUS=$(curl -s -o "$TMP/win_ingest.json" -w '%{http_code}' -X POST "$BASE/ingest" \
+    -H 'Content-Type: application/json' \
+    -d '{"dataset":"win","transactions":["0:0.9 1:0.5","2:1.0","1:0.7"]}')
+check "/ingest past the window" 200 "$TMP/win_ingest.json" "$STATUS"
+if ! grep -Eq '"n": *50(,|$)' "$TMP/win_ingest.json" || ! grep -Eq '"evicted": *true' "$TMP/win_ingest.json"; then
+    echo "smoke: FAIL — windowed ingest did not keep 50 transactions and report an eviction"
+    cat "$TMP/win_ingest.json"
+    exit 1
+fi
+echo "smoke: windowed dataset kept its last 50 transactions"
+STATUS=$(curl -s -o "$TMP/win_bad.json" -w '%{http_code}' -X POST "$BASE/datasets" \
+    -H 'Content-Type: application/json' \
+    -d '{"name":"win2","profile":"gazelle","scale":0.01,"seed":1,"window_size":50,"refresh_every":10}')
+check "register with an unknown field" 400 "$TMP/win_bad.json" "$STATUS"
+if ! grep -q 'refresh_every' "$TMP/win_bad.json"; then
+    echo "smoke: FAIL — the 400 does not name the unknown field"
+    cat "$TMP/win_bad.json"
+    exit 1
+fi
 
 # Scatter-gather sharding: the same generated dataset registered unsharded
 # and with 4 sub-shards must serve byte-identical /mine documents (the SON
