@@ -79,12 +79,15 @@ test-incmine:
 
 ## test-steal: the work-stealing scheduler and parallel-determinism suites
 ## under the race detector at -cpu 1,4,8 — the scheduler's determinism,
-## steal-under-skew, cancellation and leak checks, plus the miner-level
-## execution-path identity matrix (short mode) pinning every registry miner
-## bit-identical, stats included, across Workers ∈ {1, 8} at each threshold pair
+## steal-under-skew, cancellation and leak checks; the UH-Mine and UFP-growth
+## suites, which run the shared subtree fan-out (fork-order fold, cumulative
+## subtree progress); the EXPLAIN step-sum check over that progress stream;
+## and the miner-level execution-path identity matrix (short mode) pinning
+## every registry miner bit-identical, stats included, across
+## Workers ∈ {1, 8} at each threshold pair
 test-steal:
-	$(GO) test -race -cpu 1,4,8 -count=1 ./internal/parallel
-	$(GO) test -race -cpu 1,4,8 -count=1 -short -run TestExecTuningDeterminism ./internal/algo
+	$(GO) test -race -cpu 1,4,8 -count=1 ./internal/parallel ./internal/algo/uhmine ./internal/algo/ufpgrowth
+	$(GO) test -race -cpu 1,4,8 -count=1 -short -run 'TestExecTuningDeterminism|TestExplainStepsSumToTotals' ./internal/algo
 
 ## bench: benchmark smoke run — one iteration each, so perf code keeps compiling and running
 bench:

@@ -155,7 +155,7 @@ func printExplain(db *umine.Database, meas *umine.Measurement, col *obsq.Collect
 // Progress collector captured, then exits nonzero.
 func fatalCanceled(tool, algorithm string, err error, col *obsq.Collector) {
 	fmt.Fprintf(os.Stderr, "%s: %s mine aborted: %v\n", tool, algorithm, err)
-	if steps, s, _, _ := col.Snapshot(); len(steps) > 0 {
+	if steps, s, _ := col.Snapshot(); len(steps) > 0 {
 		last := steps[len(steps)-1]
 		fmt.Fprintf(os.Stderr, "%s: partial stats (last checkpoint: %s, level %d): candidates=%d pruned=%d chernoff=%d exactEvals=%d dbScans=%d\n",
 			tool, last.Phase, last.Level, s.CandidatesGenerated, s.CandidatesPruned, s.ChernoffPruned, s.ExactEvaluations, s.DBScans)

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"unsafe"
 
 	"umine/internal/core"
@@ -218,63 +217,27 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 	stats.TrackPeak(liveBytes)
 
 	// Top-level fan-out: every non-empty header item roots an independent
-	// conditional-tree walk (the global tree is read-only from here on),
-	// scheduled in the serial walk's bottom-up order as one work-stealing
-	// task each; inside a walk, large conditional subtrees fork back onto
-	// the pool. Each task mines into its own accumulator node; nodes merge
-	// in fork order and roots in walk order below, so the result list —
-	// and, after the canonical sort, the ResultSet — is identical for
-	// every worker count and steal interleaving.
-	statsBase := stats
-	done := ctx.Done()
-	name := m.Name()
+	// conditional-tree walk (the global tree is read-only from here on) on
+	// the shared work-stealing fan-out, in the serial walk's bottom-up
+	// order; inside a walk, large conditional subtrees fork back onto the
+	// pool. The fork cutoff reads only the conditional tree's size, so
+	// results and stats are identical for every worker count.
 	var rootRanks []int32
 	for r := len(t.headers) - 1; r >= 0; r-- {
 		if t.headers[r] != nil {
 			rootRanks = append(rootRanks, int32(r))
 		}
 	}
-	aggs := make([]*rootAgg, len(rootRanks))
-	tasks := make([]parallel.Task, len(rootRanks))
-	for i, r := range rootRanks {
-		r := r
-		ra := &rootAgg{name: name, progress: m.Progress, base: statsBase}
-		ra.pending.Store(1)
-		aggs[i] = ra
-		tasks[i] = func(f *parallel.Forker) {
-			st := &mineState{
-				items:    order,
-				minCount: minCount,
-				stats:    &ra.node.stats,
-				done:     done,
-				name:     name,
-				progress: m.Progress,
-				restrict: m.Restrict,
-				forker:   f,
-				node:     &ra.node,
-				root:     ra,
-			}
-			st.mineOne(t, nil, r, liveBytes)
-			ra.node.results = st.results
-			ra.finish(st.canceled)
-		}
-	}
-	ss, err := parallel.RunStealing(ctx, m.Workers, tasks)
+	done := ctx.Done()
+	results, stats, err := parallel.MineSubtrees(ctx, m.Workers, m.Name(), m.Progress, nil, stats, len(rootRanks),
+		func(i int, acc *parallel.Subtree) bool {
+			st := &mineState{items: order, minCount: minCount, restrict: m.Restrict, acc: acc, done: done}
+			st.mineOne(t, nil, rootRanks[i], liveBytes)
+			return st.canceled
+		})
 	if err != nil {
 		return nil, err
 	}
-	var results []core.Result
-	for _, ra := range aggs {
-		results = append(results, ra.results...)
-		stats.Add(ra.stats)
-	}
-	core.SortResults(results)
-	m.Progress.EmitExec(name, core.ExecStats{
-		TasksSpawned: ss.Spawned,
-		TasksStolen:  ss.Stolen,
-		ForksInline:  ss.Inline,
-	})
-	m.Progress.Emit(name, core.PhaseDone, core.MaxItemsetLen(results), stats)
 	return m.resultSet(th, db.N(), results, stats), nil
 }
 
@@ -284,64 +247,6 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 // input-determined tree, never of worker availability (determinism contract
 // of parallel.RunStealing).
 const stealForkMinNodes = 256
-
-// mineNode is one task's private accumulator: the results and counters of
-// the walk it ran inline, plus the nodes of the subtrees it forked away, in
-// fork (DFS) order. No locks — exactly one task writes a node, and the
-// scheduler's completion edges order those writes before the flatten.
-type mineNode struct {
-	results  []core.Result
-	stats    core.MiningStats
-	children []*mineNode
-}
-
-// flatten folds the node tree depth-first in fork order, reproducing the
-// serial walk's aggregate (result order is canonicalized by
-// core.SortResults afterwards; counters are sums and peaks maxima, so the
-// fold order cannot move a bit).
-func (n *mineNode) flatten(results []core.Result, stats *core.MiningStats) []core.Result {
-	results = append(results, n.results...)
-	stats.Add(n.stats)
-	for _, c := range n.children {
-		results = c.flatten(results, stats)
-	}
-	return results
-}
-
-// rootAgg aggregates one top-level header item's walk across the tasks it
-// was split into. pending counts the root task plus its live forked
-// descendants; the task that brings it to zero owns the completed node tree
-// (the decrement publishes every task's writes), flattens it, and emits the
-// walk's PhaseSubtree event.
-type rootAgg struct {
-	name     string
-	progress core.ProgressFunc
-	base     core.MiningStats // pre-fan-out totals for progress snapshots
-	node     mineNode
-	pending  atomic.Int64
-	canceled atomic.Bool
-	results  []core.Result
-	stats    core.MiningStats
-}
-
-// finish retires one task of this root's walk.
-func (ra *rootAgg) finish(canceled bool) {
-	if canceled {
-		ra.canceled.Store(true)
-	}
-	if ra.pending.Add(-1) != 0 {
-		return
-	}
-	ra.results = ra.node.flatten(nil, &ra.stats)
-	if ra.canceled.Load() {
-		// A canceled walk's partials are discarded by the caller; emitting a
-		// snapshot for it would report work that never merges.
-		return
-	}
-	snap := ra.base
-	snap.Add(ra.stats)
-	ra.progress.Emit(ra.name, core.PhaseSubtree, 1, snap)
-}
 
 func (m *Miner) resultSet(th core.Thresholds, n int, results []core.Result, stats core.MiningStats) *core.ResultSet {
 	return &core.ResultSet{
@@ -357,17 +262,9 @@ func (m *Miner) resultSet(th core.Thresholds, n int, results []core.Result, stat
 type mineState struct {
 	items    []core.Item // rank → item
 	minCount float64
-	results  []core.Result
-	stats    *core.MiningStats
-	name     string
-	progress core.ProgressFunc
 	restrict func(core.Itemset) bool
-	// forker schedules forked conditional subtrees (inline when the run is
-	// serial). node is this task's accumulator, root the top-level walk it
-	// belongs to.
-	forker *parallel.Forker
-	node   *mineNode
-	root   *rootAgg
+	// acc is this task's accumulator (results, counters, forks).
+	acc *parallel.Subtree
 	// done is the run context's cancellation channel (nil when the context
 	// cannot be canceled); canceled invalidates the partial results.
 	done     <-chan struct{}
@@ -426,7 +323,7 @@ func (st *mineState) mineOne(tr *tree, prefix []core.Item, r int32, liveBytes in
 		esum += n.weight * n.prob
 		esq += n.weightSq * n.prob * n.prob
 	}
-	st.stats.CandidatesGenerated++
+	st.acc.Stats.CandidatesGenerated++
 	if esum < st.minCount-core.Eps {
 		return
 	}
@@ -434,7 +331,7 @@ func (st *mineState) mineOne(tr *tree, prefix []core.Item, r int32, liveBytes in
 		ext = append(prefix, st.items[r])
 		itemset = core.NewItemset(ext...)
 	}
-	st.results = append(st.results, core.Result{
+	st.acc.Results = append(st.acc.Results, core.Result{
 		Itemset: itemset,
 		ESup:    esum,
 		Var:     esum - esq, // Σp(1−p) = Σp − Σp²
@@ -464,44 +361,27 @@ func (st *mineState) mineOne(tr *tree, prefix []core.Item, r int32, liveBytes in
 		st.forkSubtree(ext, cond, condBytes, liveBytes)
 		return
 	}
-	st.stats.TrackPeak(liveBytes + condBytes)
+	st.acc.Stats.TrackPeak(liveBytes + condBytes)
 	if cond.nodes > 0 {
 		st.mine(cond, ext, liveBytes+condBytes)
 	}
 }
 
 // forkSubtree hands an extension's conditional-tree walk to the scheduler
-// with its own accumulator node. The child starts from the live-byte level
-// the inline recursion would have (parent's path plus the conditional tree)
-// and the parent tracks the fork-point peak itself, so the DFS-path memory
+// with its own accumulator. The child starts from the live-byte level the
+// inline recursion would have (parent's path plus the conditional tree) and
+// the parent tracks the fork-point peak itself, so the DFS-path memory
 // model — and with it MiningStats after the max-merge — is bit-identical to
 // inline recursion. ext's backing array is reused by the caller's walk, so
 // the prefix is copied before the task escapes; cond is freshly built and
 // owned by the forked task.
 func (st *mineState) forkSubtree(ext []core.Item, cond *tree, condBytes, liveBytes int64) {
-	prefix := make([]core.Item, len(ext))
-	copy(prefix, ext)
-	child := &mineNode{}
-	st.node.children = append(st.node.children, child)
-	st.root.pending.Add(1)
-	st.stats.TrackPeak(liveBytes + condBytes)
-	items, minCount, name, progress, restrict := st.items, st.minCount, st.name, st.progress, st.restrict
-	root, done := st.root, st.done
-	st.forker.Fork(func(f *parallel.Forker) {
-		cm := &mineState{
-			items:    items,
-			minCount: minCount,
-			stats:    &child.stats,
-			name:     name,
-			progress: progress,
-			restrict: restrict,
-			forker:   f,
-			node:     child,
-			root:     root,
-			done:     done,
-		}
-		cm.mine(cond, prefix, liveBytes+condBytes)
-		child.results = cm.results
-		root.finish(cm.canceled)
+	prefix := append([]core.Item(nil), ext...)
+	st.acc.Stats.TrackPeak(liveBytes + condBytes)
+	child := *st
+	st.acc.Fork(func(acc *parallel.Subtree) bool {
+		child.acc = acc
+		child.mine(cond, prefix, liveBytes+condBytes)
+		return child.canceled
 	})
 }

@@ -19,7 +19,6 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"umine/internal/core"
@@ -84,9 +83,10 @@ type Engine struct {
 	// (UH-Mine and NDUH-Mine share the engine).
 	Name string
 	// Progress, when non-nil, receives a PhaseLevel event after the
-	// singleton pass, one PhaseSubtree event per completed first-level
-	// prefix subtree (possibly from concurrent worker goroutines — see the
-	// core.ProgressFunc contract) and a final PhaseDone event.
+	// singleton pass, one cumulative PhaseSubtree event per completed
+	// first-level prefix subtree (possibly from concurrent worker
+	// goroutines — see the core.ProgressFunc contract) and a final
+	// PhaseDone event.
 	Progress core.ProgressFunc
 }
 
@@ -172,34 +172,21 @@ func (e *Engine) Mine(ctx context.Context, db *core.Database) ([]core.Result, co
 
 	// Singletons were already decided and reported above; descend directly
 	// into each frequent item's head table. Every frequent singleton roots
-	// an independent depth-first subtree scheduled as one work-stealing
-	// task, and inside a subtree the recursion forks large extension
+	// an independent depth-first subtree on the shared work-stealing
+	// fan-out, and inside a subtree the recursion forks large extension
 	// subtrees back onto the pool (the fork cutoff is a pure function of
-	// the occurrence-list size, never of worker availability), so a single
-	// skewed prefix no longer pins one worker for the tail of the run.
-	// Every task mines into its own accumulator node; nodes merge in fork
-	// order and roots in frequency-rank order below, so the result list —
-	// and, after the canonical sort, the ResultSet — is identical for every
-	// worker count and steal interleaving. Peak memory stays accounted on the
-	// serial platform's DFS-path model (a forked child inherits the live
-	// bytes the inline recursion would have at that point), keeping the
-	// Figure 4-style memory reports comparable across worker counts.
+	// the occurrence-list size, never of worker availability), so results
+	// and stats are identical for every worker count. Peak memory stays
+	// accounted on the serial platform's DFS-path model (a forked child
+	// inherits the live bytes the inline recursion would have at that
+	// point), keeping the Figure 4-style memory reports comparable across
+	// worker counts.
 	scratchPool := &sync.Pool{New: func() any {
 		return &scratch{esup: make([]float64, len(items)), varsup: make([]float64, len(items))}
 	}}
-	// statsBase freezes the pre-fan-out totals so concurrent subtree
-	// completions can emit consistent snapshots without sharing counters.
-	statsBase := stats
 	done := ctx.Done()
-
-	aggs := make([]*rootAgg, len(items))
-	tasks := make([]parallel.Task, len(items))
-	for r := range items {
-		r := r
-		ra := &rootAgg{engine: e, base: statsBase}
-		ra.pending.Store(1)
-		aggs[r] = ra
-		tasks[r] = func(f *parallel.Forker) {
+	return parallel.MineSubtrees(ctx, e.Workers, e.Name, e.Progress, results, stats, len(items),
+		func(r int, acc *parallel.Subtree) bool {
 			sc := scratchPool.Get().(*scratch)
 			defer scratchPool.Put(sc)
 			m := &mineState{
@@ -208,38 +195,17 @@ func (e *Engine) Mine(ctx context.Context, db *core.Database) ([]core.Result, co
 				items:   items,
 				esupBuf: sc.esup,
 				varBuf:  sc.varsup,
-				stats:   &ra.node.stats,
+				acc:     acc,
 				liveOcc: topBytes,
 				done:    done,
-				forker:  f,
-				node:    &ra.node,
-				root:    ra,
 				pool:    scratchPool,
 			}
 			sub := collectOcc(rows, top, int32(r))
 			m.liveOcc += int64(len(sub)) * int64(unsafe.Sizeof(occ{}))
-			m.stats.TrackPeak(structBytes + m.liveOcc)
+			acc.Stats.TrackPeak(structBytes + m.liveOcc)
 			m.mine([]core.Item{items[r]}, sub, structBytes)
-			ra.node.results = m.results
-			ra.finish(m.canceled)
-		}
-	}
-	ss, err := parallel.RunStealing(ctx, e.Workers, tasks)
-	if err != nil {
-		return nil, stats, err
-	}
-	for _, ra := range aggs {
-		results = append(results, ra.results...)
-		stats.Add(ra.stats)
-	}
-	core.SortResults(results)
-	e.Progress.EmitExec(e.Name, core.ExecStats{
-		TasksSpawned: ss.Spawned,
-		TasksStolen:  ss.Stolen,
-		ForksInline:  ss.Inline,
-	})
-	e.Progress.Emit(e.Name, core.PhaseDone, core.MaxItemsetLen(results), stats)
-	return results, stats, nil
+			return m.canceled
+		})
 }
 
 // stealForkMinOcc is the fork cutoff of the prefix recursion: an extension
@@ -257,80 +223,17 @@ const stealForkMinOcc = 256
 // stays O(concurrent tasks).
 type scratch struct{ esup, varsup []float64 }
 
-// mineNode is one task's private accumulator: the results and counters of
-// the subtree it mined inline, plus the nodes of the subtrees it forked
-// away, in fork (DFS) order. No locks — exactly one task writes a node, and
-// the scheduler's completion edges order those writes before the flatten.
-type mineNode struct {
-	results  []core.Result
-	stats    core.MiningStats
-	children []*mineNode
-}
-
-// flatten folds the node tree depth-first in fork order, reproducing the
-// serial recursion's aggregate (result order is canonicalized by
-// core.SortResults afterwards; counters are sums and peaks maxima, so the
-// fold order cannot move a bit).
-func (n *mineNode) flatten(results []core.Result, stats *core.MiningStats) []core.Result {
-	results = append(results, n.results...)
-	stats.Add(n.stats)
-	for _, c := range n.children {
-		results = c.flatten(results, stats)
-	}
-	return results
-}
-
-// rootAgg aggregates one first-level prefix subtree across the tasks it was
-// split into. pending counts the root task plus its live forked
-// descendants; the task that brings it to zero owns the completed node tree
-// (the decrement publishes every task's writes), flattens it, and emits the
-// subtree's PhaseSubtree event.
-type rootAgg struct {
-	engine   *Engine
-	base     core.MiningStats // pre-fan-out totals for progress snapshots
-	node     mineNode
-	pending  atomic.Int64
-	canceled atomic.Bool
-	results  []core.Result
-	stats    core.MiningStats
-}
-
-// finish retires one task of this root's subtree.
-func (ra *rootAgg) finish(canceled bool) {
-	if canceled {
-		ra.canceled.Store(true)
-	}
-	if ra.pending.Add(-1) != 0 {
-		return
-	}
-	ra.results = ra.node.flatten(nil, &ra.stats)
-	if ra.canceled.Load() {
-		// A canceled subtree's partials are discarded by the caller; emitting
-		// a snapshot for it would report work that never merges.
-		return
-	}
-	snap := ra.base
-	snap.Add(ra.stats)
-	ra.engine.Progress.Emit(ra.engine.Name, core.PhaseSubtree, 1, snap)
-}
-
 type mineState struct {
 	engine  *Engine
 	rows    [][]runit
 	items   []core.Item // rank → item
 	esupBuf []float64
 	varBuf  []float64
-	results []core.Result
-	stats   *core.MiningStats
 	liveOcc int64
-	// forker schedules forked extension subtrees (inline when the run is
-	// serial). node is this task's accumulator, root the first-level
-	// subtree it belongs to, pool the scratch-buffer source for forked
-	// children.
-	forker *parallel.Forker
-	node   *mineNode
-	root   *rootAgg
-	pool   *sync.Pool
+	// acc is this task's accumulator (results, counters, forks); pool is
+	// the scratch-buffer source for forked children.
+	acc  *parallel.Subtree
+	pool *sync.Pool
 	// done is the run context's cancellation channel (nil when the context
 	// cannot be canceled); canceled records that the recursion
 	// short-circuited, invalidating this subtree's partial results.
@@ -383,12 +286,12 @@ func (m *mineState) mine(prefix []core.Item, occs []occ, baseBytes int64) {
 		if m.engine.Restrict != nil && !m.engine.Restrict(itemset) {
 			continue
 		}
-		m.stats.CandidatesGenerated++
+		m.acc.Stats.CandidatesGenerated++
 		res, ok := m.engine.Decide(itemset, e, v)
 		if !ok {
 			continue
 		}
-		m.results = append(m.results, res)
+		m.acc.Results = append(m.acc.Results, res)
 
 		// Build the extension's occurrence list (second scan restricted to
 		// this rank), then recurse and release — or, for subtrees big enough
@@ -400,49 +303,30 @@ func (m *mineState) mine(prefix []core.Item, occs []occ, baseBytes int64) {
 			continue
 		}
 		m.liveOcc += subBytes
-		m.stats.TrackPeak(baseBytes + m.liveOcc)
+		m.acc.Stats.TrackPeak(baseBytes + m.liveOcc)
 		m.mine(ext, sub, baseBytes)
 		m.liveOcc -= subBytes
 	}
 }
 
 // forkSubtree hands an extension's subtree to the scheduler with its own
-// accumulator node and scratch pair. The child starts from the live-byte
-// level the inline recursion would have at this point (parent's path plus
-// the new occurrence list) and the parent tracks the fork-point peak itself,
-// so the DFS-path memory model — and with it MiningStats after the
-// max-merge — is bit-identical to inline recursion. ext's backing array is
-// reused by the caller's extension loop, so the prefix is copied before the
-// task escapes.
+// accumulator and scratch pair. The child starts from the live-byte level
+// the inline recursion would have at this point (parent's path plus the new
+// occurrence list) and the parent tracks the fork-point peak itself, so the
+// DFS-path memory model — and with it MiningStats after the max-merge — is
+// bit-identical to inline recursion. ext's backing array is reused by the
+// caller's extension loop, so the prefix is copied before the task escapes.
 func (m *mineState) forkSubtree(ext []core.Item, sub []occ, subBytes, baseBytes int64) {
-	prefix := make([]core.Item, len(ext))
-	copy(prefix, ext)
-	child := &mineNode{}
-	m.node.children = append(m.node.children, child)
-	m.root.pending.Add(1)
-	liveAtFork := m.liveOcc + subBytes
-	m.stats.TrackPeak(baseBytes + liveAtFork)
-	engine, rows, items, root, pool, done := m.engine, m.rows, m.items, m.root, m.pool, m.done
-	m.forker.Fork(func(f *parallel.Forker) {
-		sc := pool.Get().(*scratch)
-		defer pool.Put(sc)
-		cm := &mineState{
-			engine:  engine,
-			rows:    rows,
-			items:   items,
-			esupBuf: sc.esup,
-			varBuf:  sc.varsup,
-			stats:   &child.stats,
-			liveOcc: liveAtFork,
-			done:    done,
-			forker:  f,
-			node:    child,
-			root:    root,
-			pool:    pool,
-		}
-		cm.mine(prefix, sub, baseBytes)
-		child.results = cm.results
-		root.finish(cm.canceled)
+	prefix := append([]core.Item(nil), ext...)
+	child := *m
+	child.liveOcc += subBytes
+	m.acc.Stats.TrackPeak(baseBytes + child.liveOcc)
+	m.acc.Fork(func(acc *parallel.Subtree) bool {
+		sc := child.pool.Get().(*scratch)
+		defer child.pool.Put(sc)
+		child.esupBuf, child.varBuf, child.acc = sc.esup, sc.varsup, acc
+		child.mine(prefix, sub, baseBytes)
+		return child.canceled
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -361,8 +362,18 @@ func (db *Database) Slice(lo, hi int) *Database {
 	if lo < 0 || hi > db.N() || lo > hi {
 		panic(fmt.Sprintf("core: Slice(%d,%d) out of range [0,%d]", lo, hi, db.N()))
 	}
+	// The name "<parent>[lo:hi]" is built in a stack buffer so it costs one
+	// string allocation. fmt's printers come from a sync.Pool, which the
+	// race detector drops at random, so Sprintf's allocation count varies.
+	var buf [64]byte
+	name := append(buf[:0], db.Name...)
+	name = append(name, '[')
+	name = strconv.AppendInt(name, int64(lo), 10)
+	name = append(name, ':')
+	name = strconv.AppendInt(name, int64(hi), 10)
+	name = append(name, ']')
 	return &Database{
-		Name:     fmt.Sprintf("%s[%d:%d]", db.Name, lo, hi),
+		Name:     string(name),
 		NumItems: db.NumItems,
 		items:    db.items,
 		probs:    db.probs,

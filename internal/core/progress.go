@@ -60,11 +60,12 @@ type ProgressEvent struct {
 	// level events, the rooting prefix length (1) for subtree events, the
 	// deepest mined level for done events.
 	Level int
-	// Stats snapshots the work counters accumulated so far. For subtree
-	// events emitted from a parallel fan-out the snapshot covers the
-	// completed subtree's contribution merged into the pre-fan-out totals
-	// observed by this worker; the done event always carries the exact
-	// run totals.
+	// Stats snapshots the work counters accumulated so far. Subtree events
+	// are cumulative too: the pre-fan-out totals plus every subtree
+	// completed so far, emitted in completion order as a monotone stream
+	// (even from a parallel fan-out), so the difference between
+	// consecutive snapshots is one subtree's own work. The done event
+	// always carries the exact run totals.
 	Stats MiningStats
 	// Exec carries the execution-layer counters on PhaseExec events and is
 	// zero on every other phase. Unlike Stats, these counters may differ

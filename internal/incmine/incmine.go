@@ -81,13 +81,13 @@ type Config struct {
 	// Workers is the mining parallelism for refresh re-mines (0/1 serial,
 	// negative = GOMAXPROCS).
 	Workers int
-	// BorderFrac widens the tracked band below the candidate cutoff: the
-	// band is mined at cutoff × (1 − BorderFrac), and cutoff − E₀ appended
-	// transactions fit before a border-exhaustion rebuild. Larger values
-	// buy longer incremental streaks for a larger tracked set. Defaults to
-	// 0.1; clamped into [0.01, 0.9].
-	BorderFrac float64
 }
+
+// defaultBorderFrac widens the tracked band below the candidate cutoff: the
+// band is mined at cutoff × (1 − defaultBorderFrac), and cutoff − E₀
+// appended transactions fit before a border-exhaustion rebuild. A wider
+// band buys longer incremental streaks for a larger tracked set.
+const defaultBorderFrac = 0.1
 
 // Snapshot identifies one immutable database state a Ledger refreshes
 // against. Evictions is the dataset's lifetime window-eviction count (0 for
@@ -193,6 +193,9 @@ type Ledger struct {
 	cfg    Config
 	sem    core.Semantics
 	phase1 string // tracked-band miner; "" = permanent full re-mine
+	// borderFrac is defaultBorderFrac; in-package tests widen or narrow
+	// the band before the first Update.
+	borderFrac float64
 
 	mu        sync.Mutex
 	built     bool
@@ -223,11 +226,7 @@ func New(cfg Config) (*Ledger, error) {
 	if err := cfg.Thresholds.Validate(sem); err != nil {
 		return nil, err
 	}
-	if cfg.BorderFrac == 0 {
-		cfg.BorderFrac = 0.1
-	}
-	cfg.BorderFrac = math.Min(0.9, math.Max(0.01, cfg.BorderFrac))
-	l := &Ledger{cfg: cfg, sem: sem}
+	l := &Ledger{cfg: cfg, sem: sem, borderFrac: defaultBorderFrac}
 	if p1, ok := algo.PartitionPhase1(cfg.Algorithm); ok {
 		l.phase1 = p1
 	}
@@ -426,7 +425,7 @@ func (l *Ledger) rebuild(ctx context.Context, db *core.Database, n int) (*core.R
 	if err != nil {
 		return nil, err
 	}
-	e0 := thp1.MinESup * (1 - l.cfg.BorderFrac)
+	e0 := thp1.MinESup * (1 - l.borderFrac)
 	if e0 < 1e-15 {
 		e0 = 1e-15
 	}

@@ -167,10 +167,11 @@ func TestIncrementalBitIdentity(t *testing.T) {
 			}
 			txs := randomTxs(rng, total, items)
 
-			led, err := New(Config{Dataset: "inc", Algorithm: e.Name, Thresholds: th, Workers: workers, BorderFrac: 0.4})
+			led, err := New(Config{Dataset: "inc", Algorithm: e.Name, Thresholds: th, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
+			led.borderFrac = 0.4
 			ctx := context.Background()
 			mirror := diffState{}
 			incremental := 0
@@ -252,10 +253,11 @@ func TestFallbackPaths(t *testing.T) {
 
 	newLedger := func(t *testing.T, borderFrac float64) *Ledger {
 		t.Helper()
-		led, err := New(Config{Dataset: "fb", Algorithm: alg, Thresholds: th, Workers: 2, BorderFrac: borderFrac})
+		led, err := New(Config{Dataset: "fb", Algorithm: alg, Thresholds: th, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		led.borderFrac = borderFrac
 		return led
 	}
 	check := func(t *testing.T, led *Ledger, db *core.Database, version uint64, wantReason string, wantFallback bool) *Refresh {
@@ -330,8 +332,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if led.cfg.BorderFrac != 0.1 {
-		t.Errorf("default BorderFrac = %v, want 0.1", led.cfg.BorderFrac)
+	if led.borderFrac != 0.1 {
+		t.Errorf("default borderFrac = %v, want 0.1", led.borderFrac)
 	}
 	if _, ok := led.SnapshotDiff(); ok {
 		t.Error("SnapshotDiff reports built before any update")

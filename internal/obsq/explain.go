@@ -45,9 +45,8 @@ type Explanation struct {
 	// timing while the mined bits do not.
 	Sched *core.ExecStats `json:"sched,omitempty"`
 
-	// The executed plan, step by step, plus shard-robustness activity.
+	// The executed plan, step by step, plus the shard timeline.
 	Steps         []Step         `json:"steps,omitempty"`
-	ShardEvents   []ShardEvent   `json:"shard_events,omitempty"`
 	ShardAttempts []ShardAttempt `json:"shard_attempts,omitempty"`
 
 	// BytesPushed / BytesMineRequests are the shardrpc transport's payload

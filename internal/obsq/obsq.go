@@ -63,15 +63,6 @@ type Step struct {
 	core.MiningStats
 }
 
-// ShardEvent is one shard-robustness progress event observed during the run
-// (the transport's own timeline comes from span attributes; these are the
-// coordinator-side counter events).
-type ShardEvent struct {
-	Kind  string    `json:"kind"` // shard-retry | shard-hedge | shard-failover | shard-repush
-	Shard int       `json:"shard"`
-	At    time.Time `json:"at"`
-}
-
 // Collector accumulates a query's cost breakdown from its progress stream
 // and is the one place checkpoints are timed: each level, subtree or
 // partition checkpoint closes a step covering the interval since the
@@ -88,16 +79,15 @@ type ShardEvent struct {
 type Collector struct {
 	parent *telemetry.Span
 
-	mu     sync.Mutex
-	lastT  time.Time
-	last   core.MiningStats
-	steps  []Step
-	events []ShardEvent
-	total  core.MiningStats
-	exec   core.ExecStats
-	hasEx  bool
-	done   bool
-	level  int
+	mu    sync.Mutex
+	lastT time.Time
+	last  core.MiningStats
+	steps []Step
+	total core.MiningStats
+	exec  core.ExecStats
+	hasEx bool
+	done  bool
+	level int
 }
 
 // NewCollector starts a collector; the construction time anchors the first
@@ -121,7 +111,6 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 	defer c.mu.Unlock()
 	switch ev.Phase {
 	case core.PhaseShardRetry, core.PhaseShardHedge, core.PhaseShardFailover, core.PhaseShardRepush:
-		c.events = append(c.events, ShardEvent{Kind: string(ev.Phase), Shard: ev.Level, At: now})
 		return
 	case core.PhaseExec:
 		// Execution-layer counters (steal traffic, kernel dispatch) arrive
@@ -152,10 +141,10 @@ func (c *Collector) observe(ev core.ProgressEvent) {
 		return
 	}
 	// Level/subtree events carry cumulative snapshots; attribute the delta
-	// since the previous snapshot to this step. Subtree snapshots from
-	// parallel workers are not globally ordered, so deltas clamp at zero and
-	// the baseline advances field-wise — observability must never go
-	// negative.
+	// since the previous snapshot to this step. One run's snapshots are
+	// monotone (the subtree fan-out emits under one lock); deltas still
+	// clamp at zero and the baseline advances field-wise, so a stream that
+	// interleaves runs can never go negative.
 	delta := subClamp(ev.Stats, c.last)
 	delta.PeakTrackedBytes = ev.Stats.PeakTrackedBytes
 	c.last = maxStats(c.last, ev.Stats)
@@ -224,7 +213,7 @@ func subClamp(a, b core.MiningStats) core.MiningStats {
 }
 
 // maxStats is the field-wise maximum — the baseline update that keeps
-// subtree deltas monotone under parallel emission.
+// deltas non-negative on an interleaved stream.
 func maxStats(a, b core.MiningStats) core.MiningStats {
 	return core.MiningStats{
 		CandidatesGenerated: max(a.CandidatesGenerated, b.CandidatesGenerated),
@@ -242,11 +231,10 @@ func maxStats(a, b core.MiningStats) core.MiningStats {
 
 // Snapshot returns the collected plan steps, the run totals (the final
 // "done" counters when the run completed, the cumulative baseline
-// otherwise), the shard-robustness events, and whether a done event was
-// seen.
-func (c *Collector) Snapshot() (steps []Step, totals core.MiningStats, events []ShardEvent, done bool) {
+// otherwise), and whether a done event was seen.
+func (c *Collector) Snapshot() (steps []Step, totals core.MiningStats, done bool) {
 	if c == nil {
-		return nil, core.MiningStats{}, nil, false
+		return nil, core.MiningStats{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -254,28 +242,26 @@ func (c *Collector) Snapshot() (steps []Step, totals core.MiningStats, events []
 }
 
 // snapshot is Snapshot with c.mu held.
-func (c *Collector) snapshot() (steps []Step, totals core.MiningStats, events []ShardEvent, done bool) {
+func (c *Collector) snapshot() (steps []Step, totals core.MiningStats, done bool) {
 	steps = append([]Step(nil), c.steps...)
-	events = append([]ShardEvent(nil), c.events...)
 	totals = c.last
 	if c.done {
 		totals = c.total
 	}
-	return steps, totals, events, c.done
+	return steps, totals, c.done
 }
 
 // Fill writes the executed plan into ex: the steps, the run totals, the
-// deepest level the run reported, the shard-robustness events, and the
-// scheduler breakdown when the run's miners reported one (miners without
-// tunable execution emit none). A nil collector — nothing executed —
-// leaves ex as it is.
+// deepest level the run reported, and the scheduler breakdown when the
+// run's miners reported one (miners without tunable execution emit none). A
+// nil collector — nothing executed — leaves ex as it is.
 func (c *Collector) Fill(ex *Explanation) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ex.Steps, ex.Totals, ex.ShardEvents, _ = c.snapshot()
+	ex.Steps, ex.Totals, _ = c.snapshot()
 	ex.MaxLevel = c.level
 	if c.hasEx {
 		sched := c.exec

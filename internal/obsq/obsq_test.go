@@ -25,7 +25,7 @@ func TestCollectorLevelDeltas(t *testing.T) {
 		CandidatesGenerated: 25, CandidatesPruned: 3, DBScans: 2, TransactionsScanned: 150, HorizontalPlans: 2, VerticalPlans: 1, PostingsProbed: 40,
 	}})
 
-	steps, totals, _, done := col.Snapshot()
+	steps, totals, done := col.Snapshot()
 	if !done {
 		t.Fatal("done event not recorded")
 	}
@@ -66,7 +66,7 @@ func TestCollectorPartitionOffset(t *testing.T) {
 	fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1, Stats: core.MiningStats{
 		CandidatesGenerated: 12, DBScans: 3, TransactionsScanned: 130,
 	}})
-	steps, _, _, _ := col.Snapshot()
+	steps, _, _ := col.Snapshot()
 	if len(steps) != 3 {
 		t.Fatalf("got %d steps, want 3", len(steps))
 	}
@@ -88,31 +88,15 @@ func TestCollectorSubtreeClamp(t *testing.T) {
 	fn := col.Progress()
 	fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 20}})
 	fn(core.ProgressEvent{Phase: core.PhaseSubtree, Level: 2, Stats: core.MiningStats{CandidatesGenerated: 15}})
-	steps, _, _, _ := col.Snapshot()
+	steps, _, _ := col.Snapshot()
 	if steps[1].CandidatesGenerated != 0 {
 		t.Errorf("out-of-order subtree delta = %d, want clamp to 0", steps[1].CandidatesGenerated)
 	}
 }
 
-// TestCollectorShardEvents: shard-robustness phases land in the event
-// timeline, not the plan steps.
-func TestCollectorShardEvents(t *testing.T) {
-	col := NewCollector(nil)
-	fn := col.Progress()
-	fn(core.ProgressEvent{Phase: core.PhaseShardRetry, Level: 1})
-	fn(core.ProgressEvent{Phase: core.PhaseShardHedge, Level: 0})
-	steps, _, events, _ := col.Snapshot()
-	if len(steps) != 0 {
-		t.Errorf("shard events produced %d plan steps", len(steps))
-	}
-	if len(events) != 2 || events[0].Kind != "shard-retry" || events[0].Shard != 1 || events[1].Kind != "shard-hedge" {
-		t.Errorf("events: %+v", events)
-	}
-}
-
 // TestCollectorExecFold: PhaseExec events sum into the scheduler breakdown
 // (partitioned queries run several mines, each reporting once) without
-// producing plan steps.
+// producing plan steps; shard-robustness events produce none either.
 func TestCollectorExecFold(t *testing.T) {
 	col := NewCollector(nil)
 	fn := col.Progress()
@@ -127,7 +111,8 @@ func TestCollectorExecFold(t *testing.T) {
 	fn(core.ProgressEvent{Phase: core.PhaseExec, Exec: core.ExecStats{
 		TasksSpawned: 4, ForksInline: 2, KernelIntersects: 5,
 	}})
-	steps, _, _, _ := col.Snapshot()
+	fn(core.ProgressEvent{Phase: core.PhaseShardRetry, Level: 1})
+	steps, _, _ := col.Snapshot()
 	if len(steps) != 0 {
 		t.Errorf("exec events produced %d plan steps", len(steps))
 	}
@@ -148,7 +133,7 @@ func TestNilCollector(t *testing.T) {
 	if col.Progress() != nil {
 		t.Error("nil collector returned a non-nil ProgressFunc")
 	}
-	if steps, _, _, done := col.Snapshot(); steps != nil || done {
+	if steps, _, done := col.Snapshot(); steps != nil || done {
 		t.Error("nil collector Snapshot not empty")
 	}
 	ex := Explanation{MaxLevel: 7}
@@ -168,7 +153,7 @@ func TestCollectorDoneResetsBaseline(t *testing.T) {
 	fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1, Stats: run})
 	fn(core.ProgressEvent{Phase: core.PhaseDone, Level: 1, Stats: run})
 	fn(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1, Stats: core.MiningStats{CandidatesGenerated: 12, DBScans: 1}})
-	steps, _, _, _ := col.Snapshot()
+	steps, _, _ := col.Snapshot()
 	if len(steps) != 2 {
 		t.Fatalf("got %d steps, want 2", len(steps))
 	}
@@ -205,7 +190,7 @@ func TestCollectorSpans(t *testing.T) {
 
 	nilParent := NewCollector(nil)
 	nilParent.Progress()(core.ProgressEvent{Phase: core.PhaseLevel, Level: 1})
-	if steps, _, _, _ := nilParent.Snapshot(); len(steps) != 1 {
+	if steps, _, _ := nilParent.Snapshot(); len(steps) != 1 {
 		t.Errorf("span-less collector recorded %d steps, want 1", len(steps))
 	}
 }
@@ -230,7 +215,7 @@ func TestCollectorSpansConcurrent(t *testing.T) {
 	if got := len(tr.Finish().Root.Children); got != 400 {
 		t.Errorf("got %d spans, want 400", got)
 	}
-	if steps, _, _, _ := col.Snapshot(); len(steps) != 400 {
+	if steps, _, _ := col.Snapshot(); len(steps) != 400 {
 		t.Errorf("got %d steps, want 400", len(steps))
 	}
 }

@@ -1,7 +1,8 @@
 // Package parallel is the shared parallel-execution layer of the platform:
 // a bounded worker pool plus sharded map/merge helpers used by every miner
 // family (the apriori counting pass, the exact miners' per-candidate
-// verification, UH-Mine's first-level prefix fan-out).
+// verification), plus the work-stealing scheduler (steal.go) and the
+// depth-first miners' subtree fan-out built on it (subtree.go).
 //
 // The paper's uniform platform is single-threaded; parallel execution is an
 // extension, so the layer is built around two invariants that keep the

@@ -230,10 +230,9 @@ func (w *Window) Arrived() int64 { return w.arrived }
 
 // Evictions returns the total number of transactions the window has dropped
 // (arrivals beyond its capacity). Snapshots taken at equal eviction counts
-// and growing N are append-only extensions of each other — the delta check
-// incremental result maintenance (umine/internal/incmine) performs before
-// trusting a delta-only rescan; a changed count means the window slid and
-// the maintained supports must be rebuilt.
+// and growing N are append-only extensions of each other; a changed count
+// means the window slid. (The server's incremental ledger applies the same
+// rule to the serving registry's own eviction count, not to a Window.)
 func (w *Window) Evictions() int64 { return w.evicted }
 
 // slot maps a logical window index (0 = oldest) to a ring position.

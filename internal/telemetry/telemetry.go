@@ -10,7 +10,7 @@
 // slow /mine on a cluster spent its time. Package telemetry answers that
 // with three pieces:
 //
-//   - Tracing (span.go): a Trace owns a tree of Spans. Spans are created
+//   - Tracing (this file): a Trace owns a tree of Spans. Spans are created
 //     explicitly (Span.StartChild) or propagated through a context
 //     (ContextWithSpan / StartSpan), so instrumentation composes across
 //     package boundaries: the serving layer opens the request trace, the
