@@ -5,13 +5,21 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke ci
+.PHONY: all build examples fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke ci
 
 all: build
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## examples: run every examples/* program and fail on the first non-zero
+## exit, so the programs keep working, not just compiling
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $${d%/}"; \
+		$(GO) run ./$${d%/} >/dev/null || exit 1; \
+	done
 
 ## fmt: fail when any file needs gofmt (CI parity); run `gofmt -w .` to fix
 fmt:
@@ -56,7 +64,7 @@ test-cancel:
 ## test-partition: the SON partitioned-mining suites under the race detector —
 ## bit-identity of partitioned vs single-shot mines for every configuration,
 ## phase-1/phase-2 cancellation, the registry's partition capability
-## metadata, and the server's scatter-gather path
+## metadata and restriction contract, and the server's scatter-gather path
 test-partition:
 	$(GO) test -race -count=1 -run 'Partition|Shard|RegistryCapability' ./internal/partition/... ./internal/algo ./internal/server
 
@@ -177,4 +185,4 @@ fuzz-smoke:
 	done
 
 ## ci: everything the pipeline runs
-ci: build fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke
+ci: build examples fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke

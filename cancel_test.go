@@ -46,21 +46,6 @@ func TestMineContextCancel(t *testing.T) {
 	}
 }
 
-// TestSupportsWorkersMetadata pins the registry-metadata answer on the
-// public surface: every algorithm has a parallel phase (UFP-growth, the
-// last serial holdout, gained work-stealing conditional-tree builds), and
-// unknown names report false.
-func TestSupportsWorkersMetadata(t *testing.T) {
-	for _, name := range umine.Algorithms() {
-		if !umine.SupportsWorkers(name) {
-			t.Errorf("SupportsWorkers(%q) = false, want true", name)
-		}
-	}
-	if umine.SupportsWorkers("nope") {
-		t.Error("SupportsWorkers on an unknown algorithm must report false")
-	}
-}
-
 // benchDB builds a small-but-multilevel database so a Progress event fires
 // before the run completes.
 func benchDB(t *testing.T) *umine.Database {

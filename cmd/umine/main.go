@@ -60,9 +60,6 @@ func main() {
 	th := umine.Thresholds{MinESup: *minESup, MinSup: *minSup, PFT: *pft}
 	// Warn before mining starts (long runs should not bury the note), but
 	// only for valid names — typos get the unknown-algorithm error instead.
-	if (*workers > 1 || *workers < 0) && slices.Contains(umine.Algorithms(), *algoName) && !umine.SupportsWorkers(*algoName) {
-		fmt.Fprintf(os.Stderr, "umine: note: %s has no parallel phase; -workers is ignored and the run is serial\n", *algoName)
-	}
 	if *parts > 1 && slices.Contains(umine.Algorithms(), *algoName) && !umine.SupportsPartitions(*algoName) {
 		fmt.Fprintf(os.Stderr, "umine: note: %s has no partitioned mode; -partitions is ignored and the mine is single-shot\n", *algoName)
 	}

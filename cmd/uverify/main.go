@@ -72,8 +72,7 @@ func main() {
 
 	failures, completed := 0, 0
 	for _, e := range algo.Entries() {
-		m := e.New()
-		core.ApplyOptions(m, core.Options{Workers: *workers})
+		m := algo.MustNewWith(e.Name, core.Options{Workers: *workers})
 		var rs *core.ResultSet
 		var err error
 		if m.Semantics() == core.ExpectedSupport {

@@ -46,6 +46,40 @@ func ExampleMine_probabilistic() {
 	// {2} Pr=0.95
 }
 
+// The same query through every registered algorithm: the paper's uniform
+// platform. The miners agree exactly, except PDUApriori, whose Poisson
+// approximation of the support distribution misses {0} on this database.
+func ExampleAlgorithms() {
+	db := paperDB()
+	for _, name := range umine.Algorithms() {
+		m, err := umine.NewMiner(name)
+		if err != nil {
+			panic(err)
+		}
+		th := umine.Thresholds{MinESup: 0.5}
+		if m.Semantics() == umine.Probabilistic {
+			th = umine.Thresholds{MinSup: 0.5, PFT: 0.7}
+		}
+		rs, err := m.Mine(context.Background(), db, th)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%-11s %-16s %v\n", name, m.Semantics(), rs.Itemsets())
+	}
+	// Output:
+	// UApriori    expected-support [{0} {2}]
+	// UFP-growth  expected-support [{0} {2}]
+	// UH-Mine     expected-support [{0} {2}]
+	// DPNB        probabilistic    [{0} {2}]
+	// DPB         probabilistic    [{0} {2}]
+	// DCNB        probabilistic    [{0} {2}]
+	// DCB         probabilistic    [{0} {2}]
+	// PDUApriori  probabilistic    [{2}]
+	// NDUApriori  probabilistic    [{0} {2}]
+	// NDUH-Mine   probabilistic    [{0} {2}]
+	// MCSampling  probabilistic    [{0} {2}]
+}
+
 // Top-k mining needs no threshold: ask for a budget instead.
 func ExampleMineTopK() {
 	top, err := umine.MineTopK(paperDB(), 3, 0)

@@ -46,15 +46,6 @@ type PDUApriori struct {
 	Restrict func(core.Itemset) bool
 }
 
-// SetWorkers implements core.ParallelMiner.
-func (m *PDUApriori) SetWorkers(workers int) { m.Workers = workers }
-
-// SetRestrict implements core.RestrictableMiner.
-func (m *PDUApriori) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
-
-// SetProgress implements core.ObservableMiner.
-func (m *PDUApriori) SetProgress(fn core.ProgressFunc) { m.Progress = fn }
-
 // Name implements core.Miner.
 func (m *PDUApriori) Name() string { return "PDUApriori" }
 
@@ -113,15 +104,6 @@ type NDUApriori struct {
 	Restrict func(core.Itemset) bool
 }
 
-// SetWorkers implements core.ParallelMiner.
-func (m *NDUApriori) SetWorkers(workers int) { m.Workers = workers }
-
-// SetRestrict implements core.RestrictableMiner.
-func (m *NDUApriori) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
-
-// SetProgress implements core.ObservableMiner.
-func (m *NDUApriori) SetProgress(fn core.ProgressFunc) { m.Progress = fn }
-
 // Name implements core.Miner.
 func (m *NDUApriori) Name() string { return "NDUApriori" }
 
@@ -176,15 +158,6 @@ type NDUHMine struct {
 	// SON partition engine); see uhmine.Engine.Restrict. May be nil.
 	Restrict func(core.Itemset) bool
 }
-
-// SetWorkers implements core.ParallelMiner.
-func (m *NDUHMine) SetWorkers(workers int) { m.Workers = workers }
-
-// SetRestrict implements core.RestrictableMiner.
-func (m *NDUHMine) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
-
-// SetProgress implements core.ObservableMiner.
-func (m *NDUHMine) SetProgress(fn core.ProgressFunc) { m.Progress = fn }
 
 // Name implements core.Miner.
 func (m *NDUHMine) Name() string { return "NDUH-Mine" }

@@ -47,8 +47,7 @@ func TestCancelPreCanceledContext(t *testing.T) {
 	cancel()
 	for _, e := range Entries() {
 		for _, workers := range []int{1, 4} {
-			m := e.New()
-			core.ApplyOptions(m, core.Options{Workers: workers})
+			m := MustNewWith(e.Name, core.Options{Workers: workers})
 			start := time.Now()
 			rs, err := m.Mine(ctx, db, cancelThresholds(m))
 			if !errors.Is(err, context.Canceled) {
@@ -69,11 +68,10 @@ func TestCancelMidRun(t *testing.T) {
 	for _, e := range Entries() {
 		for _, workers := range []int{1, 4} {
 			ctx, cancel := context.WithCancel(context.Background())
-			m := e.New()
 			// Cancel from the miner's own first checkpoint: the run is
 			// provably alive, and the return must then be prompt (bounded
 			// by one chunk/candidate/subtree of work).
-			core.ApplyOptions(m, core.Options{
+			m := MustNewWith(e.Name, core.Options{
 				Workers:  workers,
 				Progress: func(core.ProgressEvent) { cancel() },
 			})
@@ -96,8 +94,7 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 	db := cancelDB()
 	for _, e := range Entries() {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		m := e.New()
-		core.ApplyOptions(m, core.Options{Workers: 2})
+		m := MustNewWith(e.Name, core.Options{Workers: 2})
 		_, err := m.Mine(ctx, db, cancelThresholds(m))
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -111,8 +108,7 @@ func TestCancelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, e := range Entries() {
 		ctx, cancel := context.WithCancel(context.Background())
-		m := e.New()
-		core.ApplyOptions(m, core.Options{
+		m := MustNewWith(e.Name, core.Options{
 			Workers:  4,
 			Progress: func(core.ProgressEvent) { cancel() },
 		})
@@ -146,15 +142,14 @@ func TestCancelCompletedRunUnaffected(t *testing.T) {
 	}
 	db := cancelDB()
 	for _, e := range Entries() {
-		base := e.New()
+		base := MustNew(e.Name)
 		want, err := base.Mine(context.Background(), db, cancelThresholds(base))
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", e.Name, err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		m := e.New()
 		events := 0
-		core.ApplyOptions(m, core.Options{Workers: 1, Progress: func(core.ProgressEvent) { events++ }})
+		m := MustNewWith(e.Name, core.Options{Workers: 1, Progress: func(core.ProgressEvent) { events++ }})
 		got, err := m.Mine(ctx, db, cancelThresholds(m))
 		cancel()
 		if err != nil {
@@ -173,9 +168,8 @@ func TestCancelCompletedRunUnaffected(t *testing.T) {
 func TestCancelProgressDoneOnEmptyRun(t *testing.T) {
 	db := cancelDB()
 	for _, e := range Entries() {
-		m := e.New()
 		var phases []core.ProgressPhase
-		core.ApplyOptions(m, core.Options{Progress: func(ev core.ProgressEvent) {
+		m := MustNewWith(e.Name, core.Options{Progress: func(ev core.ProgressEvent) {
 			phases = append(phases, ev.Phase)
 		}})
 		th := core.Thresholds{MinESup: 0.999}
@@ -201,9 +195,8 @@ func TestCancelProgressDoneOnEmptyRun(t *testing.T) {
 func TestCancelProgressStreamsMidRun(t *testing.T) {
 	db := cancelDB()
 	for _, e := range Entries() {
-		m := e.New()
 		var phases []core.ProgressPhase
-		core.ApplyOptions(m, core.Options{Progress: func(ev core.ProgressEvent) {
+		m := MustNewWith(e.Name, core.Options{Progress: func(ev core.ProgressEvent) {
 			phases = append(phases, ev.Phase)
 		}})
 		if _, err := m.Mine(context.Background(), db, cancelThresholds(m)); err != nil {

@@ -88,15 +88,6 @@ type Miner struct {
 	Restrict func(core.Itemset) bool
 }
 
-// SetWorkers implements core.ParallelMiner.
-func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetRestrict implements core.RestrictableMiner.
-func (m *Miner) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
-
-// SetProgress implements core.ObservableMiner.
-func (m *Miner) SetProgress(fn core.ProgressFunc) { m.Progress = fn }
-
 // Name implements core.Miner, using the paper's experiment labels:
 // DPNB, DPB, DCNB, DCB.
 func (m *Miner) Name() string {

@@ -82,14 +82,14 @@ func familySemantics(f Family) core.Semantics {
 }
 
 // SemanticsOf returns the named algorithm's frequentness semantics from the
-// registry's family metadata — no miner is constructed. Unknown names
-// report ok = false.
-func SemanticsOf(name string) (core.Semantics, bool) {
+// registry's family metadata — no miner is constructed. Unknown names are
+// the registry's unknown-algorithm error.
+func SemanticsOf(name string) (core.Semantics, error) {
 	e, ok := lookup(name)
 	if !ok {
-		return core.ExpectedSupport, false
+		return core.ExpectedSupport, errUnknown(name)
 	}
-	return familySemantics(e.Family), true
+	return familySemantics(e.Family), nil
 }
 
 // NewPartitionEngine returns the SON two-phase partition engine for the
@@ -126,16 +126,7 @@ func NewPartitionEngine(name string, opts core.Options) (*partition.Engine, erro
 			return rs.Itemsets(), rs.Stats, nil
 		},
 		NewPhase2: func(o core.Options, allow func(core.Itemset) bool) (core.Miner, error) {
-			m := entry.New()
-			core.ApplyOptions(m, o)
-			if allow != nil {
-				rm, ok := m.(core.RestrictableMiner)
-				if !ok {
-					return nil, fmt.Errorf("algo: %s is marked partitionable but does not implement core.RestrictableMiner", entry.Name)
-				}
-				rm.SetRestrict(allow)
-			}
-			return m, nil
+			return NewRestricted(entry.Name, o, allow)
 		},
 	}, nil
 }

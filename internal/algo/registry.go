@@ -43,49 +43,65 @@ func (f Family) String() string {
 	}
 }
 
-// Entry describes one registered algorithm: its identity plus the
-// capability metadata callers consult without constructing a miner
-// (cf. SupportsWorkers — previously answered by building a throwaway
-// instance and type-asserting it).
+// Entry describes one registered algorithm: its identity, the capability
+// metadata callers consult without constructing a miner, and the
+// constructor behind NewWith and NewRestricted.
 type Entry struct {
 	Name   string
 	Family Family
-	// Parallel reports whether the miner has a parallel phase controlled by
-	// Options.Workers (implements core.ParallelMiner). Kept in the table —
-	// and cross-checked against the constructed type by
-	// TestRegistryCapabilityMetadata — so capability queries cost a table
-	// scan, not an allocation.
-	Parallel bool
 	// Partition reports whether the miner supports the SON partitioned
-	// two-phase mine of Options.Partitions (implements
-	// core.RestrictableMiner, so the partition engine's phase-2
-	// verification can confine it to the candidate union). MCSampling is
-	// the one exclusion: its sequential possible-world sampling is seeded
-	// per run, so a restricted re-run draws different worlds and
-	// bit-identity to a single-shot mine cannot hold. Cross-checked by
-	// TestRegistryCapabilityMetadata like Parallel.
+	// two-phase mine of Options.Partitions, whose phase 2 confines the
+	// miner to the candidate union (NewRestricted). MCSampling is the one
+	// exclusion: its sequential possible-world sampling is seeded per run,
+	// so a restricted re-run draws different worlds and bit-identity to a
+	// single-shot mine cannot hold. TestRegistryCapabilityMetadata checks
+	// the restriction contract on every entry that sets it.
 	Partition bool
-	// New constructs a fresh miner instance (miners are stateless but kept
-	// per-run for clarity).
-	New func() core.Miner
+	// build constructs a fresh miner with opts.Workers and opts.Progress
+	// and the phase-2 restriction allow (nil = unrestricted) in its struct
+	// literal; it does not read opts.Partitions.
+	build func(opts core.Options, allow func(core.Itemset) bool) core.Miner
 }
 
 var registry = []Entry{
-	{"UApriori", ExpectedSupportFamily, true, true, func() core.Miner { return &uapriori.Miner{} }},
-	{"UFP-growth", ExpectedSupportFamily, true, true, func() core.Miner { return &ufpgrowth.Miner{} }},
-	{"UH-Mine", ExpectedSupportFamily, true, true, func() core.Miner { return &uhmine.Miner{} }},
-	{"DPNB", ExactFamily, true, true, func() core.Miner { return &exact.Miner{Method: exact.DP} }},
-	{"DPB", ExactFamily, true, true, func() core.Miner { return &exact.Miner{Method: exact.DP, Chernoff: true} }},
-	{"DCNB", ExactFamily, true, true, func() core.Miner { return &exact.Miner{Method: exact.DC} }},
-	{"DCB", ExactFamily, true, true, func() core.Miner { return &exact.Miner{Method: exact.DC, Chernoff: true} }},
-	{"PDUApriori", ApproxFamily, true, true, func() core.Miner { return &approx.PDUApriori{} }},
-	{"NDUApriori", ApproxFamily, true, true, func() core.Miner { return &approx.NDUApriori{} }},
-	{"NDUH-Mine", ApproxFamily, true, true, func() core.Miner { return &approx.NDUHMine{} }},
+	{"UApriori", ExpectedSupportFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &uapriori.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
+	{"UFP-growth", ExpectedSupportFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &ufpgrowth.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
+	{"UH-Mine", ExpectedSupportFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &uhmine.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
+	{"DPNB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &exact.Miner{Method: exact.DP, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
+	{"DPB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &exact.Miner{Method: exact.DP, Chernoff: true, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
+	{"DCNB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &exact.Miner{Method: exact.DC, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
+	{"DCB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &exact.Miner{Method: exact.DC, Chernoff: true, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
+	{"PDUApriori", ApproxFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &approx.PDUApriori{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
+	{"NDUApriori", ApproxFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &approx.NDUApriori{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
+	{"NDUH-Mine", ApproxFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+		return &approx.NDUHMine{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+	}},
 	// MCSampling is an extension beyond the paper's eight algorithms: the
 	// possible-world sampling estimator of the paper's reference [11]
 	// (Calders et al., PAKDD 2010). See internal/algo/sampling. It is the
-	// one non-partitionable configuration (see Entry.Partition).
-	{"MCSampling", ApproxFamily, true, false, func() core.Miner { return &sampling.Miner{} }},
+	// one non-partitionable configuration (see Entry.Partition), so
+	// NewRestricted never passes it an allow.
+	{"MCSampling", ApproxFamily, false, func(o core.Options, _ func(core.Itemset) bool) core.Miner {
+		return &sampling.Miner{Workers: o.Workers, Progress: o.Progress}
+	}},
 }
 
 // lookup resolves a registry name to its entry — the single place name
@@ -97,14 +113,6 @@ func lookup(name string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// SupportsWorkers reports whether the named algorithm has a parallel phase
-// controlled by Options.Workers, from the registry's capability metadata
-// (no miner is constructed). Unknown names report false.
-func SupportsWorkers(name string) bool {
-	e, ok := lookup(name)
-	return ok && e.Parallel
 }
 
 // SupportsPartitions reports whether the named algorithm supports the SON
@@ -121,12 +129,11 @@ func New(name string) (core.Miner, error) {
 	return NewWith(name, core.Options{})
 }
 
-// NewWith returns a fresh miner by registry name with the cross-cutting
-// execution options applied. Options a miner does not support (e.g. Workers
-// on a purely serial miner, Partitions on MCSampling) are ignored — every
-// miner returns an identical ResultSet for every Options value. With
-// Partitions > 1 on a partition-capable algorithm the returned miner is the
-// SON two-phase engine wrapping it (see umine/internal/partition).
+// NewWith returns a fresh miner by registry name built from opts: Workers
+// and Progress go into the miner, and Partitions > 1 returns the SON
+// two-phase engine wrapping it (see umine/internal/partition). MCSampling
+// has no partitioned mode and mines single-shot at every Partitions value.
+// Every miner returns an identical ResultSet for every Options value.
 func NewWith(name string, opts core.Options) (core.Miner, error) {
 	e, ok := lookup(name)
 	if !ok {
@@ -135,9 +142,32 @@ func NewWith(name string, opts core.Options) (core.Miner, error) {
 	if opts.Partitions > 1 && e.Partition {
 		return NewPartitionEngine(name, opts)
 	}
-	m := e.New()
-	core.ApplyOptions(m, opts)
-	return m, nil
+	return e.build(opts, nil), nil
+}
+
+// NewRestricted returns the named miner built like NewWith (Partitions is
+// not read) with its search confined to a pre-computed candidate superset:
+// the miner never reports — and never descends into, counts or verifies —
+// an itemset for which allow returns false. Everything allow admits is
+// computed exactly as an unrestricted run would compute it, so when the
+// admitted set is a superset of the run's true result the restricted run
+// is bit-identical to the unrestricted one while paying only for the
+// admitted candidates. Phase 2 of the SON partition engine and the
+// incremental ledger's refresh (umine/internal/incmine) rely on this.
+//
+// allow may be called concurrently from worker goroutines when Workers
+// permits parallel execution, and may receive transient itemsets it must
+// not retain. nil means unrestricted. Unknown names and non-partitionable
+// algorithms (MCSampling) are errors.
+func NewRestricted(name string, opts core.Options, allow func(core.Itemset) bool) (core.Miner, error) {
+	e, ok := lookup(name)
+	if !ok {
+		return nil, errUnknown(name)
+	}
+	if !e.Partition {
+		return nil, fmt.Errorf("algo: %s does not support a candidate restriction", name)
+	}
+	return e.build(opts, allow), nil
 }
 
 // errUnknown is the uniform unknown-algorithm error.

@@ -1,34 +1,35 @@
 package algo
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 
 	"umine/internal/core"
+	"umine/internal/core/coretest"
 )
 
-// TestRegistryCapabilityMetadata cross-checks the registry's declared
-// capability flags against the constructed miner types, so the cheap
-// metadata path (SupportsWorkers) can never drift from the implementation.
+// TestRegistryCapabilityMetadata checks each entry's capability metadata
+// against the miners its constructor builds: every constructor installs
+// the Progress observer, Partition entries honor NewRestricted's contract
+// (a superset restriction is bit-identical, a narrower one drops exactly
+// what it excludes), and NewRestricted rejects every other name.
 func TestRegistryCapabilityMetadata(t *testing.T) {
+	db := coretest.RandomDB(rand.New(rand.NewSource(19)), 200, 8, 0.8)
 	for _, e := range Entries() {
-		m := e.New()
-		_, isParallel := m.(core.ParallelMiner)
-		if e.Parallel != isParallel {
-			t.Errorf("%s: registry declares Parallel=%v but the miner type says %v", e.Name, e.Parallel, isParallel)
+		done := 0
+		m := MustNewWith(e.Name, core.Options{Workers: 1, Progress: func(ev core.ProgressEvent) {
+			if ev.Phase == core.PhaseDone {
+				done++
+			}
+		}})
+		th := cancelThresholds(m)
+		want, err := m.Mine(context.Background(), db, th)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
 		}
-		if got := SupportsWorkers(e.Name); got != isParallel {
-			t.Errorf("SupportsWorkers(%q) = %v, want %v", e.Name, got, isParallel)
-		}
-		// Every registered miner must stream progress: the serving layer and
-		// the CLIs rely on the hook for liveness and partial stats.
-		if _, ok := m.(core.ObservableMiner); !ok {
-			t.Errorf("%s: does not implement core.ObservableMiner", e.Name)
-		}
-		// Partition capability requires the phase-2 restriction hook, and a
-		// valid phase-1 plan must exist exactly for the capable entries.
-		_, isRestrictable := m.(core.RestrictableMiner)
-		if e.Partition && !isRestrictable {
-			t.Errorf("%s: registry declares Partition=true but the miner does not implement core.RestrictableMiner", e.Name)
+		if done != 1 {
+			t.Errorf("%s: NewWith's Progress saw %d PhaseDone events, want 1", e.Name, done)
 		}
 		if got := SupportsPartitions(e.Name); got != e.Partition {
 			t.Errorf("SupportsPartitions(%q) = %v, want %v", e.Name, got, e.Partition)
@@ -37,8 +38,8 @@ func TestRegistryCapabilityMetadata(t *testing.T) {
 		if ok != e.Partition {
 			t.Errorf("PartitionPhase1(%q) ok=%v, want %v", e.Name, ok, e.Partition)
 		}
-		if sem, semOK := SemanticsOf(e.Name); !semOK || sem != m.Semantics() {
-			t.Errorf("SemanticsOf(%q) = (%v, %v), want (%v, true)", e.Name, sem, semOK, m.Semantics())
+		if sem, err := SemanticsOf(e.Name); err != nil || sem != m.Semantics() {
+			t.Errorf("SemanticsOf(%q) = (%v, %v), want (%v, nil)", e.Name, sem, err, m.Semantics())
 		}
 		if ok {
 			m1, err := New(p1)
@@ -49,19 +50,88 @@ func TestRegistryCapabilityMetadata(t *testing.T) {
 					e.Name, p1, m1.Semantics())
 			}
 		}
+		if !e.Partition {
+			if _, err := NewRestricted(e.Name, core.Options{}, func(core.Itemset) bool { return true }); err == nil {
+				t.Errorf("NewRestricted(%q) must fail (non-partitionable)", e.Name)
+			}
+			continue
+		}
+
+		if want.Len() == 0 {
+			t.Fatalf("%s: empty result set; the thresholds must leave something to drop", e.Name)
+		}
+
+		// Restricted to its own result set (a superset of the true result,
+		// trivially), the miner reproduces that set bit for bit.
+		allowed := make(map[string]bool, want.Len())
+		for _, r := range want.Results {
+			allowed[r.Itemset.Key()] = true
+		}
+		allow := func(x core.Itemset) bool { return allowed[x.Key()] }
+		requireSameResults(t, e.Name+" restricted to its result set", want.Results, mineRestricted(t, e.Name, db, th, allow))
+
+		// Excluding one maximal itemset keeps the allowed set downward
+		// closed, so exactly that itemset disappears.
+		var drop core.Itemset
+		for _, r := range want.Results {
+			if r.Itemset.Len() == want.MaxLen() {
+				drop = r.Itemset
+			}
+		}
+		delete(allowed, drop.Key())
+		var rest []core.Result
+		for _, r := range want.Results {
+			if !r.Itemset.Equal(drop) {
+				rest = append(rest, r)
+			}
+		}
+		requireSameResults(t, e.Name+" restricted without "+drop.String(), rest, mineRestricted(t, e.Name, db, th, allow))
 	}
-	if SupportsWorkers("NoSuchMiner") {
-		t.Error("SupportsWorkers on an unknown name must report false")
+	if _, err := NewRestricted("NoSuchMiner", core.Options{}, nil); err == nil {
+		t.Error("NewRestricted on an unknown name must fail")
 	}
 	if SupportsPartitions("NoSuchMiner") {
 		t.Error("SupportsPartitions on an unknown name must report false")
 	}
+	if _, err := SemanticsOf("NoSuchMiner"); err == nil {
+		t.Error("SemanticsOf on an unknown name must fail")
+	}
 	if _, err := NewPartitionEngine("MCSampling", core.Options{Partitions: 2}); err == nil {
 		t.Error("NewPartitionEngine(MCSampling) must fail (non-partitionable)")
 	}
-	// NewWith quietly ignores Partitions on a non-partitionable algorithm,
-	// like every other unsupported knob.
+	// NewWith mines MCSampling single-shot at every Partitions value.
 	if m, err := NewWith("MCSampling", core.Options{Partitions: 4}); err != nil || m.Name() != "MCSampling" {
 		t.Errorf("NewWith(MCSampling, Partitions=4) = (%v, %v), want the plain miner", m, err)
+	}
+}
+
+// mineRestricted runs the named miner under allow at Workers 4, so allow
+// is exercised from concurrent workers.
+func mineRestricted(t *testing.T, name string, db *core.Database, th core.Thresholds, allow func(core.Itemset) bool) *core.ResultSet {
+	t.Helper()
+	m, err := NewRestricted(name, core.Options{Workers: 4}, allow)
+	if err != nil {
+		t.Fatalf("NewRestricted(%q): %v", name, err)
+	}
+	rs, err := m.Mine(context.Background(), db, th)
+	if err != nil {
+		t.Fatalf("%s restricted: %v", name, err)
+	}
+	return rs
+}
+
+// requireSameResults compares itemsets and measures bitwise; work counters
+// are not compared, since a restriction exists to skip work.
+func requireSameResults(t *testing.T, label string, want []core.Result, got *core.ResultSet) {
+	t.Helper()
+	if got.Len() != len(want) {
+		t.Fatalf("%s: %d itemsets, want %d", label, got.Len(), len(want))
+	}
+	for i, a := range want {
+		b := got.Results[i]
+		if !a.Itemset.Equal(b.Itemset) || !sameBits(a.ESup, b.ESup) || !sameBits(a.Var, b.Var) || !sameBits(a.FreqProb, b.FreqProb) {
+			t.Fatalf("%s: result %d is %v (%v,%v,%v), want %v (%v,%v,%v)",
+				label, i, b.Itemset, b.ESup, b.Var, b.FreqProb, a.Itemset, a.ESup, a.Var, a.FreqProb)
+		}
 	}
 }

@@ -74,12 +74,6 @@ type Miner struct {
 	Progress core.ProgressFunc
 }
 
-// SetWorkers implements core.ParallelMiner.
-func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetProgress implements core.ObservableMiner.
-func (m *Miner) SetProgress(fn core.ProgressFunc) { m.Progress = fn }
-
 // Name implements core.Miner.
 func (m *Miner) Name() string { return "MCSampling" }
 

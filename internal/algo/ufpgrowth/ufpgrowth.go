@@ -66,15 +66,6 @@ type Miner struct {
 	Restrict func(core.Itemset) bool
 }
 
-// SetWorkers implements core.ParallelMiner.
-func (m *Miner) SetWorkers(workers int) { m.Workers = workers }
-
-// SetProgress implements core.ObservableMiner.
-func (m *Miner) SetProgress(fn core.ProgressFunc) { m.Progress = fn }
-
-// SetRestrict implements core.RestrictableMiner.
-func (m *Miner) SetRestrict(allow func(core.Itemset) bool) { m.Restrict = allow }
-
 // Name implements core.Miner.
 func (m *Miner) Name() string {
 	if m.Rounding > 0 {

@@ -43,19 +43,12 @@ type Measurement struct {
 // small runs.
 const memSampleInterval = 200 * time.Microsecond
 
-// Run executes one measured mining run under ctx: a cancellation or
+// Run executes one measured mining run of m under ctx: a cancellation or
 // deadline aborts the mine at its next cooperative checkpoint and surfaces
-// as Measurement.Err (= ctx.Err()). Optional Options are applied to the
-// miner best-effort before mining (miners without the corresponding knob run
-// serially and unchanged); results are identical for every Workers value, so
-// options only affect Elapsed and the heap measurements. Options.Partitions
-// is a construction-time knob the registry applies (algo.NewWith wraps the
-// miner in the SON partition engine) — pass a pre-built partitioned miner
-// here to measure partitioned runs; ApplyOptions cannot retrofit it.
-func Run(ctx context.Context, m core.Miner, db *core.Database, th core.Thresholds, opts ...core.Options) Measurement {
-	for _, o := range opts {
-		core.ApplyOptions(m, o)
-	}
+// as Measurement.Err (= ctx.Err()). m carries its execution options from
+// construction (algo.NewWith); results are identical for every Options
+// value, so options only affect Elapsed and the heap measurements.
+func Run(ctx context.Context, m core.Miner, db *core.Database, th core.Thresholds) Measurement {
 	runtime.GC()
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)

@@ -51,10 +51,8 @@ type Config struct {
 	Progress core.ProgressFunc
 }
 
-// minerOptions bundles the construction-time execution knobs for measured
-// miners. Partitions must be applied at construction (the registry wraps
-// the miner in the partition engine), which is why runners build miners
-// with NewWith instead of applying Options post-hoc through eval.Run.
+// minerOptions bundles the execution knobs runners pass to algo.NewWith
+// when they build the measured miners.
 func (cfg Config) minerOptions() core.Options {
 	return core.Options{Workers: cfg.Workers, Partitions: cfg.Partitions, Progress: cfg.Progress}
 }

@@ -25,11 +25,11 @@
 //     allowed set is therefore a superset of the true result set, closed
 //     downward over it.
 //
-//  2. core.RestrictableMiner guarantees that with such a superset installed
-//     the restricted run is bit-identical to the unrestricted one — the
-//     contract phase 2 of the partition engine already relies on. The
-//     restriction only skips work (candidates that provably cannot be
-//     results); it never changes how an admitted itemset is computed.
+//  2. algo.NewRestricted guarantees that a miner built with such a
+//     superset as its restriction runs bit-identical to the unrestricted
+//     one — the contract phase 2 of the partition engine already relies
+//     on. The restriction only skips work (candidates that provably cannot
+//     be results); it never changes how an admitted itemset is computed.
 //
 // The emission re-mine prices like the partition engine's phase 2 — a
 // restricted verification pass instead of a full candidate search — which
@@ -58,7 +58,6 @@ package incmine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"strconv"
 	"sync"
@@ -219,9 +218,9 @@ type Ledger struct {
 // New validates the configuration and returns an empty ledger; the first
 // Update builds it.
 func New(cfg Config) (*Ledger, error) {
-	sem, ok := algo.SemanticsOf(cfg.Algorithm)
-	if !ok {
-		return nil, fmt.Errorf("incmine: unknown algorithm %q (known: %v)", cfg.Algorithm, algo.Names())
+	sem, err := algo.SemanticsOf(cfg.Algorithm)
+	if err != nil {
+		return nil, err
 	}
 	if err := cfg.Thresholds.Validate(sem); err != nil {
 		return nil, err
@@ -379,18 +378,13 @@ func (l *Ledger) allowSet(cutoff float64) map[string]struct{} {
 // mine because the band is a superset of the true result set (see the
 // package doc).
 func (l *Ledger) restrictedMine(ctx context.Context, db *core.Database, allow map[string]struct{}) (*core.ResultSet, error) {
-	m, err := algo.NewWith(l.cfg.Algorithm, core.Options{Workers: l.cfg.Workers})
-	if err != nil {
-		return nil, err
-	}
-	rm, ok := m.(core.RestrictableMiner)
-	if !ok {
-		return nil, fmt.Errorf("incmine: %s has a phase-1 plan but no restriction hook", l.cfg.Algorithm)
-	}
-	rm.SetRestrict(func(x core.Itemset) bool {
+	m, err := algo.NewRestricted(l.cfg.Algorithm, core.Options{Workers: l.cfg.Workers}, func(x core.Itemset) bool {
 		_, ok := allow[x.Key()]
 		return ok
 	})
+	if err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
 	rs, err := m.Mine(ctx, db, l.cfg.Thresholds)
 	if err != nil {

@@ -44,9 +44,9 @@ func buildDB(t *testing.T, txs [][]core.Unit, n int) *core.Database {
 
 // thresholdsFor picks family-appropriate thresholds for a registry entry.
 func thresholdsFor(name string) core.Thresholds {
-	sem, ok := algo.SemanticsOf(name)
-	if !ok {
-		panic("unknown algorithm " + name)
+	sem, err := algo.SemanticsOf(name)
+	if err != nil {
+		panic(err)
 	}
 	if sem == core.ExpectedSupport {
 		return core.Thresholds{MinESup: 0.25}

@@ -89,12 +89,6 @@ func (e *Engine) Name() string { return e.Algorithm }
 // Semantics implements core.Miner.
 func (e *Engine) Semantics() core.Semantics { return e.Sem }
 
-// SetWorkers implements core.ParallelMiner.
-func (e *Engine) SetWorkers(workers int) { e.Workers = workers }
-
-// SetProgress implements core.ObservableMiner.
-func (e *Engine) SetProgress(fn core.ProgressFunc) { e.Progress = fn }
-
 // shardOutcome collects one partition's phase-1 output in its index slot.
 type shardOutcome struct {
 	sets    []core.Itemset

@@ -49,8 +49,9 @@
 // # Bit-identity
 //
 // Phase 2 does not recompute measures with its own arithmetic: it re-runs
-// the target miner over the full database with a candidate restriction
-// installed (core.RestrictableMiner). The restricted run evaluates exactly
+// the target miner over the full database, built with a candidate
+// restriction (Engine.NewPhase2; the registry's algo.NewRestricted states
+// the contract). The restricted run evaluates exactly
 // the single-shot search tree intersected with the candidate union, using
 // the miner's own counting passes, summation groupings and decision tests —
 // so every reported measure carries the same bits a single-shot mine

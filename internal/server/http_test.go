@@ -176,9 +176,18 @@ func TestHTTPErrors(t *testing.T) {
 		{"missing source", "/datasets", registerRequest{Name: "x"}, http.StatusBadRequest},
 		{"bad ingest unit", "/ingest", ingestRequest{Dataset: "d", Transactions: []string{"zzz"}}, http.StatusBadRequest},
 		{"ingest unknown dataset", "/ingest", ingestRequest{Dataset: "nope", Transactions: []string{"0:0.5"}}, http.StatusNotFound},
+		// A nil body sends a GET with the query in the path.
+		{"explain unknown algorithm", "/explain?dataset=d&algo=Nope&min_esup=0.1", nil, http.StatusBadRequest},
+		{"subscribe unknown algorithm", "/subscribe?dataset=d&algo=Nope&min_esup=0.1", nil, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		resp, body := post(t, ts.URL+c.path, c.body)
+		var resp *http.Response
+		var body []byte
+		if c.body == nil {
+			resp, body = get(t, ts.URL+c.path)
+		} else {
+			resp, body = post(t, ts.URL+c.path, c.body)
+		}
 		if resp.StatusCode != c.status {
 			t.Errorf("%s: HTTP %d (want %d): %s", c.name, resp.StatusCode, c.status, body)
 		}

@@ -471,12 +471,11 @@ func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 		s.errorCount.Add(1)
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
-	m, err := algo.New(req.Algorithm)
+	sem, err := algo.SemanticsOf(req.Algorithm)
 	if err != nil {
 		s.errorCount.Add(1)
 		return nil, err
 	}
-	sem := m.Semantics()
 	if err := req.Thresholds.Validate(sem); err != nil {
 		s.errorCount.Add(1)
 		return nil, err

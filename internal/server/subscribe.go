@@ -105,9 +105,9 @@ func (s *Server) Subscribe(ctx context.Context, req SubscribeRequest) (*Subscrip
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
-	sem, ok := algo.SemanticsOf(req.Algorithm)
-	if !ok {
-		return nil, fmt.Errorf("server: unknown algorithm %q", req.Algorithm)
+	sem, err := algo.SemanticsOf(req.Algorithm)
+	if err != nil {
+		return nil, err
 	}
 	key := ledgerKey(req.Dataset, req.Algorithm, sem, req.Thresholds)
 	s.ledgerMu.Lock()
@@ -358,9 +358,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 // subscribeThresholds parses the /subscribe threshold parameters for the
 // named algorithm's semantics.
 func subscribeThresholds(q url.Values, alg string) (core.Thresholds, error) {
-	sem, ok := algo.SemanticsOf(alg)
-	if !ok {
-		return core.Thresholds{}, fmt.Errorf("unknown algorithm %q", alg)
+	sem, err := algo.SemanticsOf(alg)
+	if err != nil {
+		return core.Thresholds{}, err
 	}
 	var th core.Thresholds
 	parse := func(key string, into *float64) error {

@@ -234,19 +234,12 @@ func MustNewDatabase(name string, raw [][]Unit) *Database {
 // returned by Algorithms.
 func NewMiner(name string) (Miner, error) { return algo.New(name) }
 
-// NewMinerWith constructs a fresh miner by algorithm name with the given
-// execution options applied. Options a miner does not support are ignored;
-// results are identical for every Options value.
+// NewMinerWith constructs a fresh miner by algorithm name, built from the
+// given execution options: every miner honors Workers and Progress, and
+// Partitions > 1 wraps it in the SON partition engine (except MCSampling,
+// which mines single-shot; see SupportsPartitions). Results are identical
+// for every Options value.
 func NewMinerWith(name string, opts Options) (Miner, error) { return algo.NewWith(name, opts) }
-
-// SupportsWorkers reports whether the named algorithm has a parallel phase
-// controlled by Options.Workers. Miners without one (e.g. UFP-growth)
-// always run serially, silently ignoring the knob; callers can use this to
-// tell the difference. Unknown names report false. The answer comes from
-// the registry's capability metadata — no throwaway miner is constructed.
-func SupportsWorkers(algorithm string) bool {
-	return algo.SupportsWorkers(algorithm)
-}
 
 // SupportsPartitions reports whether the named algorithm supports the SON
 // partitioned two-phase mine of Options.Partitions. MCSampling is the one
