@@ -80,10 +80,15 @@ test-shardrpc:
 ## ledger-vs-cold bit-identity for every miner family across arbitrary append
 ## sequences (including the eviction / non-append / border-exhaustion
 ## fallbacks), the delta counting kernel's bitwise additivity, window
-## eviction accounting, and the server's subscribe/ingest/SSE surface
+## eviction accounting, and the server's subscribe/ingest/SSE surface; then
+## the resumable DP rows three times at -cpu 1,4 — the kernel row's
+## extend-vs-fresh identity, the DP miners' row store, whose rows the
+## verification worker pool builds concurrently, through its fallbacks and
+## a mid-mine cancel, and the ledger's resumed refreshes and canceled updates
 test-incmine:
 	$(GO) test -race -count=1 ./internal/incmine ./internal/stream
 	$(GO) test -race -count=1 -run 'Subscribe|Incremental|Ingest|Delta|Eviction' ./internal/server ./internal/core
+	$(GO) test -race -count=3 -cpu 1,4 -run 'TailRow|Resum' ./internal/kernel ./internal/algo/exact ./internal/incmine
 
 ## test-steal: the work-stealing scheduler and parallel-determinism suites
 ## under the race detector at -cpu 1,4,8 — the scheduler's determinism,
@@ -175,6 +180,7 @@ FUZZ_TARGETS = \
 	./internal/kernel:FuzzKWayBitIdentity \
 	./internal/kernel:FuzzFreqTailBitIdentity \
 	./internal/kernel:FuzzFreqTailAbove \
+	./internal/kernel:FuzzTailRowExtend \
 	./internal/shardrpc:FuzzMineShardResponse
 
 fuzz-smoke:

@@ -31,7 +31,10 @@
 // DP has one execution path, the kernel. prob.PBFreqProbDP, the paper's
 // recurrence written out plainly, is its test oracle: the kernel package's
 // tests and fuzz targets, and this package's miner-level test, check every
-// accepted frequent probability against it bit for bit.
+// accepted frequent probability against it bit for bit. The incremental
+// ledger gives a DP miner a row store (Rows) so that a re-verification over
+// an appended database extends each itemset's kept DP row instead of
+// re-running it; the kernel's resumable row reads the same bits.
 package exact
 
 import (
@@ -86,6 +89,11 @@ type Miner struct {
 	// itemsets (phase 2 of the SON partition engine); see
 	// apriori.Config.Restrict. May be nil.
 	Restrict func(core.Itemset) bool
+	// Rows, when set, lets the DP method resume each candidate's DP from a
+	// row kept by an earlier mine of a shorter prefix of the database (see
+	// Rows); the incremental ledger sets it, every cold mine leaves it nil.
+	// DC ignores it. The caller commits the store after a successful mine.
+	Rows *Rows
 }
 
 // Name implements core.Miner, using the paper's experiment labels:
@@ -111,6 +119,9 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 	msc := th.MinSupCount(db.N())
 
 	above := m.aboveFunc(msc, th.PFT+core.Eps)
+	if m.Rows != nil {
+		m.Rows.begin()
+	}
 
 	// Decide runs on the worker pool (ParallelDecide), so its two counters
 	// are atomics, folded into the run stats afterwards.
@@ -127,7 +138,7 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 				return core.Result{}, false
 			}
 			exactEvals.Add(1)
-			if fp, ok := above(c.Probs); ok {
+			if fp, ok := above(c.Items, c.Probs); ok {
 				return core.Result{Itemset: c.Items, ESup: c.ESup, Var: c.Var, FreqProb: fp}, true
 			}
 			return core.Result{}, false
@@ -163,13 +174,17 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 // configured method: the frequent probability and whether it exceeds thr.
 // The DP method dispatches to the internal/kernel verification kernel,
 // which stops on a candidate once a union bound rules it out and otherwise
-// returns bits identical to the prob package's reference recurrence.
-func (m *Miner) aboveFunc(msc int, thr float64) func(ps []float64) (float64, bool) {
+// returns bits identical to the prob package's reference recurrence; with
+// Rows it resumes from the kept rows instead.
+func (m *Miner) aboveFunc(msc int, thr float64) func(items core.Itemset, ps []float64) (float64, bool) {
 	switch m.Method {
 	case DP:
-		return func(ps []float64) (float64, bool) { return kernel.FreqTailAbove(ps, msc, thr) }
+		if m.Rows != nil {
+			return func(items core.Itemset, ps []float64) (float64, bool) { return m.Rows.above(items, ps, msc, thr) }
+		}
+		return func(_ core.Itemset, ps []float64) (float64, bool) { return kernel.FreqTailAbove(ps, msc, thr) }
 	case DC:
-		return func(ps []float64) (float64, bool) {
+		return func(_ core.Itemset, ps []float64) (float64, bool) {
 			fp := freqProbDC(ps, msc)
 			return fp, fp > thr
 		}

@@ -61,39 +61,50 @@ type Entry struct {
 	// and the phase-2 restriction allow (nil = unrestricted) in its struct
 	// literal; it does not read opts.Partitions.
 	build func(opts core.Options, allow func(core.Itemset) bool) core.Miner
+	// resume, set on the DP miners only, is build with the DP verification
+	// resuming from a row store (NewResumable).
+	resume func(opts core.Options, allow func(core.Itemset) bool, rows *exact.Rows) core.Miner
+}
+
+// dpMiner returns the DP miners' resume constructor, with or without the
+// Chernoff pruning.
+func dpMiner(chernoff bool) func(core.Options, func(core.Itemset) bool, *exact.Rows) core.Miner {
+	return func(o core.Options, allow func(core.Itemset) bool, rows *exact.Rows) core.Miner {
+		return &exact.Miner{Method: exact.DP, Chernoff: chernoff, Workers: o.Workers, Progress: o.Progress, Restrict: allow, Rows: rows}
+	}
 }
 
 var registry = []Entry{
 	{"UApriori", ExpectedSupportFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
 		return &uapriori.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+	}, nil},
 	{"UFP-growth", ExpectedSupportFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
 		return &ufpgrowth.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+	}, nil},
 	{"UH-Mine", ExpectedSupportFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
 		return &uhmine.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+	}, nil},
 	{"DPNB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &exact.Miner{Method: exact.DP, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+		return dpMiner(false)(o, allow, nil)
+	}, dpMiner(false)},
 	{"DPB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &exact.Miner{Method: exact.DP, Chernoff: true, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+		return dpMiner(true)(o, allow, nil)
+	}, dpMiner(true)},
 	{"DCNB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
 		return &exact.Miner{Method: exact.DC, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+	}, nil},
 	{"DCB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
 		return &exact.Miner{Method: exact.DC, Chernoff: true, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+	}, nil},
 	{"PDUApriori", ApproxFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
 		return &approx.PDUApriori{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+	}, nil},
 	{"NDUApriori", ApproxFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
 		return &approx.NDUApriori{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+	}, nil},
 	{"NDUH-Mine", ApproxFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
 		return &approx.NDUHMine{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}},
+	}, nil},
 	// MCSampling is an extension beyond the paper's eight algorithms: the
 	// possible-world sampling estimator of the paper's reference [11]
 	// (Calders et al., PAKDD 2010). See internal/algo/sampling. It is the
@@ -101,7 +112,7 @@ var registry = []Entry{
 	// NewRestricted never passes it an allow.
 	{"MCSampling", ApproxFamily, false, func(o core.Options, _ func(core.Itemset) bool) core.Miner {
 		return &sampling.Miner{Workers: o.Workers, Progress: o.Progress}
-	}},
+	}, nil},
 }
 
 // lookup resolves a registry name to its entry — the single place name
@@ -168,6 +179,30 @@ func NewRestricted(name string, opts core.Options, allow func(core.Itemset) bool
 		return nil, fmt.Errorf("algo: %s does not support a candidate restriction", name)
 	}
 	return e.build(opts, allow), nil
+}
+
+// SupportsResume reports whether NewResumable accepts the named algorithm:
+// the DP miners, DPNB and DPB. Unknown names report false.
+func SupportsResume(name string) bool {
+	e, ok := lookup(name)
+	return ok && e.resume != nil
+}
+
+// NewResumable returns the named DP miner built like NewRestricted, with
+// its verification resuming from rows (see exact.Rows): a candidate whose
+// row a previous mine of a shorter prefix kept extends that row by the
+// appended transactions instead of re-running its DP. Results are
+// bit-identical to NewRestricted's. The incremental ledger's delta refresh
+// relies on this. Names other than DPNB and DPB are errors.
+func NewResumable(name string, opts core.Options, allow func(core.Itemset) bool, rows *exact.Rows) (core.Miner, error) {
+	e, ok := lookup(name)
+	if !ok {
+		return nil, errUnknown(name)
+	}
+	if e.resume == nil {
+		return nil, fmt.Errorf("algo: %s has no resumable verification", name)
+	}
+	return e.resume(opts, allow, rows), nil
 }
 
 // errUnknown is the uniform unknown-algorithm error.

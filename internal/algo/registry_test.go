@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"umine/internal/algo/exact"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 )
@@ -13,7 +14,9 @@ import (
 // against the miners its constructor builds: every constructor installs
 // the Progress observer, Partition entries honor NewRestricted's contract
 // (a superset restriction is bit-identical, a narrower one drops exactly
-// what it excludes), and NewRestricted rejects every other name.
+// what it excludes), and NewRestricted rejects every other name. Only the
+// DP miners are resumable: NewResumable builds them (mining bit-identical
+// to NewWith with rows kept) and rejects every other name.
 func TestRegistryCapabilityMetadata(t *testing.T) {
 	db := coretest.RandomDB(rand.New(rand.NewSource(19)), 200, 8, 0.8)
 	for _, e := range Entries() {
@@ -40,6 +43,23 @@ func TestRegistryCapabilityMetadata(t *testing.T) {
 		}
 		if sem, err := SemanticsOf(e.Name); err != nil || sem != m.Semantics() {
 			t.Errorf("SemanticsOf(%q) = (%v, %v), want (%v, nil)", e.Name, sem, err, m.Semantics())
+		}
+		resumable := e.Name == "DPNB" || e.Name == "DPB"
+		rows := exact.NewRows(th.MinSupCount(db.N()))
+		mr, err := NewResumable(e.Name, core.Options{Workers: 1}, nil, rows)
+		if SupportsResume(e.Name) != resumable || (err == nil) != resumable {
+			t.Errorf("SupportsResume(%q) = %v, NewResumable error %v; want resumable %v", e.Name, SupportsResume(e.Name), err, resumable)
+		}
+		if err == nil {
+			got, err := mr.Mine(context.Background(), db, th)
+			if err != nil {
+				t.Fatalf("%s resumable: %v", e.Name, err)
+			}
+			rows.Commit()
+			requireSameResults(t, e.Name+" resumable", want.Results, got)
+			if rows.Len() == 0 {
+				t.Errorf("%s resumable: the mine kept no rows", e.Name)
+			}
 		}
 		if ok {
 			m1, err := New(p1)
@@ -89,6 +109,9 @@ func TestRegistryCapabilityMetadata(t *testing.T) {
 	}
 	if _, err := NewRestricted("NoSuchMiner", core.Options{}, nil); err == nil {
 		t.Error("NewRestricted on an unknown name must fail")
+	}
+	if _, err := NewResumable("NoSuchMiner", core.Options{}, nil, exact.NewRows(1)); err == nil || SupportsResume("NoSuchMiner") {
+		t.Error("NewResumable on an unknown name must fail and SupportsResume report false")
 	}
 	if SupportsPartitions("NoSuchMiner") {
 		t.Error("SupportsPartitions on an unknown name must report false")

@@ -12,7 +12,7 @@
 // # Bit-identity
 //
 // Emitted results are bit-identical to a cold mine of the same snapshot at
-// every step. Two facts make that a theorem rather than an aspiration:
+// every step. Three facts make that a theorem rather than an aspiration:
 //
 //  1. The cutoff is the algorithm's phase-1 candidate floor
 //     (algo.Phase1ThresholdsFor): an itemset in the result set — and, by
@@ -31,12 +31,40 @@
 //     on. The restriction only skips work (candidates that provably cannot
 //     be results); it never changes how an admitted itemset is computed.
 //
-// The emission re-mine prices like the partition engine's phase 2 — a
-// restricted verification pass instead of a full candidate search — which
-// is the measured ~6× under a cold mine on verification-dominated
-// workloads (perfbench/README.md: ingest-notify's incmine.update_ms against
-// cold-exact's mine of the same DPNB query), while the delta scan itself is
-// microseconds per tracked itemset.
+//  3. For the DP miners (DPNB, DPB) a delta refresh resumes the exact DP
+//     instead of re-running it (algo.NewResumable): the §3.2.1 recurrence
+//     is a left fold over an itemset's containment probabilities in TID
+//     order, and an append only adds probabilities at the end. The ledger
+//     keeps, per verified itemset, the DP row of its last refresh
+//     (exact.Rows), cut at H = MinSupCount(baseN + B) with B the most
+//     appended transactions the border budget admits, so msc cannot pass H
+//     before the next rebuild. Each refresh folds only the new
+//     probabilities into the row and reads row[msc], which carries the bits
+//     of a fresh DP over the whole vector (internal/kernel, TailRow).
+//     ESup and Var still come from the restricted counting pass.
+//
+// The restricted re-mine prices like the partition engine's phase 2 — a
+// counting pass over the allowed itemsets instead of a full candidate
+// search — and the resumed rows take the DP off it. On perfbench's
+// ingest-notify (2 vCPU, seed 1: 2-transaction appends to a DPNB query over
+// ~3,400 transactions, ~350 allowed itemsets), incmine.update_ms fell from
+// 242–372 ms to 27–34 ms over two traced runs, most of what is left being
+// that counting pass. The delta scan itself is microseconds per tracked
+// itemset.
+//
+// Rows are only an execution shortcut, and a row is rebuilt by a fresh DP
+// whenever it cannot be resumed:
+//
+//   - the itemset has no kept row: the first delta refresh after a
+//     rebuild (the initial build and every fallback below start the store
+//     empty), or an itemset entering the verified set;
+//   - the row has folded more probabilities than the itemset now has, or
+//     its H is below msc (neither happens on an append-only stream; the
+//     checks keep a stale row from ever being read).
+//
+// Rows of itemsets the refresh did not verify to the end are dropped. A
+// refresh commits the advanced screens and rows only after its re-mine
+// succeeded, so a failed or canceled Update leaves the ledger as it was.
 //
 // # Fallbacks
 //
@@ -59,11 +87,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"umine/internal/algo"
+	"umine/internal/algo/exact"
 	"umine/internal/core"
 	"umine/internal/telemetry"
 )
@@ -201,18 +231,29 @@ type Ledger struct {
 	version   uint64
 	lastN     int
 	evictions int64
+	band
+	results   *core.ResultSet
+	seq       uint64
+	updates   uint64
+	fallbacks uint64
+	border    int
+}
+
+// band is the tracked state a refresh advances. A refresh works on a copy
+// and the ledger takes it only once the refresh's mine has succeeded, so a
+// failed or canceled Update leaves the ledger as it was.
+type band struct {
 	// baseN / baseFloor anchor the border budget: the band was mined at
 	// absolute floor baseFloor when the database held baseN transactions.
 	baseN     int
 	baseFloor float64
 	sets      []core.Itemset
 	screens   []float64
-	results   *core.ResultSet
-	seq       uint64
-	updates   uint64
-	fallbacks uint64
-	border    int
 	allowed   int
+	// rows keeps the resumable miners' DP rows (nil for every other
+	// algorithm). A rebuild starts it empty; each delta refresh's mine
+	// extends or builds the rows of the itemsets it verifies.
+	rows *exact.Rows
 }
 
 // New validates the configuration and returns an empty ledger; the first
@@ -268,49 +309,44 @@ func (l *Ledger) Update(ctx context.Context, snap Snapshot) (*Refresh, error) {
 	}
 
 	var (
+		next         band
 		rs           *core.ResultSet
 		deltaScanned int
-		err          error
 	)
 	if reason == "" {
-		var cutoff float64
-		cutoff, err = l.cutoffAbs(n)
+		ok, cutoff, err := l.withinBudget(l.band, n)
 		if err != nil {
 			return nil, err
 		}
-		// Border budget: since the last rebuild every untracked itemset can
-		// have gained at most 1 per appended transaction, starting below
-		// baseFloor. While the appends fit under cutoff − baseFloor no
-		// untracked itemset can have reached the cutoff (which itself sits
-		// a relative 1e-6 under the family floor), so the band is still a
-		// superset of every candidate a cold mine could report.
-		if float64(n-l.baseN) > cutoff-l.baseFloor {
+		if !ok {
 			reason = ReasonBorderExhausted
 		} else {
 			t0 := time.Now()
-			add := make([]float64, len(l.sets))
-			snap.DB.AccumulateESup(l.lastN, n, l.sets, add)
-			for i := range l.screens {
-				l.screens[i] += add[i]
+			next = l.band
+			next.screens = make([]float64, len(l.sets))
+			snap.DB.AccumulateESup(l.lastN, n, l.sets, next.screens)
+			for i, s := range l.screens {
+				next.screens[i] += s
 			}
 			deltaScanned = n - l.lastN
 			span.Record("delta scan", t0, time.Now(),
 				[2]string{"transactions", strconv.Itoa(deltaScanned)},
 				[2]string{"tracked", strconv.Itoa(len(l.sets))})
 			t1 := time.Now()
-			allow := l.allowSet(cutoff)
+			allow := next.allowSet(cutoff)
 			span.Record("border check", t1, time.Now(),
 				[2]string{"allowed", strconv.Itoa(len(allow))},
 				[2]string{"cutoff", strconv.FormatFloat(cutoff, 'g', 6, 64)})
-			l.allowed = len(allow)
-			rs, err = l.restrictedMine(ctx, snap.DB, allow)
+			next.allowed = len(allow)
+			rs, err = l.restrictedMine(ctx, snap.DB, allow, next.rows)
 			if err != nil {
 				return nil, err
 			}
 		}
 	}
 	if reason != "" {
-		rs, err = l.rebuild(ctx, snap.DB, n)
+		var err error
+		next, rs, err = l.rebuild(ctx, snap.DB, n)
 		if err != nil {
 			return nil, err
 		}
@@ -323,6 +359,12 @@ func (l *Ledger) Update(ctx context.Context, snap Snapshot) (*Refresh, error) {
 		[2]string{"left", strconv.Itoa(len(diff.Left))},
 		[2]string{"changed", strconv.Itoa(len(diff.Changed))})
 
+	// The refresh succeeded: commit the band, and the rows the delta
+	// refresh's mine staged.
+	if reason == "" && next.rows != nil {
+		next.rows.Commit()
+	}
+	l.band = next
 	l.built = true
 	l.version = snap.Version
 	l.lastN = n
@@ -362,11 +404,45 @@ func (l *Ledger) cutoffAbs(n int) (float64, error) {
 	return thp1.MinESupCount(n), nil
 }
 
+// withinBudget reports whether b's border budget admits a database of n
+// transactions, and returns the cutoff at n. Since the rebuild every
+// untracked itemset can have gained at most 1 per appended transaction,
+// starting below baseFloor. While the appends fit under cutoff −
+// baseFloor no untracked itemset can have reached the cutoff (which itself
+// sits a relative 1e-6 under the family floor), so the band is still a
+// superset of every candidate a cold mine could report.
+func (l *Ledger) withinBudget(b band, n int) (bool, float64, error) {
+	cutoff, err := l.cutoffAbs(n)
+	if err != nil {
+		return false, 0, err
+	}
+	return float64(n-b.baseN) <= cutoff-b.baseFloor, cutoff, nil
+}
+
+// rowHeight returns the DP row height H for a band: MinSupCount(baseN + B)
+// with B the most appended transactions its border budget admits, so no
+// refresh before the next rebuild reads a row above H. The DP family's
+// cutoff grows by under one per appended transaction, so the admitted
+// sizes are a prefix of the ones above baseN; a doubling probe brackets
+// its end and a binary search finds it.
+func (l *Ledger) rowHeight(b band) int {
+	admits := func(d int) bool {
+		ok, _, err := l.withinBudget(b, b.baseN+d)
+		return err == nil && ok
+	}
+	hi := 1
+	for admits(hi) && hi < 1<<40 {
+		hi *= 2
+	}
+	last := sort.Search(hi, func(d int) bool { return d > 0 && !admits(d) }) - 1
+	return l.cfg.Thresholds.MinSupCount(b.baseN + last)
+}
+
 // allowSet collects the tracked itemsets whose screens clear the cutoff.
-func (l *Ledger) allowSet(cutoff float64) map[string]struct{} {
-	allow := make(map[string]struct{}, len(l.sets))
-	for i, x := range l.sets {
-		if l.screens[i] >= cutoff-core.Eps {
+func (b *band) allowSet(cutoff float64) map[string]struct{} {
+	allow := make(map[string]struct{}, len(b.sets))
+	for i, x := range b.sets {
+		if b.screens[i] >= cutoff-core.Eps {
 			allow[x.Key()] = struct{}{}
 		}
 	}
@@ -376,12 +452,23 @@ func (l *Ledger) allowSet(cutoff float64) map[string]struct{} {
 // restrictedMine emits the refreshed result set: the target miner over the
 // full snapshot, restricted to the allowed band — bit-identical to a cold
 // mine because the band is a superset of the true result set (see the
-// package doc).
-func (l *Ledger) restrictedMine(ctx context.Context, db *core.Database, allow map[string]struct{}) (*core.ResultSet, error) {
-	m, err := algo.NewRestricted(l.cfg.Algorithm, core.Options{Workers: l.cfg.Workers}, func(x core.Itemset) bool {
+// package doc). With rows (the DP miners' delta refresh) the miner resumes
+// the kept DP rows; the caller commits them once the mine has succeeded.
+func (l *Ledger) restrictedMine(ctx context.Context, db *core.Database, allow map[string]struct{}, rows *exact.Rows) (*core.ResultSet, error) {
+	restrict := func(x core.Itemset) bool {
 		_, ok := allow[x.Key()]
 		return ok
-	})
+	}
+	opts := core.Options{Workers: l.cfg.Workers}
+	var (
+		m   core.Miner
+		err error
+	)
+	if rows != nil {
+		m, err = algo.NewResumable(l.cfg.Algorithm, opts, restrict, rows)
+	} else {
+		m, err = algo.NewRestricted(l.cfg.Algorithm, opts, restrict)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -390,34 +477,35 @@ func (l *Ledger) restrictedMine(ctx context.Context, db *core.Database, allow ma
 	if err != nil {
 		return nil, err
 	}
-	telemetry.SpanFromContext(ctx).Record("verify", t0, time.Now(),
-		[2]string{"results", strconv.Itoa(rs.Len())})
+	attrs := [][2]string{{"results", strconv.Itoa(rs.Len())}}
+	if rows != nil {
+		attrs = append(attrs, [2]string{"rows_resumed", strconv.Itoa(rows.Resumed())})
+	}
+	telemetry.SpanFromContext(ctx).Record("verify", t0, time.Now(), attrs...)
 	return rs, nil
 }
 
 // rebuild re-mines the tracked band from scratch at the widened floor and
-// emits through it (or, for unrestricted algorithms, fully re-mines).
-func (l *Ledger) rebuild(ctx context.Context, db *core.Database, n int) (*core.ResultSet, error) {
+// emits through it (or, for unrestricted algorithms, fully re-mines). It
+// returns the new band for the caller to commit.
+func (l *Ledger) rebuild(ctx context.Context, db *core.Database, n int) (band, *core.ResultSet, error) {
 	if l.phase1 == "" {
 		m, err := algo.NewWith(l.cfg.Algorithm, core.Options{Workers: l.cfg.Workers})
 		if err != nil {
-			return nil, err
+			return band{}, nil, err
 		}
 		t0 := time.Now()
 		rs, err := m.Mine(ctx, db, l.cfg.Thresholds)
 		if err != nil {
-			return nil, err
+			return band{}, nil, err
 		}
 		telemetry.SpanFromContext(ctx).Record("verify", t0, time.Now(),
 			[2]string{"results", strconv.Itoa(rs.Len())})
-		l.sets, l.screens = nil, nil
-		l.baseN, l.baseFloor = n, 0
-		l.allowed = rs.Len()
-		return rs, nil
+		return band{baseN: n, allowed: rs.Len()}, rs, nil
 	}
 	thp1, err := algo.Phase1ThresholdsFor(l.cfg.Algorithm, l.cfg.Thresholds, n)
 	if err != nil {
-		return nil, err
+		return band{}, nil, err
 	}
 	e0 := thp1.MinESup * (1 - l.borderFrac)
 	if e0 < 1e-15 {
@@ -425,27 +513,36 @@ func (l *Ledger) rebuild(ctx context.Context, db *core.Database, n int) (*core.R
 	}
 	p1, err := algo.NewWith(l.phase1, core.Options{Workers: l.cfg.Workers})
 	if err != nil {
-		return nil, err
+		return band{}, nil, err
 	}
 	t0 := time.Now()
 	trs, err := p1.Mine(ctx, db, core.Thresholds{MinESup: e0})
 	if err != nil {
-		return nil, err
+		return band{}, nil, err
 	}
 	telemetry.SpanFromContext(ctx).Record("border rebuild", t0, time.Now(),
 		[2]string{"tracked", strconv.Itoa(trs.Len())},
 		[2]string{"floor", strconv.FormatFloat(e0, 'g', 6, 64)})
-	l.sets = make([]core.Itemset, trs.Len())
-	l.screens = make([]float64, trs.Len())
-	for i, r := range trs.Results {
-		l.sets[i] = r.Itemset
-		l.screens[i] = r.ESup
+	b := band{
+		baseN:     n,
+		baseFloor: e0 * float64(n),
+		sets:      make([]core.Itemset, trs.Len()),
+		screens:   make([]float64, trs.Len()),
 	}
-	l.baseN = n
-	l.baseFloor = e0 * float64(n)
-	allow := l.allowSet(thp1.MinESupCount(n))
-	l.allowed = len(allow)
-	return l.restrictedMine(ctx, db, allow)
+	for i, r := range trs.Results {
+		b.sets[i] = r.Itemset
+		b.screens[i] = r.ESup
+	}
+	if algo.SupportsResume(l.cfg.Algorithm) {
+		b.rows = exact.NewRows(l.rowHeight(b))
+	}
+	allow := b.allowSet(thp1.MinESupCount(n))
+	b.allowed = len(allow)
+	rs, err := l.restrictedMine(ctx, db, allow, nil)
+	if err != nil {
+		return band{}, nil, err
+	}
+	return b, rs, nil
 }
 
 // diffLocked computes the transition from the previously emitted result set

@@ -3,12 +3,15 @@ package incmine
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"umine/internal/algo"
 	"umine/internal/core"
+	"umine/internal/kernel"
 )
 
 // randomTxs generates n deterministic random uncertain transactions over the
@@ -343,5 +346,258 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := led.Update(context.Background(), Snapshot{}); err == nil {
 		t.Error("nil snapshot database accepted")
+	}
+}
+
+// edgeTxs is randomTxs over items 2 and up, plus the pair {0, 1} (each at
+// probability 0.95) in every fifth base transaction and in the first rise
+// appended ones (those from n0 on). At min_sup 0.2 the pair starts just
+// under the threshold, enters the result set a few appends in, and leaves
+// again as the appends without it raise msc.
+func edgeTxs(rng *rand.Rand, n0, rise, total, items int) [][]core.Unit {
+	txs := randomTxs(rng, total, items-2)
+	for j, units := range txs {
+		for i := range units {
+			units[i].Item += 2
+		}
+		if (j < n0 && j%5 == 0) || (j >= n0 && j < n0+rise) {
+			units = append([]core.Unit{{Item: 0, Prob: 0.95}, {Item: 1, Prob: 0.95}}, units...)
+		}
+		txs[j] = units
+	}
+	return txs
+}
+
+// TestResumableLedgerProperty runs the DP miners' ledgers over random
+// append sequences (batches of 1–7 transactions) and checks every refresh
+// byte for byte against a cold mine. The sequences cross msc steps, and
+// itemsets enter and leave the result set on delta refreshes, so rows are
+// built mid-stream and dropped. The row store must actually be used: after
+// each delta refresh that follows another, some rows were resumed and
+// advanced, and msc never passes the store's height H.
+func TestResumableLedgerProperty(t *testing.T) {
+	const (
+		n0    = 240
+		items = 10
+	)
+	th := core.Thresholds{MinSup: 0.2, PFT: 0.6}
+	var mscSteps, entered, left, resumed, grown int
+	for _, name := range []string{"DPNB", "DPB"} {
+		for _, workers := range []int{1, 3} {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				var batches []int
+				total := n0
+				for total < n0+70 {
+					b := 1 + rng.Intn(7)
+					batches = append(batches, b)
+					total += b
+				}
+				txs := edgeTxs(rng, n0, 8, total, items)
+				led, err := New(Config{Dataset: "res", Algorithm: name, Thresholds: th, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				led.borderFrac = 0.8
+				ctx := context.Background()
+				n := n0
+				prev := map[string]bool{}
+				prevReason, prevMsc := ReasonInitial, 0
+				for step, b := range append([]int{0}, batches...) {
+					n += b
+					db := buildDB(t, txs, n)
+					var used map[string]int
+					if led.rows != nil {
+						used = map[string]int{}
+						for _, x := range led.sets {
+							if r := led.rows.Row(x); r != nil {
+								used[x.Key()] = r.Used()
+							}
+						}
+					}
+					up, err := led.Update(ctx, Snapshot{DB: db, Version: uint64(step + 1)})
+					if err != nil {
+						t.Fatalf("%s seed %d step %d: %v", name, seed, step, err)
+					}
+					if got, want := resultJSONBytes(t, up.Results), coldJSON(t, name, db, th, workers); !bytes.Equal(got, want) {
+						t.Fatalf("%s workers=%d seed %d step %d (reason %q): ledger diverged from the cold mine", name, workers, seed, step, up.Reason)
+					}
+					msc := th.MinSupCount(n)
+					cur := map[string]bool{}
+					for _, r := range up.Results.Results {
+						cur[r.Itemset.Key()] = true
+					}
+					if up.Reason == "" {
+						if led.rows == nil || led.rows.Len() == 0 {
+							t.Fatalf("%s seed %d step %d: delta refresh kept no DP rows", name, seed, step)
+						}
+						if msc > led.rows.H() {
+							t.Fatalf("%s seed %d step %d: msc %d passed the row height %d before a rebuild", name, seed, step, msc, led.rows.H())
+						}
+						if prevReason == "" {
+							if msc != prevMsc {
+								mscSteps++
+							}
+							for k := range cur {
+								if !prev[k] {
+									entered++
+								}
+							}
+							for k := range prev {
+								if !cur[k] {
+									left++
+								}
+							}
+							advanced := 0
+							for _, x := range led.sets {
+								if r := led.rows.Row(x); r != nil && used[x.Key()] > 0 && r.Used() > used[x.Key()] {
+									advanced++
+								}
+							}
+							if led.rows.Resumed() == 0 {
+								t.Fatalf("%s seed %d step %d: delta refresh resumed no rows", name, seed, step)
+							}
+							resumed += led.rows.Resumed()
+							grown += advanced
+						}
+					}
+					prev, prevReason, prevMsc = cur, up.Reason, msc
+				}
+			}
+		}
+	}
+	if mscSteps == 0 || entered == 0 || left == 0 || resumed == 0 || grown == 0 {
+		t.Fatalf("sequences crossed %d msc steps with %d itemsets entering and %d leaving on delta refreshes (%d rows resumed, %d advanced); want all > 0",
+			mscSteps, entered, left, resumed, grown)
+	}
+	t.Logf("%d msc steps, %d entered, %d left, %d rows resumed, %d advanced", mscSteps, entered, left, resumed, grown)
+}
+
+// bandState is a deep copy of a ledger's committed band: its screens,
+// border anchor and, per tracked itemset, a clone of the kept DP row.
+type bandState struct {
+	baseN   int
+	screens []float64
+	rows    map[string]*kernel.TailRow
+}
+
+func captureBand(l *Ledger) bandState {
+	st := bandState{baseN: l.baseN, screens: append([]float64(nil), l.screens...), rows: map[string]*kernel.TailRow{}}
+	for _, x := range l.sets {
+		if r := l.rows.Row(x); r != nil {
+			st.rows[x.Key()] = r.Clone()
+		}
+	}
+	return st
+}
+
+// sameBand reports where l's band differs from st, bit for bit: screens,
+// border anchor, and each row's used count, top and entries.
+func sameBand(t *testing.T, l *Ledger, st bandState) {
+	t.Helper()
+	if l.baseN != st.baseN || len(l.screens) != len(st.screens) {
+		t.Fatalf("band moved: baseN %d→%d, %d→%d screens", st.baseN, l.baseN, len(st.screens), len(l.screens))
+	}
+	for i, s := range l.screens {
+		if math.Float64bits(s) != math.Float64bits(st.screens[i]) {
+			t.Fatalf("screen %d (%v) moved from %v to %v", i, l.sets[i], st.screens[i], s)
+		}
+	}
+	kept := 0
+	for _, x := range l.sets {
+		r, want := l.rows.Row(x), st.rows[x.Key()]
+		if (r == nil) != (want == nil) {
+			t.Fatalf("row of %v: kept %v, was kept %v", x, r != nil, want != nil)
+		}
+		if r == nil {
+			continue
+		}
+		kept++
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("row of %v moved: used %d→%d", x, want.Used(), r.Used())
+		}
+		for m := 0; m <= r.H(); m++ {
+			if math.Float64bits(r.Tail(m)) != math.Float64bits(want.Tail(m)) {
+				t.Fatalf("row of %v moved at minCount %d", x, m)
+			}
+		}
+	}
+	if kept != l.rows.Len() {
+		t.Fatalf("store keeps %d rows, %d belong to tracked itemsets", l.rows.Len(), kept)
+	}
+}
+
+// TestResumableCanceledUpdate pins Update's contract that a canceled
+// refresh leaves the ledger as it was: on the delta path and on a
+// border-exhaustion rebuild, an already-canceled context returns
+// context.Canceled with the screens and every kept DP row unchanged, and
+// the retry matches both a ledger that never saw the cancel and the cold
+// mine, byte for byte.
+func TestResumableCanceledUpdate(t *testing.T) {
+	const name = "DPNB"
+	th := core.Thresholds{MinSup: 0.3, PFT: 0.6}
+	rng := rand.New(rand.NewSource(9))
+	txs := randomTxs(rng, 200, 12)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		label      string
+		borderFrac float64
+		grow       int
+		wantReason string
+	}{
+		{"delta", 0.4, 3, ""},
+		{"border-exhausted", 0.4, 40, ReasonBorderExhausted},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			newLedger := func() *Ledger {
+				led, err := New(Config{Dataset: "cancel", Algorithm: name, Thresholds: th, Workers: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				led.borderFrac = tc.borderFrac
+				for v, n := range []int{120, 122} {
+					if _, err := led.Update(ctx, Snapshot{DB: buildDB(t, txs, n), Version: uint64(v + 1)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return led
+			}
+			led, twin := newLedger(), newLedger()
+			if led.rows.Len() == 0 {
+				t.Fatal("the delta refresh kept no DP rows")
+			}
+			before, stats := captureBand(led), led.Stats()
+			db := buildDB(t, txs, 122+tc.grow)
+			snap := Snapshot{DB: db, Version: 3}
+			if _, err := led.Update(canceled, snap); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Update with a canceled context = %v, want context.Canceled", err)
+			}
+			sameBand(t, led, before)
+			if st := led.Stats(); st != stats {
+				t.Fatalf("stats moved across a canceled update: %+v → %+v", stats, st)
+			}
+
+			up, err := led.Update(ctx, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.Update(ctx, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up.Reason != tc.wantReason || want.Reason != tc.wantReason {
+				t.Fatalf("retry reason %q, twin %q, want %q", up.Reason, want.Reason, tc.wantReason)
+			}
+			if up.Allowed != want.Allowed || up.Tracked != want.Tracked {
+				t.Fatalf("retry allowed %d of %d tracked, twin %d of %d", up.Allowed, up.Tracked, want.Allowed, want.Tracked)
+			}
+			got := resultJSONBytes(t, up.Results)
+			if !bytes.Equal(got, resultJSONBytes(t, want.Results)) || !bytes.Equal(got, coldJSON(t, name, db, th, 3)) {
+				t.Fatal("retry after a canceled update diverged from the twin ledger or the cold mine")
+			}
+		})
 	}
 }

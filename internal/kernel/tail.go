@@ -15,8 +15,9 @@ import "math"
 // that domain — the skipped regions below are exactly zero only because no
 // input is NaN or infinite.
 //
-// Three observations let FreqTailDP skip work without moving a bit, and a
-// fourth lets FreqTailAbove stop on a candidate that cannot pass:
+// Three observations let FreqTailDP skip work without moving a bit, a
+// fourth lets FreqTailAbove stop on a candidate that cannot pass, and a
+// fifth lets TailRow resume the DP when more probabilities arrive:
 //
 //   - Zero triangle (top): after s probability-bearing transactions, mass
 //     can sit at index ≤ s only. The reference's updates above that index
@@ -49,6 +50,16 @@ import "math"
 //     never rejected runs the same loop to the end, so its value keeps
 //     FreqTailDP's bits.
 //
+//   - Resumable row: each entry's update reads only row[i−1] and row[i],
+//     never the row's length, so entries 0..minCount of a row cut at any
+//     H ≥ minCount carry the same bits as a row cut at minCount. Only the
+//     dead window depends on how many steps remain. A TailRow turns it off
+//     and keeps all H+1 entries live, so the row is prefix-resumable: fold
+//     ps[:m], later fold ps[m:] into the same row, and row[minCount] equals
+//     FreqTailDP(ps, minCount) bit for bit at every minCount ≤ H. Early
+//     rejection stays on while a row is first built (a rejected row is
+//     never kept) and is off when it is extended.
+//
 // The rounding slack makes the rejection certain for the computed value,
 // not just the exact one. With u = 2⁻⁵³:
 //
@@ -77,7 +88,9 @@ import "math"
 // Together the triangles cut the O(N·minCount) reference to
 // O(minCount·(N−minCount)) — for candidates whose support barely clears the
 // threshold (the ones count pruning lets through), that approaches O(N).
-// Early rejection then cuts most candidates that fail well before the end.
+// Early rejection then cuts most candidates that fail well before the end,
+// and a kept TailRow re-verifies after an append of m probabilities in
+// O(m·H) instead of a fresh DP over all of them.
 
 // checkEvery is how many transactions FreqTailAbove processes between
 // union-bound checks.
@@ -98,15 +111,96 @@ func FreqTailAbove(ps []float64, minCount int, thr float64) (fp float64, ok bool
 	return freqTail(ps, minCount, thr, true)
 }
 
-// freqTail is the one DP loop behind both entry points; reject enables the
-// union-bound checks against thr.
+// freqTail is FreqTailDP and FreqTailAbove: a row cut at minCount with the
+// dead window on; reject enables the union-bound checks against thr.
 func freqTail(ps []float64, minCount int, thr float64, reject bool) (float64, bool) {
 	if minCount <= 0 {
 		return 1, 1 > thr
 	}
-	n := len(ps)
-	if minCount > n {
+	if minCount > len(ps) {
 		return 0, 0 > thr
+	}
+	r := NewTailRow(minCount)
+	if !r.fold(ps, minCount, thr, reject, true) {
+		return 0, 0 > thr
+	}
+	v := r.Tail(minCount)
+	return v, v > thr
+}
+
+// TailRow is the DP row kept whole, so the fold can resume when more
+// probabilities arrive: entries 0..H stay live, and Tail reads any
+// minCount ≤ H bit-identically to FreqTailDP over every probability folded
+// so far (the fifth observation in the header).
+type TailRow struct {
+	row  []float64 // row[i] = Pr{≥ i among the folded probabilities}; row[0] ≡ 1
+	top  int       // highest index that can hold mass
+	used int       // probabilities folded so far
+}
+
+// NewTailRow returns the row of an empty vector, readable at every
+// minCount ≤ h.
+func NewTailRow(h int) *TailRow {
+	r := &TailRow{row: make([]float64, h+1)}
+	r.row[0] = 1
+	return r
+}
+
+// TailRowAbove is FreqTailAbove(ps, minCount, thr) keeping the row whole up
+// to h ≥ minCount. The row is returned when the DP ran to the end, and is
+// nil (with fp 0) when the union bound stopped it early.
+func TailRowAbove(ps []float64, h, minCount int, thr float64) (*TailRow, float64, bool) {
+	r := NewTailRow(h)
+	if !r.fold(ps, minCount, thr, true, false) {
+		return nil, 0, 0 > thr
+	}
+	fp := r.Tail(minCount)
+	return r, fp, fp > thr
+}
+
+// Extend folds ps into the row, in place.
+func (r *TailRow) Extend(ps []float64) { r.fold(ps, 0, 0, false, false) }
+
+// Tail returns Pr{K ≥ minCount} over the folded probabilities, for
+// minCount ≤ H.
+func (r *TailRow) Tail(minCount int) float64 {
+	if minCount <= 0 {
+		return 1
+	}
+	v := r.row[minCount]
+	if v > 1 {
+		v = 1
+	}
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// H is the largest minCount Tail can read.
+func (r *TailRow) H() int { return len(r.row) - 1 }
+
+// Used is how many probabilities the row has folded.
+func (r *TailRow) Used() int { return r.used }
+
+// Clone returns an independent copy of the row.
+func (r *TailRow) Clone() *TailRow {
+	c := *r
+	c.row = append([]float64(nil), r.row...)
+	return &c
+}
+
+// fold is the one DP loop: it advances the row by ps, raising top no
+// higher than H. With dead set it leaves entries below minCount − rem stale,
+// so the row answers minCount only, and stops once row[minCount] cannot
+// receive mass; with reject it runs the union-bound checks against thr,
+// which also catch a row[minCount] out of reach. A stopped fold reports
+// false and leaves the row unusable.
+func (r *TailRow) fold(ps []float64, minCount int, thr float64, reject, dead bool) bool {
+	n := len(ps)
+	deadAt := 0 // lo = deadAt − rem; top+rem < deadAt ends the fold
+	if dead {
+		deadAt = minCount
 	}
 	next := n // index of the next union-bound check; n = never
 	var rest, muPad, cut float64
@@ -118,24 +212,21 @@ func freqTail(ps []float64, minCount int, thr float64, reject bool) (float64, bo
 		cut = thr - float64(n+1)*0x1p-49
 		next = checkEvery - 1
 	}
-	// row[i] = Pr{≥ i among transactions seen so far}; row[0] ≡ 1.
-	row := make([]float64, minCount+1)
-	row[0] = 1
-	top := 0 // highest index that can hold mass
+	row, top := r.row, r.top
 	for j, p := range ps {
 		if p == 0 {
 			continue
 		}
-		if top < minCount {
+		if top < len(row)-1 {
 			top++
 		}
 		rem := n - j - 1 // steps after this one (p == 0 steps counted: conservative)
-		if top+rem < minCount {
+		if top+rem < deadAt {
 			// Even promoting mass every remaining step cannot reach
 			// row[minCount]: the reference would return an untouched 0.
-			return 0, 0 > thr
+			return false
 		}
-		lo := minCount - rem
+		lo := deadAt - rem
 		if lo < 1 {
 			lo = 1
 		}
@@ -157,18 +248,13 @@ func freqTail(ps []float64, minCount int, thr float64, reject bool) (float64, bo
 		if j >= next {
 			next = j + checkEvery
 			if unionBoundBelow(row, lo, top, minCount, rem, rest+muPad, cut) {
-				return 0, false
+				return false
 			}
 		}
 	}
-	v := row[minCount]
-	if v > 1 {
-		v = 1
-	}
-	if v < 0 {
-		v = 0
-	}
-	return v, v > thr
+	r.top = top
+	r.used += n
+	return true
 }
 
 // unionBoundBelow reports whether row[k] + Pr{R ≥ minCount−k+1} ≤ cut for

@@ -295,3 +295,114 @@ func BenchmarkFreqTailAboveReject(b *testing.B) {
 		FreqTailAbove(ps, 681, 0.7)
 	}
 }
+
+// tailRowEqual checks r against FreqTailDP and prob.PBFreqProbDP over ps,
+// the whole vector r has folded, at every minCount ≤ r.H().
+func tailRowEqual(t *testing.T, label string, r *TailRow, ps []float64) {
+	t.Helper()
+	if r.Used() != len(ps) {
+		t.Fatalf("%s: row folded %d probabilities, vector has %d", label, r.Used(), len(ps))
+	}
+	for m := 0; m <= r.H(); m++ {
+		got, dp, ref := r.Tail(m), FreqTailDP(ps, m), prob.PBFreqProbDP(ps, m)
+		if math.Float64bits(got) != math.Float64bits(dp) || math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("%s (n=%d, minCount=%d, H=%d): Tail %v (%#x), FreqTailDP %v (%#x), prob.PBFreqProbDP %v (%#x)",
+				label, len(ps), m, r.H(), got, math.Float64bits(got), dp, math.Float64bits(dp), ref, math.Float64bits(ref))
+		}
+	}
+}
+
+// extendAcross builds a row over ps[:cuts[0]] with TailRowAbove at
+// (minCount, thr) and extends it across the remaining pieces, checking the
+// build against FreqTailAbove and every prefix with tailRowEqual. A build
+// the union bound stopped starts over from NewTailRow.
+func extendAcross(t *testing.T, label string, ps []float64, cuts []int, h, minCount int, thr float64) {
+	t.Helper()
+	first := ps[:cuts[0]]
+	r, fp, ok := TailRowAbove(first, h, minCount, thr)
+	wantFP, wantOK := FreqTailAbove(first, minCount, thr)
+	if ok != wantOK || (ok && math.Float64bits(fp) != math.Float64bits(wantFP)) {
+		t.Fatalf("%s: TailRowAbove = (%v, %v), FreqTailAbove = (%v, %v)", label, fp, ok, wantFP, wantOK)
+	}
+	if ok && r == nil {
+		t.Fatalf("%s: accepted candidate returned no row", label)
+	}
+	if r == nil {
+		r = NewTailRow(h)
+		r.Extend(first)
+	}
+	tailRowEqual(t, label, r, first)
+	for i := 1; i <= len(cuts); i++ {
+		end := len(ps)
+		if i < len(cuts) {
+			end = cuts[i]
+		}
+		r.Extend(ps[cuts[i-1]:end])
+		tailRowEqual(t, label, r, ps[:end])
+	}
+}
+
+// TestTailRowMatchesDP pins the resumable row: built over a prefix (with
+// the union bound on) and extended piece by piece, it reads FreqTailDP's
+// and the reference's bits at every minCount ≤ H over every prefix, and a
+// clone extends independently of the row it came from.
+func TestTailRowMatchesDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + rng.Intn(160)
+		ps := genProbs(rng, n, 0.2*float64(trial%3), 0.1*float64(trial%2))
+		cuts := []int{rng.Intn(n + 1)}
+		for len(cuts) < 4 {
+			cuts = append(cuts, cuts[len(cuts)-1]+rng.Intn(n-cuts[len(cuts)-1]+1))
+		}
+		h := rng.Intn(n + 3)
+		minCount := rng.Intn(h + 1)
+		thr := []float64{-1, 0, 0.3, 0.9}[trial%4]
+		extendAcross(t, "random", ps, cuts, h, minCount, thr)
+	}
+
+	ps := genProbs(rng, 500, 0.1, 0.05)
+	r := NewTailRow(120)
+	r.Extend(ps[:200])
+	c := r.Clone()
+	c.Extend(ps[200:])
+	tailRowEqual(t, "clone", c, ps)
+	tailRowEqual(t, "original after clone", r, ps[:200])
+}
+
+// FuzzTailRowExtend fuzzes the resumable row: a vector in [0, 1] with exact
+// zeros and ones and subnormals, split at fuzzed points, built then extended
+// across the pieces, must read FreqTailDP's and prob.PBFreqProbDP's bits at
+// every minCount ≤ H over every prefix.
+func FuzzTailRowExtend(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint16(0), 0, 0, 0.5)
+	f.Add([]byte{32, 0, 64, 17, 65, 66}, uint16(2), uint16(1), 4, 2, 0.7)
+	f.Add([]byte{1, 2, 3, 0, 5, 64, 64, 9}, uint16(300), uint16(7), 9, 3, 0.05)
+	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 uint16, h, minCount int, thr float64) {
+		ps := make([]float64, len(data))
+		for i, b := range data {
+			switch v := int(b) % 68; {
+			case v == 65:
+				ps[i] = math.SmallestNonzeroFloat64
+			case v == 66:
+				ps[i] = 0x1p-1070
+			case v == 67:
+				ps[i] = 0x1p-1022 // smallest normal
+			default:
+				ps[i] = float64(v) / 64
+			}
+		}
+		n := len(ps)
+		a, b := int(cut1)%(n+1), int(cut2)%(n+1)
+		if a > b {
+			a, b = b, a
+		}
+		if h < 0 || h > n+2 {
+			h = n / 2
+		}
+		if minCount < 0 || minCount > h {
+			minCount = h / 2
+		}
+		extendAcross(t, "fuzz", ps, []int{a, b}, h, minCount, thr)
+	})
+}
