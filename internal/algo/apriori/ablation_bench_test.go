@@ -38,7 +38,7 @@ func BenchmarkAblationCounting(b *testing.B) {
 // pairCandidates builds up to n 2-itemset candidates over the most frequent
 // items, mimicking a level-2 counting pass.
 func pairCandidates(db *core.Database, n int) []Candidate {
-	esup := db.ItemESup()
+	esup, _ := db.ItemESupVar()
 	type ranked struct {
 		it core.Item
 		e  float64

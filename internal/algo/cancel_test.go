@@ -142,7 +142,7 @@ func TestCancelCompletedRunUnaffected(t *testing.T) {
 	}
 	db := cancelDB()
 	for _, e := range Entries() {
-		base := MustNew(e.Name)
+		base := MustNewWith(e.Name, core.Options{})
 		want, err := base.Mine(context.Background(), db, cancelThresholds(base))
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", e.Name, err)

@@ -11,17 +11,29 @@ import (
 	"umine/internal/dataset"
 )
 
+// familyNames returns the names of the algorithms in one family, in
+// registry order.
+func familyNames(f Family) []string {
+	var out []string
+	for _, e := range registry {
+		if e.Family == f {
+			out = append(out, e.Name)
+		}
+	}
+	return out
+}
+
 func TestRegistryCompleteness(t *testing.T) {
 	if got := len(Names()); got != 11 {
 		t.Fatalf("registry has %d algorithms, want 11 (8 + Chernoff variants + sampling extension)", got)
 	}
-	if got := len(ByFamily(ExpectedSupportFamily)); got != 3 {
+	if got := len(familyNames(ExpectedSupportFamily)); got != 3 {
 		t.Errorf("expected-support family size %d", got)
 	}
-	if got := len(ByFamily(ExactFamily)); got != 4 {
+	if got := len(familyNames(ExactFamily)); got != 4 {
 		t.Errorf("exact family size %d", got)
 	}
-	if got := len(ByFamily(ApproxFamily)); got != 4 {
+	if got := len(familyNames(ApproxFamily)); got != 4 {
 		t.Errorf("approx family size %d", got)
 	}
 	for _, name := range Names() {
@@ -75,8 +87,8 @@ func TestExpectedSupportFamilyAgrees(t *testing.T) {
 		for _, minESup := range tc.ths {
 			th := core.Thresholds{MinESup: minESup}
 			var ref *core.ResultSet
-			for _, name := range ByFamily(ExpectedSupportFamily) {
-				rs, err := MustNew(name).Mine(context.Background(), db, th)
+			for _, name := range familyNames(ExpectedSupportFamily) {
+				rs, err := MustNewWith(name, core.Options{}).Mine(context.Background(), db, th)
 				if err != nil {
 					t.Fatalf("%s on %s: %v", name, db.Name, err)
 				}
@@ -119,8 +131,8 @@ func TestExactFamilyAgrees(t *testing.T) {
 	for _, db := range dbs {
 		for _, th := range ths {
 			var ref *core.ResultSet
-			for _, name := range ByFamily(ExactFamily) {
-				rs, err := MustNew(name).Mine(context.Background(), db, th)
+			for _, name := range familyNames(ExactFamily) {
+				rs, err := MustNewWith(name, core.Options{}).Mine(context.Background(), db, th)
 				if err != nil {
 					t.Fatalf("%s on %s: %v", name, db.Name, err)
 				}
@@ -154,11 +166,11 @@ func TestBridgeBetweenDefinitions(t *testing.T) {
 	}
 	db := dataset.Connect.GenerateUncertain(0.01, 7)
 	th := core.Thresholds{MinSup: 0.4, PFT: 0.9}
-	exactRS, err := MustNew("DCB").Mine(context.Background(), db, th)
+	exactRS, err := MustNewWith("DCB", core.Options{}).Mine(context.Background(), db, th)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approxRS, err := MustNew("NDUH-Mine").Mine(context.Background(), db, th)
+	approxRS, err := MustNewWith("NDUH-Mine", core.Options{}).Mine(context.Background(), db, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +203,7 @@ func TestRandomizedCrossFamilyProperty(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		db := coretest.RandomDB(rng, 25, 6, 0.5)
 		th := core.Thresholds{MinSup: 0.25, PFT: 0.6}
-		rs, err := MustNew("DCB").Mine(context.Background(), db, th)
+		rs, err := MustNewWith("DCB", core.Options{}).Mine(context.Background(), db, th)
 		if err != nil {
 			t.Fatal(err)
 		}

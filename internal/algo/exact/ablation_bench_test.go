@@ -112,7 +112,7 @@ func TestFreqProbDCFullMatchesTruncated(t *testing.T) {
 // topPair returns the pair of the two items with the highest expected
 // supports — a candidate whose probability vector is long and non-trivial.
 func topPair(db *core.Database) core.Itemset {
-	esup := db.ItemESup()
+	esup, _ := db.ItemESupVar()
 	best, second := core.Item(0), core.Item(1)
 	for it := range esup {
 		if esup[it] > esup[best] {

@@ -28,7 +28,7 @@ func TestExecTuningDeterminism(t *testing.T) {
 	}
 	for _, name := range Names() {
 		var ths []core.Thresholds
-		switch MustNew(name).Semantics() {
+		switch MustNewWith(name, core.Options{}).Semantics() {
 		case core.ExpectedSupport:
 			ths = []core.Thresholds{{MinESup: 0.2}}
 		case core.Probabilistic:

@@ -38,7 +38,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	}
 	for _, db := range dbs {
 		for _, name := range Names() {
-			m := MustNew(name)
+			m := MustNewWith(name, core.Options{})
 			var th core.Thresholds
 			switch m.Semantics() {
 			case core.ExpectedSupport:

@@ -210,15 +210,6 @@ func errUnknown(name string) error {
 	return fmt.Errorf("algo: unknown algorithm %q (known: %v)", name, Names())
 }
 
-// MustNew is New panicking on unknown names; for tables of experiments.
-func MustNew(name string) core.Miner {
-	m, err := New(name)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // MustNewWith is NewWith panicking on unknown names.
 func MustNewWith(name string, opts core.Options) core.Miner {
 	m, err := NewWith(name, opts)
@@ -233,17 +224,6 @@ func Names() []string {
 	out := make([]string, len(registry))
 	for i, e := range registry {
 		out[i] = e.Name
-	}
-	return out
-}
-
-// ByFamily returns the names of the algorithms in one family.
-func ByFamily(f Family) []string {
-	var out []string
-	for _, e := range registry {
-		if e.Family == f {
-			out = append(out, e.Name)
-		}
 	}
 	return out
 }

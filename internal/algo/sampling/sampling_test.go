@@ -236,7 +236,7 @@ func (e *exactRef) mine(db *core.Database, th core.Thresholds) (*core.ResultSet,
 	var results []core.Result
 	frequent := map[string]bool{}
 	// Level 1.
-	esup := db.ItemESup()
+	esup, _ := db.ItemESupVar()
 	var level []core.Itemset
 	for it := range esup {
 		x := core.NewItemset(core.Item(it))

@@ -24,7 +24,7 @@ func TestLargeDBFreqProbSaturation(t *testing.T) {
 	th := core.Thresholds{MinSup: 0.02, PFT: 0.9}
 
 	share := func(db *core.Database) (float64, int) {
-		rs, err := MustNew("DCB").Mine(context.Background(), db, th)
+		rs, err := MustNewWith("DCB", core.Options{}).Mine(context.Background(), db, th)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,16 +7,17 @@ import (
 	"testing"
 
 	"umine/internal/core"
+	"umine/internal/core/coretest"
 )
 
 // The arena acceptance gate: every registered configuration must produce
 // byte-identical serialized results on an arena-built database
 // (core.NewDatabase streaming raw units through the Builder) and on a
 // legacy-style one (each transaction normalized separately, then assembled
-// with FromTransactions), at Workers ∈ {1, 4} × Partitions ∈ {1, 4}. The
-// storage refactor is a layout change, not a semantics change — the
-// construction route, like the worker count and the partition count, may
-// never move a bit.
+// with coretest.FromTransactions), at Workers ∈ {1, 4} × Partitions ∈
+// {1, 4}. The storage refactor is a layout change, not a semantics
+// change — the construction route, like the worker count and the partition
+// count, may never move a bit.
 
 // storageIdentityRaw generates the raw unit lists both constructions share:
 // dense enough that every family mines multiple levels, small enough that
@@ -53,7 +54,7 @@ func storageIdentityDBs(t *testing.T) (arena, legacy *core.Database) {
 		}
 		txs = append(txs, tx)
 	}
-	legacy = core.FromTransactions("storage-identity", txs)
+	legacy = coretest.FromTransactions("storage-identity", txs)
 	return arena, legacy
 }
 
@@ -66,7 +67,7 @@ func TestArenaDatabaseBitIdenticalAcrossConfigurations(t *testing.T) {
 	workerCounts := []int{1, 4}
 	partitionCounts := []int{1, 4}
 	for _, name := range names {
-		sem := MustNew(name).Semantics()
+		sem := MustNewWith(name, core.Options{}).Semantics()
 		var th core.Thresholds
 		switch sem {
 		case core.ExpectedSupport:

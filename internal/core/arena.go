@@ -136,20 +136,3 @@ func (b *Builder) Build() *Database {
 		offsets:  b.offsets,
 	}
 }
-
-// FromTransactions builds a Database from already-canonical transactions
-// (oldest first), copying them into a fresh arena. It is the counterpart of
-// NewDatabase for callers that hold normalized views — e.g. a stream
-// window's ring or an ingest batch.
-func FromTransactions(name string, txs []Transaction) *Database {
-	b := NewBuilder(name)
-	units := 0
-	for _, t := range txs {
-		units += t.Len()
-	}
-	b.Grow(len(txs), units)
-	for _, t := range txs {
-		b.AddCanonical(t)
-	}
-	return b.Build()
-}

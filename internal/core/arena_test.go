@@ -9,7 +9,7 @@ import (
 // The arena contract: a Database built by streaming raw units through the
 // Builder (NewDatabase's path) must be observationally identical — to the
 // bit — to one assembled legacy-style, transaction by transaction through
-// NormalizeTransaction and FromTransactions. The fuzz test drives both
+// NormalizeTransaction and Builder.AddCanonical. The fuzz test drives both
 // constructions from the same random raw unit lists; the deterministic
 // tests below pin the derived structures (vertical index, TID counts,
 // resident bytes) and the zero-allocation horizontal scan.
@@ -18,15 +18,15 @@ import (
 // did: each transaction normalized into its own columns, then assembled.
 func legacyBuild(t *testing.T, name string, raw [][]Unit) *Database {
 	t.Helper()
-	txs := make([]Transaction, 0, len(raw))
+	b := NewBuilder(name)
 	for i, units := range raw {
 		tx, err := NormalizeTransaction(units)
 		if err != nil {
 			t.Fatalf("transaction %d: %v", i, err)
 		}
-		txs = append(txs, tx)
+		b.AddCanonical(tx)
 	}
-	return FromTransactions(name, txs)
+	return b.Build()
 }
 
 // rawFromBytes decodes fuzz data into a bounded list of raw transactions:
@@ -60,10 +60,11 @@ func requireIdenticalDatabases(t *testing.T, arena, legacy *Database) {
 	if as, ls := arena.Stats(), legacy.Stats(); as != ls {
 		t.Fatalf("Stats differ:\n%+v\nvs\n%+v", as, ls)
 	}
-	ae, le := arena.ItemESup(), legacy.ItemESup()
+	ae, av := arena.ItemESupVar()
+	le, lv := legacy.ItemESupVar()
 	for it := range ae {
-		if !sameBits(ae[it], le[it]) {
-			t.Fatalf("ItemESup[%d]: %v vs %v", it, ae[it], le[it])
+		if !sameBits(ae[it], le[it]) || !sameBits(av[it], lv[it]) {
+			t.Fatalf("ItemESupVar[%d]: (%v, %v) vs (%v, %v)", it, ae[it], av[it], le[it], lv[it])
 		}
 	}
 	for j := 0; j < arena.N(); j++ {
@@ -102,7 +103,7 @@ func requireIdenticalDatabases(t *testing.T, arena, legacy *Database) {
 }
 
 // FuzzArenaMatchesLegacyConstruction round-trips random raw unit lists
-// through both construction paths and requires identical ItemESup, ESup,
+// through both construction paths and requires identical ItemESupVar, ESup,
 // TxProbs and Stats output (the arena is a layout change, not a semantics
 // change).
 func FuzzArenaMatchesLegacyConstruction(f *testing.F) {
@@ -171,8 +172,8 @@ func TestHorizontalScanAllocs(t *testing.T) {
 // TestVerticalIndexPostings: the lazily built vertical index must mirror
 // the horizontal columns exactly — per-item posting lengths equal the TID
 // counts, postings are ascending, probabilities match the views, and
-// summing a posting list reproduces ItemESup to the bit (same TID order,
-// same association).
+// summing a posting list reproduces ItemESupVar's esup to the bit (same TID
+// order, same association).
 func TestVerticalIndexPostings(t *testing.T) {
 	arena, _ := fuzzStyleDB(t, 7, 300, 10)
 	v := arena.Vertical()
@@ -180,10 +181,10 @@ func TestVerticalIndexPostings(t *testing.T) {
 		t.Fatal("Vertical() must return the one shared index")
 	}
 	counts := arena.ItemTIDCounts()
-	esup := arena.ItemESup()
+	esup, _ := arena.ItemESupVar()
 	for it := 0; it < arena.NumItems; it++ {
 		tids, probs := v.Postings(Item(it))
-		if len(tids) != int(counts[it]) || v.PostingsLen(Item(it)) != int(counts[it]) {
+		if len(tids) != int(counts[it]) {
 			t.Fatalf("item %d: postings length %d, counts %d", it, len(tids), counts[it])
 		}
 		sum := 0.0
@@ -197,7 +198,7 @@ func TestVerticalIndexPostings(t *testing.T) {
 			sum += probs[i]
 		}
 		if !sameBits(sum, esup[it]) {
-			t.Fatalf("item %d: posting sum %v vs ItemESup %v", it, sum, esup[it])
+			t.Fatalf("item %d: posting sum %v vs ItemESupVar %v", it, sum, esup[it])
 		}
 	}
 }

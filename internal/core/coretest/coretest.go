@@ -31,6 +31,16 @@ func PaperDB() *core.Database {
 	})
 }
 
+// FromTransactions builds a Database from already-canonical transactions
+// (oldest first), copying them into a fresh arena.
+func FromTransactions(name string, txs []core.Transaction) *core.Database {
+	b := core.NewBuilder(name)
+	for _, t := range txs {
+		b.AddCanonical(t)
+	}
+	return b.Build()
+}
+
 // RandomDB generates a random database: n transactions over m items, each
 // item present independently with the given density and a uniform random
 // existential probability in (0,1].

@@ -23,8 +23,8 @@ import (
 // allocation-free.
 //
 // A Database is immutable once built; miners never modify it and may share
-// one instance across goroutines. Construct one with NewDatabase, a
-// Builder, or FromTransactions.
+// one instance across goroutines. Construct one with NewDatabase or a
+// Builder.
 type Database struct {
 	// Name labels the database in reports (e.g. "connect-like").
 	Name string
@@ -178,17 +178,6 @@ func (db *Database) IndexBytes() int64 {
 		b += int64(len(*c)) * int64(unsafe.Sizeof(uint32(0)))
 	}
 	return b
-}
-
-// ItemESup returns the expected support of every single item in one scan:
-// esup({i}) = Σ_t Pr(i ∈ t). The returned slice is indexed by Item.
-func (db *Database) ItemESup() []float64 {
-	esup := make([]float64, db.NumItems)
-	lo, hi := db.span()
-	for k := lo; k < hi; k++ {
-		esup[db.items[k]] += db.probs[k]
-	}
-	return esup
 }
 
 // ItemESupVar returns per-item expected support and variance of support in

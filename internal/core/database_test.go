@@ -34,7 +34,7 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // expected-support-based frequent items.
 func TestPaperExample1(t *testing.T) {
 	db := PaperDB()
-	esup := db.ItemESup()
+	esup, _ := db.ItemESupVar()
 	want := map[Item]float64{itA: 2.1, itB: 1.4, itC: 2.6, itD: 1.2, itE: 1.3, itF: 1.8}
 	for it, w := range want {
 		if !almostEqual(esup[it], w, 1e-12) {
@@ -58,7 +58,7 @@ func TestPaperExample1(t *testing.T) {
 // {C:2.6, A:2.1, F:1.8, B:1.4, E:1.3, D:1.2} at min_esup = 0.25.
 func TestPaperFrequencyOrder(t *testing.T) {
 	db := PaperDB()
-	esup := db.ItemESup()
+	esup, _ := db.ItemESupVar()
 	order, rank := FrequencyOrder(esup, Thresholds{MinESup: 0.25}.MinESupCount(db.N()))
 	want := []Item{itC, itA, itF, itB, itE, itD}
 	if len(order) != len(want) {
@@ -298,23 +298,6 @@ func TestResultSetLookup(t *testing.T) {
 	}
 	if rs.MaxLen() != 2 {
 		t.Errorf("MaxLen = %d", rs.MaxLen())
-	}
-}
-
-func TestProjectTransaction(t *testing.T) {
-	db := PaperDB()
-	esup := db.ItemESup()
-	_, rank := FrequencyOrder(esup, 1.3) // frequent: C,A,F,B,E (D=1.2 out)
-	got := ProjectTransaction(db.Tx(0), rank)
-	// T1 = A(.8) B(.2) C(.9) D(.7) F(.8) → ordered C,A,F,B (D dropped, E absent)
-	wantItems := []Item{itC, itA, itF, itB}
-	if len(got) != len(wantItems) {
-		t.Fatalf("projected = %v", got)
-	}
-	for i, u := range got {
-		if u.Item != wantItems[i] {
-			t.Fatalf("projected = %v, want item order %v", got, wantItems)
-		}
 	}
 }
 

@@ -29,7 +29,7 @@
 //	len(tx), tx[i]              →  tx.Len(), tx.Unit(i)
 //	db.Transactions[j]          →  db.Tx(j)   (db.Transactions() materializes views)
 //	len(db.Transactions)        →  db.N()
-//	&Database{Transactions: …}  →  NewDatabase / Builder / FromTransactions
+//	&Database{Transactions: …}  →  NewDatabase / Builder (AddCanonical for views)
 //
 // Scans touch flat arrays instead of chasing N row pointers, Slice is an
 // O(1) re-slice of the offset table, and Database.Vertical lazily builds

@@ -44,21 +44,6 @@ func FrequencyOrder(esup []float64, minESupCount float64) (order []Item, rank []
 	return order, rank
 }
 
-// ProjectTransaction filters a transaction to frequent items and re-sorts its
-// units by frequency rank (most frequent first), the canonical input shape
-// for UFP-tree insertion and UH-Struct rows. Returns nil when no unit
-// survives.
-func ProjectTransaction(t Transaction, rank []int) []Unit {
-	var out []Unit
-	for i, it := range t.Items {
-		if rank[it] >= 0 {
-			out = append(out, Unit{Item: it, Prob: t.Probs[i]})
-		}
-	}
-	slices.SortFunc(out, func(a, b Unit) int { return cmp.Compare(rank[a.Item], rank[b.Item]) })
-	return out
-}
-
 // SortItemsets sorts itemsets into canonical order.
 func SortItemsets(sets []Itemset) {
 	slices.SortFunc(sets, func(a, b Itemset) int { return a.Compare(b) })

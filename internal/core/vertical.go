@@ -69,11 +69,6 @@ func (v *VerticalIndex) Postings(it Item) (tids []uint32, probs []float64) {
 	return v.tids[lo:hi], v.probs[lo:hi]
 }
 
-// PostingsLen returns the number of transactions mentioning item it.
-func (v *VerticalIndex) PostingsLen(it Item) int {
-	return int(v.offs[it+1] - v.offs[it])
-}
-
 // Bytes returns the index's resident size.
 func (v *VerticalIndex) Bytes() int64 {
 	return int64(len(v.tids))*int64(unsafe.Sizeof(uint32(0))+unsafe.Sizeof(float64(0))) +

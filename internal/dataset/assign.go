@@ -115,55 +115,3 @@ func (c ConstAssigner) Assign(*rand.Rand) float64 {
 	}
 	return c.P
 }
-
-// ItemAssigner assigns probabilities that may depend on the item identity —
-// e.g. popular items detected by better-calibrated sensors. Plain Assigners
-// are item-blind; ApplyItemwise accepts either.
-type ItemAssigner interface {
-	Name() string
-	// AssignItem draws a probability in (0, 1] for one occurrence of item.
-	AssignItem(item int, rng *rand.Rand) float64
-}
-
-// RankAssigner gives item i the base probability
-// Hi − (Hi − Lo)·(i / (Items−1)), jittered by ±Jitter, clamped to
-// [probFloor, 1]: low-numbered (popular, in the generators' rank order)
-// items get high probabilities and the tail gets low ones. This produces
-// the popularity-correlated uncertainty real deployments show, as opposed
-// to the paper's i.i.d. Gaussian assignment.
-type RankAssigner struct {
-	// Hi and Lo bound the base probability across the rank range.
-	Hi, Lo float64
-	// Items is the universe size the ranks are scaled against.
-	Items int
-	// Jitter is the half-width of the uniform noise added per occurrence.
-	Jitter float64
-}
-
-// Name implements ItemAssigner.
-func (r RankAssigner) Name() string {
-	return fmt.Sprintf("rank(%.2f..%.2f)", r.Hi, r.Lo)
-}
-
-// AssignItem implements ItemAssigner.
-func (r RankAssigner) AssignItem(item int, rng *rand.Rand) float64 {
-	span := 1.0
-	if r.Items > 1 {
-		span = float64(r.Items - 1)
-	}
-	frac := float64(item) / span
-	if frac > 1 {
-		frac = 1
-	}
-	p := r.Hi - (r.Hi-r.Lo)*frac
-	if r.Jitter > 0 {
-		p += (2*rng.Float64() - 1) * r.Jitter
-	}
-	if p < probFloor {
-		return probFloor
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}

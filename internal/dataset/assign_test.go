@@ -169,72 +169,3 @@ func TestZipfSamplerSubUnitSkew(t *testing.T) {
 		}
 	}
 }
-
-func TestRankAssignerGradient(t *testing.T) {
-	a := RankAssigner{Hi: 0.95, Lo: 0.1, Items: 100}
-	rng := rand.New(rand.NewSource(5))
-	first := a.AssignItem(0, rng)
-	mid := a.AssignItem(50, rng)
-	last := a.AssignItem(99, rng)
-	if math.Abs(first-0.95) > 1e-12 || math.Abs(last-0.1) > 1e-12 {
-		t.Errorf("rank endpoints: %v, %v; want 0.95, 0.1", first, last)
-	}
-	if !(first > mid && mid > last) {
-		t.Errorf("rank gradient broken: %v, %v, %v", first, mid, last)
-	}
-	// Out-of-range items clamp rather than extrapolate.
-	if got := a.AssignItem(500, rng); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("beyond-universe item got %v, want 0.1", got)
-	}
-}
-
-func TestRankAssignerJitterStaysInRange(t *testing.T) {
-	a := RankAssigner{Hi: 0.99, Lo: 0.02, Items: 50, Jitter: 0.1}
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 2000; i++ {
-		p := a.AssignItem(i%50, rng)
-		if p <= 0 || p > 1 {
-			t.Fatalf("jittered probability %v out of range", p)
-		}
-	}
-}
-
-func TestApplyItemwisePreservesShape(t *testing.T) {
-	det := Gazelle.Generate(0.005, 11)
-	rng := rand.New(rand.NewSource(12))
-	db := ApplyItemwise(det, RankAssigner{Hi: 0.9, Lo: 0.2, Items: det.NumItems, Jitter: 0.05}, rng)
-	if db.N() != len(det.Transactions) {
-		t.Fatalf("transaction count changed: %d vs %d", db.N(), len(det.Transactions))
-	}
-	for i, tx := range det.Transactions {
-		if db.TxLen(i) != len(tx) {
-			t.Fatalf("transaction %d length changed", i)
-		}
-	}
-	if err := db.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The correlation must be visible: mean probability of the most popular
-	// quartile exceeds the least popular quartile's.
-	quartile := db.NumItems / 4
-	var popSum, tailSum float64
-	var popN, tailN int
-	for _, tx := range db.Transactions() {
-		for i, it := range tx.Items {
-			if int(it) < quartile {
-				popSum += tx.Probs[i]
-				popN++
-			} else if int(it) >= 3*quartile {
-				tailSum += tx.Probs[i]
-				tailN++
-			}
-		}
-	}
-	if popN == 0 || tailN == 0 {
-		t.Skip("quartiles unpopulated at this scale")
-	}
-	if popSum/float64(popN) <= tailSum/float64(tailN) {
-		t.Errorf("popularity correlation missing: head mean %v, tail mean %v",
-			popSum/float64(popN), tailSum/float64(tailN))
-	}
-}

@@ -67,18 +67,7 @@ type Assigner interface {
 // floor, so the uncertain database preserves the deterministic one's shape
 // (same transactions, same lengths).
 func Apply(d *Deterministic, a Assigner, rng *rand.Rand) *core.Database {
-	return applyWith(d, fmt.Sprintf("%s+%s", d.Name, a.Name()), func(core.Item) float64 { return a.Assign(rng) })
-}
-
-// ApplyItemwise is Apply for item-aware assigners.
-func ApplyItemwise(d *Deterministic, a ItemAssigner, rng *rand.Rand) *core.Database {
-	return applyWith(d, fmt.Sprintf("%s+%s", d.Name, a.Name()), func(it core.Item) float64 { return a.AssignItem(int(it), rng) })
-}
-
-// applyWith is the shared arena-building loop behind Apply and
-// ApplyItemwise.
-func applyWith(d *Deterministic, name string, assign func(core.Item) float64) *core.Database {
-	b := core.NewBuilder(name)
+	b := core.NewBuilder(fmt.Sprintf("%s+%s", d.Name, a.Name()))
 	units := 0
 	for _, t := range d.Transactions {
 		units += len(t)
@@ -88,7 +77,7 @@ func applyWith(d *Deterministic, name string, assign func(core.Item) float64) *c
 	for _, t := range d.Transactions {
 		buf = buf[:0]
 		for _, it := range t {
-			buf = append(buf, core.Unit{Item: it, Prob: assign(it)})
+			buf = append(buf, core.Unit{Item: it, Prob: a.Assign(rng)})
 		}
 		if err := b.Add(buf); err != nil {
 			// Assigners guarantee (0,1]; an error here is a programming bug.

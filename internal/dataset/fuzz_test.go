@@ -77,7 +77,7 @@ func FuzzReadFIMI(f *testing.F) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteFIMI(&buf, d); err != nil {
+		if err := writeFIMI(&buf, d); err != nil {
 			t.Fatalf("serialize: %v", err)
 		}
 		back, err := ReadFIMI(&buf, "fuzz2")

@@ -67,27 +67,6 @@ func ReadFIMI(r io.Reader, name string) (*Deterministic, error) {
 	return d, nil
 }
 
-// WriteFIMI serializes a deterministic database in FIMI format.
-func WriteFIMI(w io.Writer, d *Deterministic) error {
-	bw := bufio.NewWriter(w)
-	for _, tx := range d.Transactions {
-		for i, it := range tx {
-			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(strconv.FormatUint(uint64(it), 10)); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadUncertain parses an uncertain transaction database in item:prob
 // format. Probabilities must be in (0, 1]; zero-probability units are
 // rejected (write them out by omitting the unit instead).

@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -48,6 +51,28 @@ func TestReadFIMIErrors(t *testing.T) {
 	}
 }
 
+// writeFIMI serializes a deterministic database in FIMI format, the
+// inverse of ReadFIMI.
+func writeFIMI(w io.Writer, d *Deterministic) error {
+	bw := bufio.NewWriter(w)
+	for _, tx := range d.Transactions {
+		for i, it := range tx {
+			if i > 0 {
+				if err := bw.WriteByte(' '); err != nil {
+					return err
+				}
+			}
+			if _, err := bw.WriteString(strconv.FormatUint(uint64(it), 10)); err != nil {
+				return err
+			}
+		}
+		if err := bw.WriteByte('\n'); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
 func TestFIMIRoundTrip(t *testing.T) {
 	d := &Deterministic{
 		Name:     "rt",
@@ -57,7 +82,7 @@ func TestFIMIRoundTrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteFIMI(&buf, d); err != nil {
+	if err := writeFIMI(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFIMI(&buf, "rt")

@@ -146,19 +146,3 @@ func CompareSets(approx, exact *core.ResultSet) Accuracy {
 	}
 	return acc
 }
-
-// Diff lists the itemsets present in a but not in b, in canonical order —
-// used by consistency checks and debugging output.
-func Diff(a, b *core.ResultSet) []core.Itemset {
-	bSet := make(map[string]bool, b.Len())
-	for _, r := range b.Results {
-		bSet[r.Itemset.Key()] = true
-	}
-	var out []core.Itemset
-	for _, r := range a.Results {
-		if !bSet[r.Itemset.Key()] {
-			out = append(out, r.Itemset)
-		}
-	}
-	return out
-}

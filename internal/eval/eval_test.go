@@ -100,18 +100,6 @@ func TestCompareSetsEmptyDenominators(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	a := rsOf(core.NewItemset(1), core.NewItemset(2))
-	b := rsOf(core.NewItemset(2), core.NewItemset(3))
-	d := Diff(a, b)
-	if len(d) != 1 || !d[0].Equal(core.NewItemset(1)) {
-		t.Fatalf("diff = %v", d)
-	}
-	if len(Diff(a, a)) != 0 {
-		t.Fatal("self-diff not empty")
-	}
-}
-
 func TestRunWithRealMiner(t *testing.T) {
 	// End-to-end: measurement of an actual mining run returns consistent
 	// results.
@@ -133,7 +121,7 @@ func (m *realMinerAdapter) Semantics() core.Semantics { return core.ExpectedSupp
 func (m *realMinerAdapter) Mine(ctx context.Context, db *core.Database, th core.Thresholds) (*core.ResultSet, error) {
 	minCount := th.MinESupCount(db.N())
 	rs := &core.ResultSet{Algorithm: m.Name()}
-	esup := db.ItemESup()
+	esup, _ := db.ItemESupVar()
 	for it, e := range esup {
 		if e >= minCount-core.Eps {
 			rs.Results = append(rs.Results, core.Result{Itemset: core.NewItemset(core.Item(it)), ESup: e})

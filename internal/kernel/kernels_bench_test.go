@@ -182,15 +182,16 @@ func TestWriteKernelsBench(t *testing.T) {
 	{
 		ddb := dataset.Accident.GenerateUncertain(0.01, 3)
 		vert := ddb.Vertical()
-		minLen := ddb.N() / 5 // the MinESup 0.2 support floor, as a length cut
+		postingsLen := ddb.ItemTIDCounts()
+		minLen := uint32(ddb.N() / 5) // the MinESup 0.2 support floor, as a length cut
 		var items []core.Item
 		for i := 0; i < vert.NumItems(); i++ {
-			if vert.PostingsLen(core.Item(i)) >= minLen {
+			if postingsLen[i] >= minLen {
 				items = append(items, core.Item(i))
 			}
 		}
 		sort.Slice(items, func(i, j int) bool {
-			li, lj := vert.PostingsLen(items[i]), vert.PostingsLen(items[j])
+			li, lj := postingsLen[items[i]], postingsLen[items[j]]
 			if li != lj {
 				return li > lj
 			}

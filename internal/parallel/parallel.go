@@ -20,7 +20,7 @@
 // The layer is context-aware: the *Ctx variants stop dispatching tasks the
 // moment the context is done (cancellation latency bounded by one task),
 // drain the pool fully — no goroutine or pool slot outlives the call — and
-// return ctx.Err(). The ctx-free wrappers run under context.Background();
+// return ctx.Err(). The ctx-free DoChunks runs under context.Background();
 // a completed run is identical either way.
 package parallel
 
@@ -45,22 +45,19 @@ func Resolve(workers int) int {
 	}
 }
 
-// Do runs n independent tasks on a bounded pool of Resolve(workers)
+// DoCtx runs n independent tasks on a bounded pool of Resolve(workers)
 // goroutines (never more than n). Tasks are claimed in index order from an
 // atomic counter; with workers <= 1 the tasks run inline, in order, with no
-// goroutines. Do returns when every task has finished.
+// goroutines. DoCtx returns when every claimed task has finished.
 //
 // Tasks must be independent: they may not assume any ordering between each
 // other beyond "claimed in index order", and must write results to
 // index-addressed slots (or otherwise synchronize) themselves.
-func Do(workers, n int, task func(i int)) {
-	DoCtx(context.Background(), workers, n, task)
-}
-
-// DoCtx is Do under a context: workers stop claiming new tasks once ctx is
-// done, already-claimed tasks run to completion (cancellation latency is
-// bounded by one task), the pool fully drains — no goroutine outlives the
-// call — and DoCtx returns ctx.Err().
+//
+// Workers stop claiming new tasks once ctx is done, already-claimed tasks
+// run to completion (cancellation latency is bounded by one task), the pool
+// fully drains — no goroutine outlives the call — and DoCtx returns
+// ctx.Err().
 //
 // Tasks that were never claimed are simply skipped, so on cancellation the
 // index-addressed result slots of unclaimed tasks keep their zero values;
@@ -111,17 +108,11 @@ func DoCtx(ctx context.Context, workers, n int, task func(i int)) error {
 	return ctx.Err()
 }
 
-// Map applies fn to every element of in on the bounded pool and returns the
-// results in input order. fn receives the element index and value; it must
-// be safe for concurrent use when workers > 1.
-func Map[T, R any](workers int, in []T, fn func(i int, v T) R) []R {
-	out, _ := MapCtx(context.Background(), workers, in, fn)
-	return out
-}
-
-// MapCtx is Map under a context, with DoCtx's cancellation semantics: on a
-// non-nil error the returned slice is partial (unclaimed elements hold zero
-// values) and must be discarded.
+// MapCtx applies fn to every element of in on the bounded pool and returns
+// the results in input order. fn receives the element index and value; it
+// must be safe for concurrent use when workers > 1. Cancellation is DoCtx's:
+// on a non-nil error the returned slice is partial (unclaimed elements hold
+// zero values) and must be discarded.
 func MapCtx[T, R any](ctx context.Context, workers int, in []T, fn func(i int, v T) R) ([]R, error) {
 	out := make([]R, len(in))
 	err := DoCtx(ctx, workers, len(in), func(i int) {

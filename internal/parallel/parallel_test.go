@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -29,9 +30,11 @@ func TestDoRunsEveryTaskExactlyOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 16} {
 		for _, n := range []int{0, 1, 5, 100} {
 			counts := make([]int32, n)
-			Do(workers, n, func(i int) {
+			if err := DoCtx(context.Background(), workers, n, func(i int) {
 				atomic.AddInt32(&counts[i], 1)
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			for i, c := range counts {
 				if c != 1 {
 					t.Fatalf("workers=%d n=%d: task %d ran %d times", workers, n, i, c)
@@ -48,7 +51,7 @@ func TestDoRunsEveryTaskExactlyOnce(t *testing.T) {
 func TestDoBoundsConcurrency(t *testing.T) {
 	const workers, n = 4, 64
 	var inFlight, peak int32
-	Do(workers, n, func(i int) {
+	DoCtx(context.Background(), workers, n, func(i int) {
 		cur := atomic.AddInt32(&inFlight, 1)
 		for {
 			p := atomic.LoadInt32(&peak)
@@ -70,15 +73,18 @@ func TestMapPreservesOrder(t *testing.T) {
 		in[i] = i
 	}
 	for _, workers := range []int{1, 2, 8} {
-		out := Map(workers, in, func(i, v int) int { return v * v })
+		out, err := MapCtx(context.Background(), workers, in, func(i, v int) int { return v * v })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
 		}
 	}
-	if got := Map(4, nil, func(i, v int) int { return v }); len(got) != 0 {
-		t.Fatalf("Map over nil returned %d elements", len(got))
+	if got, _ := MapCtx(context.Background(), 4, nil, func(i, v int) int { return v }); len(got) != 0 {
+		t.Fatalf("MapCtx over nil returned %d elements", len(got))
 	}
 }
 

@@ -52,13 +52,6 @@ type StealStats struct {
 	Inline int64
 }
 
-// Add accumulates other into s.
-func (s *StealStats) Add(other StealStats) {
-	s.Spawned += other.Spawned
-	s.Stolen += other.Stolen
-	s.Inline += other.Inline
-}
-
 // Task is one unit of stealable work. The Forker argument lets the task
 // submit subtasks; it is valid only for the duration of the call and only on
 // the calling goroutine.

@@ -83,9 +83,9 @@ func TestPartitionedMineBitIdentical(t *testing.T) {
 	}
 	for _, db := range dbs {
 		for _, name := range partitionableNames(t) {
-			sem := algo.MustNew(name).Semantics()
+			sem := algo.MustNewWith(name, core.Options{}).Semantics()
 			th := sonThresholds(db, sem)
-			ref, err := algo.MustNew(name).Mine(context.Background(), db, th)
+			ref, err := algo.MustNewWith(name, core.Options{}).Mine(context.Background(), db, th)
 			if err != nil {
 				t.Fatalf("%s single-shot on %s: %v", name, db.Name, err)
 			}

@@ -37,23 +37,3 @@ func ChernoffInfrequent(mu float64, minCount int, pft float64) bool {
 	}
 	return bound < pft
 }
-
-// ChernoffBound returns the Chernoff upper bound on Pr{sup ≥ minCount}
-// itself (1 when vacuous), for diagnostics and ablation reporting.
-func ChernoffBound(mu float64, minCount int) float64 {
-	if mu <= 0 {
-		if minCount >= 1 {
-			return 0
-		}
-		return 1
-	}
-	delta := (float64(minCount) - mu - 1) / mu
-	if delta <= 0 {
-		return 1
-	}
-	const twoEMinus1 = 2*math.E - 1
-	if delta > twoEMinus1 {
-		return math.Exp2(-delta * mu)
-	}
-	return math.Exp(-delta * delta * mu / 4)
-}

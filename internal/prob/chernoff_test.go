@@ -17,7 +17,7 @@ func TestChernoffNeverFalselyDismisses(t *testing.T) {
 		for i := range ps {
 			ps[i] = rng.Float64()
 		}
-		mu, _ := PBMeanVar(ps)
+		mu, _ := pbMeanVar(ps)
 		minCount := 1 + rng.Intn(n)
 		pft := rng.Float64()*0.98 + 0.01
 		if ChernoffInfrequent(mu, minCount, pft) {
@@ -60,6 +60,9 @@ func TestChernoffPrunesFarTail(t *testing.T) {
 	}
 }
 
+// TestChernoffBoundDominatesExactTail: the Lemma 1 bound is never below the
+// exact tail, so the test never prunes at pft just under the exact tail,
+// including minCount beyond n where the tail is exactly zero.
 func TestChernoffBoundDominatesExactTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 1000; trial++ {
@@ -68,29 +71,28 @@ func TestChernoffBoundDominatesExactTail(t *testing.T) {
 		for i := range ps {
 			ps[i] = rng.Float64()
 		}
-		mu, _ := PBMeanVar(ps)
+		mu, _ := pbMeanVar(ps)
 		minCount := 1 + rng.Intn(n+5)
-		bound := ChernoffBound(mu, minCount)
 		exact := PBTailGE(ps, minCount)
-		if exact > bound+1e-9 {
-			t.Fatalf("bound %v below exact tail %v (mu=%v, minCount=%d)",
-				bound, exact, mu, minCount)
+		if ChernoffInfrequent(mu, minCount, exact-1e-9) {
+			t.Fatalf("bound below exact tail %v (mu=%v, minCount=%d)", exact, mu, minCount)
 		}
 	}
 }
 
+// TestChernoffBoundEdges: the bound in the far tail is tiny but positive
+// (it prunes at pft 1e-100, not at the smallest positive pft), and it is a
+// number, not NaN, in the e^{−δ²µ/4} branch. TestChernoffZeroMean and
+// TestChernoffVacuousWhenMeanExceedsThreshold cover the other edges.
 func TestChernoffBoundEdges(t *testing.T) {
-	if ChernoffBound(0, 1) != 0 || ChernoffBound(0, 0) != 1 {
-		t.Error("zero-mean edges wrong")
+	if !ChernoffInfrequent(1, 1000, 1e-100) {
+		t.Error("extreme tail bound not below 1e-100")
 	}
-	if ChernoffBound(5, 3) != 1 {
-		t.Error("vacuous bound must be 1")
+	if ChernoffInfrequent(1, 1000, math.SmallestNonzeroFloat64) {
+		t.Error("extreme tail bound not positive")
 	}
-	if b := ChernoffBound(1, 1000); b <= 0 || b > 1e-100 {
-		t.Errorf("extreme tail bound = %v, want tiny positive", b)
-	}
-	if math.IsNaN(ChernoffBound(2.5, 7)) {
-		t.Error("NaN bound")
+	if !ChernoffInfrequent(2.5, 7, 1) {
+		t.Error("bound in the δ ≤ 2e−1 branch is not below 1")
 	}
 }
 

@@ -2,9 +2,9 @@ package prob
 
 import "math"
 
-// Regularized incomplete gamma functions, after the classic series /
-// continued-fraction split (Numerical Recipes §6.2). They power the O(1)
-// Poisson CDF used by PDUApriori's λ-inversion.
+// The regularized upper incomplete gamma function, after the classic
+// series / continued-fraction split (Numerical Recipes §6.2). It powers the
+// O(1) Poisson CDF used by PDUApriori's λ-inversion.
 
 const (
 	gammaEps     = 1e-15
@@ -13,22 +13,8 @@ const (
 	gammaCFTweak = 1e-30
 )
 
-// RegLowerGamma returns P(a, x) = γ(a,x)/Γ(a), the regularized lower
+// RegUpperGamma returns Q(a, x) = Γ(a,x)/Γ(a), the regularized upper
 // incomplete gamma function, for a > 0, x ≥ 0.
-func RegLowerGamma(a, x float64) float64 {
-	switch {
-	case math.IsNaN(a) || math.IsNaN(x) || a <= 0 || x < 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	case x < a+1:
-		return gammaSeries(a, x)
-	default:
-		return 1 - gammaContinuedFraction(a, x)
-	}
-}
-
-// RegUpperGamma returns Q(a, x) = 1 − P(a, x).
 func RegUpperGamma(a, x float64) float64 {
 	switch {
 	case math.IsNaN(a) || math.IsNaN(x) || a <= 0 || x < 0:

@@ -1,30 +1,24 @@
-// Package prob is the probability and statistics substrate shared by every
-// mining algorithm in this repository: Normal and Poisson distribution
-// functions, the Poisson-Binomial support distribution, the Chernoff
-// bound-based pruning test of the paper's Lemma 1, and an FFT-backed
-// polynomial convolution used by the divide-and-conquer exact miner.
+// Package prob is the probability substrate the miners share. The paper's
+// central observation (Sections 1 and 3.3) is that the support of an itemset
+// over an uncertain database is Poisson-Binomial distributed, so its
+// frequentness probability is a tail of that distribution. Each function
+// here serves one way of computing or bounding that tail:
 //
-// The paper's central observation (Sections 1 and 3.3) is that the support
-// of an itemset over an uncertain database is Poisson-Binomial distributed,
-// so its frequentness probability is a tail of that distribution — computed
-// exactly by dynamic programming or convolution, approximated by a Poisson
-// distribution matched on the mean, or by a Normal distribution matched on
-// mean and variance (Lyapunov CLT). Everything in this package exists to
-// serve one of those four paths.
+//   - exact: PBDistTruncated and the FFT-backed Convolve and
+//     ConvolveTruncated (the divide-and-conquer miners), and PBDist,
+//     PBQuantile and PBInterval (support confidence intervals);
+//   - Poisson, matched on the mean: PoissonCDF, PoissonFreqProb and
+//     InversePoissonLambda (PDUApriori), over RegUpperGamma;
+//   - Normal, matched on mean and variance (Lyapunov CLT): NormalFreqProb
+//     and StdNormalTail (NDUApriori, NDUH-Mine and the stream window);
+//   - Chernoff: ChernoffInfrequent, the pruning test of Lemma 1.
+//
+// PBFreqProbDP and PBTailGE are the paper's plain DP recurrence and the
+// exact tail from the truncated distribution; only tests call them, as the
+// references the miners' exact paths are checked against.
 package prob
 
 import "math"
-
-// NormalCDF returns Φ((x−mu)/sigma), the CDF of the Normal distribution
-// with the given mean and standard deviation. sigma must be positive.
-func NormalCDF(x, mu, sigma float64) float64 {
-	return StdNormalCDF((x - mu) / sigma)
-}
-
-// StdNormalCDF returns Φ(z) for the standard Normal distribution.
-func StdNormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
 
 // StdNormalTail returns 1 − Φ(z) with full precision in the upper tail.
 func StdNormalTail(z float64) float64 {
@@ -53,29 +47,4 @@ func NormalFreqProb(esup, variance float64, minCount int) float64 {
 		return 0
 	}
 	return StdNormalTail((m - esup) / math.Sqrt(variance))
-}
-
-// StdNormalQuantile returns z with Φ(z) = p, for p in (0,1), via bisection
-// refined by one Newton step. Accuracy ~1e-12, ample for threshold
-// inversions.
-func StdNormalQuantile(p float64) float64 {
-	if math.IsNaN(p) || p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if StdNormalCDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	z := (lo + hi) / 2
-	// One Newton polish: f(z) = Φ(z) − p, f'(z) = φ(z).
-	pdf := math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
-	if pdf > 1e-300 {
-		z -= (StdNormalCDF(z) - p) / pdf
-	}
-	return z
 }

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 )
 
+// Φ(z) = Tail(−z): the known values of the standard Normal CDF check
+// StdNormalTail over its whole range.
 func TestStdNormalCDFKnownValues(t *testing.T) {
 	tests := []struct {
 		z, want float64
@@ -20,7 +22,7 @@ func TestStdNormalCDFKnownValues(t *testing.T) {
 		{-6, 9.865876450376946e-10},
 	}
 	for _, tc := range tests {
-		if got := StdNormalCDF(tc.z); math.Abs(got-tc.want) > 1e-12 {
+		if got := StdNormalTail(-tc.z); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("Φ(%v) = %v, want %v", tc.z, got, tc.want)
 		}
 	}
@@ -28,8 +30,8 @@ func TestStdNormalCDFKnownValues(t *testing.T) {
 
 func TestStdNormalTailComplement(t *testing.T) {
 	for _, z := range []float64{-8, -3, -1, 0, 0.5, 2, 8} {
-		if got := StdNormalCDF(z) + StdNormalTail(z); math.Abs(got-1) > 1e-12 {
-			t.Errorf("CDF+Tail at %v = %v", z, got)
+		if got := StdNormalTail(-z) + StdNormalTail(z); math.Abs(got-1) > 1e-12 {
+			t.Errorf("Tail(-z)+Tail(z) at %v = %v", z, got)
 		}
 	}
 	// Tail precision far out where 1−Φ underflows naive computation.
@@ -38,12 +40,16 @@ func TestStdNormalTailComplement(t *testing.T) {
 	}
 }
 
+// TestNormalCDFLocationScale: NormalFreqProb is the Normal tail with
+// location esup and scale sqrt(variance), so moving esup one standard
+// deviation above the corrected threshold gives Φ(1), below it 1 − Φ(1).
 func TestNormalCDFLocationScale(t *testing.T) {
-	if got := NormalCDF(5, 5, 2); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("NormalCDF(mean) = %v", got)
+	const phi1 = 0.8413447460685429
+	if got := NormalFreqProb(9.5+2, 4, 10); math.Abs(got-phi1) > 1e-12 {
+		t.Errorf("NormalFreqProb(+1σ) = %v, want Φ(1)", got)
 	}
-	if got := NormalCDF(7, 5, 2); math.Abs(got-StdNormalCDF(1)) > 1e-12 {
-		t.Errorf("NormalCDF(+1σ) = %v", got)
+	if got := NormalFreqProb(9.5-2, 4, 10); math.Abs(got-(1-phi1)) > 1e-12 {
+		t.Errorf("NormalFreqProb(−1σ) = %v, want 1 − Φ(1)", got)
 	}
 }
 
@@ -70,48 +76,39 @@ func TestNormalFreqProbBehaviour(t *testing.T) {
 	}
 }
 
-func TestStdNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{1e-8, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1 - 1e-8} {
-		z := StdNormalQuantile(p)
-		if got := StdNormalCDF(z); math.Abs(got-p) > 1e-9 {
-			t.Errorf("Φ(Φ⁻¹(%v)) = %v", p, got)
-		}
-	}
-	for _, p := range []float64{0, 1, -0.5, 1.5, math.NaN()} {
-		if !math.IsNaN(StdNormalQuantile(p)) {
-			t.Errorf("quantile(%v) should be NaN", p)
-		}
-	}
-}
-
+// The power series computes P(a, x) and the continued fraction Q(a, x);
+// RegUpperGamma switches between them at x = a+1, so around the switch both
+// must converge and sum to one, and Q must stay in [0, 1] everywhere.
 func TestRegGammaComplement(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		a := rng.Float64()*50 + 0.01
-		x := rng.Float64() * 100
-		p, q := RegLowerGamma(a, x), RegUpperGamma(a, x)
+		x := (a + 1) * (0.8 + 0.4*rng.Float64())
+		p, q := gammaSeries(a, x), gammaContinuedFraction(a, x)
 		if math.Abs(p+q-1) > 1e-10 {
 			t.Fatalf("P+Q = %v at a=%v x=%v", p+q, a, x)
 		}
-		if p < 0 || p > 1 || q < 0 || q > 1 {
-			t.Fatalf("out of range: P=%v Q=%v at a=%v x=%v", p, q, a, x)
+		x = rng.Float64() * 100
+		if q := RegUpperGamma(a, x); q < 0 || q > 1 {
+			t.Fatalf("out of range: Q=%v at a=%v x=%v", q, a, x)
 		}
 	}
 }
 
 func TestRegGammaKnownValues(t *testing.T) {
-	// P(1, x) = 1 − e^{−x}.
+	// Q(1, x) = e^{−x}, on both sides of the series / continued-fraction
+	// switch at x = 2.
 	for _, x := range []float64{0.1, 1, 3, 10} {
-		want := 1 - math.Exp(-x)
-		if got := RegLowerGamma(1, x); math.Abs(got-want) > 1e-12 {
-			t.Errorf("P(1,%v) = %v, want %v", x, got, want)
+		want := math.Exp(-x)
+		if got := RegUpperGamma(1, x); math.Abs(got-want) > 1e-12 {
+			t.Errorf("Q(1,%v) = %v, want %v", x, got, want)
 		}
 	}
 	// Edge cases.
-	if RegLowerGamma(2, 0) != 0 || RegUpperGamma(2, 0) != 1 {
+	if RegUpperGamma(2, 0) != 1 {
 		t.Error("x=0 edge wrong")
 	}
-	if !math.IsNaN(RegLowerGamma(-1, 2)) || !math.IsNaN(RegUpperGamma(0, 2)) {
+	if !math.IsNaN(RegUpperGamma(-1, 2)) || !math.IsNaN(RegUpperGamma(0, 2)) {
 		t.Error("invalid a must give NaN")
 	}
 }
@@ -126,7 +123,7 @@ func TestStdNormalCDFMonotoneProperty(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		return StdNormalCDF(lo) <= StdNormalCDF(hi)+1e-15
+		return StdNormalTail(-lo) <= StdNormalTail(-hi)+1e-15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

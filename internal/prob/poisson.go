@@ -17,22 +17,6 @@ func PoissonCDF(k int, lambda float64) float64 {
 	return RegUpperGamma(float64(k)+1, lambda)
 }
 
-// PoissonPMF returns Pr{K = k} for K ~ Poisson(lambda), computed in log
-// space to avoid overflow.
-func PoissonPMF(k int, lambda float64) float64 {
-	if k < 0 || lambda < 0 {
-		return 0
-	}
-	if lambda == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(float64(k) + 1)
-	return math.Exp(float64(k)*math.Log(lambda) - lambda - lg)
-}
-
 // PoissonFreqProb returns the Poisson approximation of the frequent
 // probability: Pr{sup(X) ≥ minCount} ≈ 1 − PoissonCDF(minCount−1; λ) with
 // λ = esup(X). This is the PDUApriori tail (§3.3.1); the paper's formula

@@ -1,26 +1,11 @@
 package prob
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // The support sup(X) of an itemset X over an uncertain database with
 // per-transaction containment probabilities p_1..p_N is Poisson-Binomial
 // distributed: the sum of N independent, non-identical Bernoulli trials.
-// These helpers compute its moments and (truncated) distribution.
-
-// PBMeanVar returns the mean and variance of the Poisson-Binomial
-// distribution with the given trial probabilities: μ = Σp, σ² = Σp(1−p).
-// One pass — the paper's point that the variance costs no more than the
-// expectation.
-func PBMeanVar(ps []float64) (mean, variance float64) {
-	for _, p := range ps {
-		mean += p
-		variance += p * (1 - p)
-	}
-	return mean, variance
-}
+// These helpers compute its (truncated) distribution, tail and quantiles.
 
 // PBDist returns the full distribution of the Poisson-Binomial:
 // dist[k] = Pr{K = k}, k = 0..len(ps). O(N²) sequential convolution.
@@ -132,24 +117,6 @@ func PBFreqProbDP(ps []float64, minCount int) float64 {
 		v = 0
 	}
 	return v
-}
-
-// PBNormalApproxError bounds the quality of the CLT approximation with the
-// Berry–Esseen style ratio: Σ E|X_i − p_i|³ / σ³. Small values mean the
-// Normal tail is trustworthy; the paper's "database is large enough"
-// condition corresponds to this ratio being small. Returns +Inf when the
-// variance is zero.
-func PBNormalApproxError(ps []float64) float64 {
-	var variance, rho float64
-	for _, p := range ps {
-		q := 1 - p
-		variance += p * q
-		rho += p * q * (q*q + p*p)
-	}
-	if variance <= 0 {
-		return math.Inf(1)
-	}
-	return rho / math.Pow(variance, 1.5)
 }
 
 // PBQuantile returns the smallest support count s such that

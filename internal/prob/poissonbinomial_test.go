@@ -54,11 +54,21 @@ func TestPBDistSumsToOneProperty(t *testing.T) {
 	}
 }
 
+// pbMeanVar returns the mean and variance of the Poisson-Binomial
+// distribution with the given trial probabilities: μ = Σp, σ² = Σp(1−p).
+func pbMeanVar(ps []float64) (mean, variance float64) {
+	for _, p := range ps {
+		mean += p
+		variance += p * (1 - p)
+	}
+	return mean, variance
+}
+
 func TestPBMeanVarAgainstDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 100; trial++ {
 		ps := randProbs(rng, 1+rng.Intn(30))
-		mean, variance := PBMeanVar(ps)
+		mean, variance := pbMeanVar(ps)
 		dist := PBDist(ps)
 		var m, m2 float64
 		for k, pk := range dist {
@@ -147,18 +157,6 @@ func TestPBFreqProbDPSkipsZeroProbs(t *testing.T) {
 	}
 }
 
-func TestPBNormalApproxErrorShrinksWithN(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	small := PBNormalApproxError(randProbs(rng, 10))
-	large := PBNormalApproxError(randProbs(rng, 10000))
-	if large >= small {
-		t.Fatalf("Berry-Esseen ratio did not shrink: n=10 → %v, n=10000 → %v", small, large)
-	}
-	if !math.IsInf(PBNormalApproxError([]float64{1, 1, 0}), 1) {
-		t.Error("degenerate variance must give +Inf")
-	}
-}
-
 // Property: the Normal approximation converges to the exact tail on large
 // inputs — the paper's bridge between the two definitions.
 func TestNormalApproxConvergesToExactTail(t *testing.T) {
@@ -168,7 +166,7 @@ func TestNormalApproxConvergesToExactTail(t *testing.T) {
 	for i := range ps {
 		ps[i] = 0.2 + 0.6*rng.Float64()
 	}
-	mean, variance := PBMeanVar(ps)
+	mean, variance := pbMeanVar(ps)
 	for _, mult := range []float64{0.95, 0.99, 1.0, 1.01, 1.05} {
 		k := int(mean * mult)
 		exact := PBTailGE(ps, k)
@@ -188,7 +186,7 @@ func TestPoissonApproxCloseForSmallProbs(t *testing.T) {
 	for i := range ps {
 		ps[i] = 0.002 * rng.Float64()
 	}
-	mean, _ := PBMeanVar(ps)
+	mean, _ := pbMeanVar(ps)
 	for _, k := range []int{int(mean) - 2, int(mean), int(mean) + 3} {
 		if k < 0 {
 			continue

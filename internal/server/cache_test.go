@@ -219,7 +219,7 @@ func TestIngestInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown := core.FromTransactions(db.Name, append(db.Transactions(), tx))
+	grown := coretest.FromTransactions(db.Name, append(db.Transactions(), tx))
 	if grown.NumItems < db.NumItems {
 		grown.SetNumItems(db.NumItems)
 	}

@@ -89,7 +89,7 @@ func TestWindowedRetention(t *testing.T) {
 				t.Helper()
 				d, _ := s.reg.get("w")
 				snap, _ := d.snapshot()
-				ref := core.FromTransactions("ref", all[max(0, len(all)-size):])
+				ref := coretest.FromTransactions("ref", all[max(0, len(all)-size):])
 				if snap.N() != ref.N() {
 					t.Fatalf("%s: snapshot holds %d transactions, want %d", stage, snap.N(), ref.N())
 				}

@@ -153,30 +153,6 @@ func (p *Pool) Addrs() []string {
 	return out
 }
 
-// Ping checks /healthz on every shard server, returning the first failure.
-func (p *Pool) Ping(ctx context.Context) error {
-	for i, addr := range p.addrs {
-		ctx, cancel := context.WithTimeout(ctx, p.tuning.RequestTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+pathHealthz, nil)
-		if err != nil {
-			cancel()
-			return err
-		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			cancel()
-			return fmt.Errorf("shardrpc: shard %d (%s) unreachable: %w", i, addr, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		cancel()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("shardrpc: shard %d (%s) health: HTTP %d", i, addr, resp.StatusCode)
-		}
-	}
-	return nil
-}
-
 // Backend pins a (dataset snapshot, scatter width) onto the pool's first k
 // shard servers and implements the serving layer's ShardBackend seam. db is
 // the coordinator's own snapshot — the source of pushes and the failover

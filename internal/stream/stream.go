@@ -23,7 +23,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"umine/internal/core"
 	"umine/internal/prob"
@@ -281,19 +280,7 @@ func (w *Window) FreqProb(x core.Itemset) (float64, bool) {
 	}
 	t := w.watch[pos]
 	msc := w.cfg.Thresholds.MinSupCount(w.filled)
-	return normalTail(t.esup, t.varsum, msc), true
-}
-
-// normalTail is the §3.3.2 approximation with continuity correction; a
-// degenerate variance collapses to the deterministic answer.
-func normalTail(esup, varsum float64, msc int) float64 {
-	if varsum <= 0 {
-		if esup >= float64(msc) {
-			return 1
-		}
-		return 0
-	}
-	return 1 - prob.StdNormalCDF((float64(msc)-0.5-esup)/math.Sqrt(varsum))
+	return prob.NormalFreqProb(t.esup, t.varsum, msc), true
 }
 
 // Frequent reports the watched itemsets currently frequent under the
@@ -310,7 +297,7 @@ func (w *Window) Frequent() []core.Result {
 				out = append(out, core.Result{Itemset: t.itemset, ESup: t.esup, Var: t.varsum})
 			}
 		case core.Probabilistic:
-			fp := normalTail(t.esup, t.varsum, w.cfg.Thresholds.MinSupCount(w.filled))
+			fp := prob.NormalFreqProb(t.esup, t.varsum, w.cfg.Thresholds.MinSupCount(w.filled))
 			if fp > w.cfg.Thresholds.PFT+core.Eps {
 				out = append(out, core.Result{Itemset: t.itemset, ESup: t.esup, Var: t.varsum, FreqProb: fp})
 			}

@@ -179,13 +179,42 @@ func TestFreqProbMatchesNormalApprox(t *testing.T) {
 	db := w.Snapshot()
 	esup, varsum := db.ESupVar(x)
 	msc := core.Thresholds{MinSup: 0.4, PFT: 0.7}.MinSupCount(db.N())
-	want := 1 - prob.StdNormalCDF((float64(msc)-0.5-esup)/math.Sqrt(varsum))
+	want := prob.StdNormalTail((float64(msc) - 0.5 - esup) / math.Sqrt(varsum))
 	got, ok := w.FreqProb(x)
 	if !ok || math.Abs(got-want) > 1e-12 {
 		t.Fatalf("windowed freq prob %v, formula %v", got, want)
 	}
 	if _, ok := w.FreqProb(core.NewItemset(coretest.B)); ok {
 		t.Error("unwatched itemset answered")
+	}
+}
+
+// TestFreqProbCertainAfterEvictionDrift: once the low-probability arrivals
+// are evicted, item 0 is certain in all 3 transactions. The running sums
+// carry eviction drift (esup 2.9999999999999996, not 3), so the window must
+// apply the Normal tail's continuity correction to a zero variance too, as
+// NDUApriori and NDUH-Mine do, and report the item frequent.
+func TestFreqProbCertainAfterEvictionDrift(t *testing.T) {
+	w, err := NewWindow(Config{
+		Size:       3,
+		Thresholds: core.Thresholds{MinSup: 0.9, PFT: 0.5},
+		Semantics:  core.Probabilistic,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := core.NewItemset(0)
+	w.Watch(x)
+	for _, p := range []float64{0.1, 0.1, 0.1, 1, 1, 1} {
+		if _, err := w.Push(context.Background(), []core.Unit{{Item: 0, Prob: p}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fp, ok := w.FreqProb(x); !ok || fp != 1 {
+		t.Errorf("FreqProb = %v, %v; want 1", fp, ok)
+	}
+	if got := w.Frequent(); len(got) != 1 || !got[0].Itemset.Equal(x) {
+		t.Errorf("Frequent() = %v, want item 0", got)
 	}
 }
 
