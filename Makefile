@@ -5,13 +5,22 @@
 
 GO ?= go
 
-.PHONY: all build examples fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke ci
+.PHONY: all build check-fma examples fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke ci
 
 all: build
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## check-fma: cross-compile every package's test binary for GOARCH=arm64 and
+## fail if a module source line compiles to a fused multiply-add (FMADDD,
+## FMSUBD, FNMADDD, FNMSUBD): a fused product rounds once, so an arm64
+## host's answers would differ in the last bits from amd64's and from the DP
+## kernel's vector row update. Wrap the product in float64(...) to keep it
+## rounded on its own.
+check-fma:
+	GO=$(GO) sh scripts/check_fma.sh
 
 ## examples: run every examples/* program and fail on the first non-zero
 ## exit, so the programs keep working, not just compiling
@@ -169,7 +178,8 @@ bench-smoke:
 	done
 
 ## fuzz-smoke: every Fuzz* target in the module for 5 s each — the
-## input parsers, the arena and kernel bit-identity targets, and the shard
+## input parsers, the arena and kernel bit-identity targets (the DP row
+## update's assembly against its Go loop among them), and the shard
 ## response decoder. Go fuzzes one target per invocation, so each runs in
 ## its own `go test -fuzz` call.
 FUZZ_TARGETS = \
@@ -181,6 +191,7 @@ FUZZ_TARGETS = \
 	./internal/kernel:FuzzFreqTailBitIdentity \
 	./internal/kernel:FuzzFreqTailAbove \
 	./internal/kernel:FuzzTailRowExtend \
+	./internal/kernel:FuzzRowStep \
 	./internal/shardrpc:FuzzMineShardResponse
 
 fuzz-smoke:
@@ -191,4 +202,4 @@ fuzz-smoke:
 	done
 
 ## ci: everything the pipeline runs
-ci: build examples fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke
+ci: build check-fma examples fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke

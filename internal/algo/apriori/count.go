@@ -83,10 +83,13 @@ func countLevel(db *core.Database, cands []Candidate, k int, collectProbs bool, 
 	trie := buildTrie(cands)
 	stats.DBScans++
 	stats.TransactionsScanned += db.N()
+	if collectProbs {
+		reserveProbs(db, cands)
+	}
 	visit := func(leaf int, p float64) {
 		c := &cands[leaf]
 		c.ESup += p
-		c.Var += p * (1 - p)
+		c.Var += float64(p * (1 - p))
 		if collectProbs {
 			c.Probs = append(c.Probs, p)
 		}
@@ -100,6 +103,21 @@ func countLevel(db *core.Database, cands []Candidate, k int, collectProbs bool, 
 		walkTrie(trie, items, probs, ts, te, 1, visit)
 	}
 	stats.TrackPeak(trieBytes(trie) + candidateBytes(cands, collectProbs))
+}
+
+// reserveProbs sizes every candidate's probability vector once, before a
+// serial scan appends to it: a transaction holding a candidate holds its
+// rarest item, so that item's transaction count bounds the vector's length.
+func reserveProbs(db *core.Database, cands []Candidate) {
+	counts := db.ItemTIDCounts()
+	for ci := range cands {
+		c := &cands[ci]
+		n := counts[c.Items[0]]
+		for _, it := range c.Items[1:] {
+			n = min(n, counts[it])
+		}
+		c.Probs = make([]float64, 0, n)
+	}
 }
 
 // trieBytes estimates the trie's heap footprint for the memory reports.
@@ -214,10 +232,13 @@ func countChunked(ctx context.Context, db *core.Database, cands []Candidate, k i
 // countChunkedParallel's merge exactly, so the two paths are bit-identical;
 // the scratch is the only extra memory over the pre-chunking serial pass.
 // Probability vectors append directly (chunks in order ⇒ transaction
-// order), with no per-chunk copies.
+// order) into capacity reserved up front, with no per-chunk copies.
 func countChunkedSerial(ctx context.Context, db *core.Database, trie *trieNode, cands []Candidate, k int, collectProbs bool, size, nc int) error {
 	esup := make([]float64, len(cands))
 	varsup := make([]float64, len(cands))
+	if collectProbs {
+		reserveProbs(db, cands)
+	}
 	items, probs, offsets := db.Columns()
 	n := db.N()
 	done := ctx.Done()
@@ -240,7 +261,7 @@ func countChunkedSerial(ctx context.Context, db *core.Database, trie *trieNode, 
 			}
 			walkTrie(trie, items, probs, ts, te, 1, func(leaf int, p float64) {
 				esup[leaf] += p
-				varsup[leaf] += p * (1 - p)
+				varsup[leaf] += float64(p * (1 - p))
 				if collectProbs {
 					cands[leaf].Probs = append(cands[leaf].Probs, p)
 				}
@@ -256,9 +277,11 @@ func countChunkedSerial(ctx context.Context, db *core.Database, trie *trieNode, 
 }
 
 // countChunkedParallel materializes one accumulator per chunk (chunks
-// complete out of order on the pool) and merges them in chunk order.
-// Per-chunk probability vectors are released as soon as they are merged,
-// so the copies do not all outlive the merge.
+// complete out of order on the pool) and merges them candidate by
+// candidate, each folding its chunks in chunk order — the serial path's
+// per-candidate addition sequence. A candidate's probability vector is
+// allocated once at its final length, and each chunk's vector is released
+// as it is copied, so the copies never all coexist with the chunk vectors.
 func countChunkedParallel(ctx context.Context, db *core.Database, trie *trieNode, cands []Candidate, k int, collectProbs bool, workers, size, nc int) error {
 	accums := make([]shardAccum, nc)
 	items, probs, offsets := db.Columns()
@@ -276,7 +299,7 @@ func countChunkedParallel(ctx context.Context, db *core.Database, trie *trieNode
 			}
 			walkTrie(trie, items, probs, ts, te, 1, func(leaf int, p float64) {
 				acc.esup[leaf] += p
-				acc.varsup[leaf] += p * (1 - p)
+				acc.varsup[leaf] += float64(p * (1 - p))
 				if collectProbs {
 					acc.probs[leaf] = append(acc.probs[leaf], p)
 				}
@@ -287,16 +310,24 @@ func countChunkedParallel(ctx context.Context, db *core.Database, trie *trieNode
 		return err
 	}
 
-	for c := range accums {
-		acc := &accums[c]
-		for ci := range cands {
-			cands[ci].ESup += acc.esup[ci]
-			cands[ci].Var += acc.varsup[ci]
-			if collectProbs && len(acc.probs[ci]) > 0 {
-				cands[ci].Probs = append(cands[ci].Probs, acc.probs[ci]...)
+	for ci := range cands {
+		c := &cands[ci]
+		if collectProbs {
+			n := 0
+			for a := range accums {
+				n += len(accums[a].probs[ci])
+			}
+			c.Probs = make([]float64, 0, n)
+		}
+		for a := range accums {
+			acc := &accums[a]
+			c.ESup += acc.esup[ci]
+			c.Var += acc.varsup[ci]
+			if collectProbs {
+				c.Probs = append(c.Probs, acc.probs[ci]...)
+				acc.probs[ci] = nil
 			}
 		}
-		*acc = shardAccum{}
 	}
 	return nil
 }

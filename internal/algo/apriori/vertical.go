@@ -61,7 +61,7 @@ func useVertical(db *core.Database, cands []Candidate, k int) bool {
 				minLen = c
 			}
 		}
-		vcost += float64(minLen) * float64(k) * verticalProbeCost
+		vcost += float64(float64(minLen) * float64(k) * verticalProbeCost)
 		if vcost >= hcost {
 			return false
 		}

@@ -311,8 +311,8 @@ func (st *mineState) mineOne(tr *tree, prefix []core.Item, r int32, liveBytes in
 	// weightSq·prob².
 	var esum, esq float64
 	for n := head; n != nil; n = n.next {
-		esum += n.weight * n.prob
-		esq += n.weightSq * n.prob * n.prob
+		esum += float64(n.weight * n.prob)
+		esq += float64(n.weightSq * n.prob * n.prob)
 	}
 	st.acc.Stats.CandidatesGenerated++
 	if esum < st.minCount-core.Eps {

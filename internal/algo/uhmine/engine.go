@@ -342,9 +342,9 @@ func touchedRanks(rows [][]runit, occs []occ, esupBuf, varBuf []float64) []int32
 			if esupBuf[u.rank] == 0 && varBuf[u.rank] == 0 {
 				touched = append(touched, u.rank)
 			}
-			p := o.acc * u.prob
+			p := float64(o.acc * u.prob)
 			esupBuf[u.rank] += p
-			varBuf[u.rank] += p * (1 - p)
+			varBuf[u.rank] += float64(p * (1 - p))
 		}
 	}
 	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })

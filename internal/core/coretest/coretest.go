@@ -111,8 +111,8 @@ func SupportDistribution(db *core.Database, x core.Itemset) []float64 {
 		p := t.ItemsetProb(x)
 		next := make([]float64, len(dist)+1)
 		for k, q := range dist {
-			next[k] += q * (1 - p)
-			next[k+1] += q * p
+			next[k] += float64(q * (1 - p))
+			next[k+1] += float64(q * p)
 		}
 		dist = next
 	}
@@ -137,7 +137,7 @@ func FreqProb(db *core.Database, x core.Itemset, minCount int) float64 {
 // of db at the given min_esup ratio, by exhaustive enumeration over the item
 // universe. Only for tiny universes.
 func BruteForceExpected(db *core.Database, minESup float64) []core.Result {
-	minCount := float64(db.N()) * minESup
+	minCount := float64(float64(db.N()) * minESup)
 	var out []core.Result
 	for _, x := range AllItemsets(db.NumItems) {
 		esup, v := db.ESupVar(x)

@@ -191,7 +191,7 @@ func (db *Database) ItemESupVar() (esup, varsup []float64) {
 	for k := lo; k < hi; k++ {
 		p := db.probs[k]
 		esup[db.items[k]] += p
-		varsup[db.items[k]] += p * (1 - p)
+		varsup[db.items[k]] += float64(p * (1 - p))
 	}
 	return esup, varsup
 }
@@ -228,7 +228,7 @@ func (db *Database) ESupVar(x Itemset) (esup, varsup float64) {
 	for j, n := 0, db.N(); j < n; j++ {
 		p := db.Tx(j).ItemsetProb(x)
 		esup += p
-		varsup += p * (1 - p)
+		varsup += float64(p * (1 - p))
 	}
 	return esup, varsup
 }

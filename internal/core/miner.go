@@ -69,13 +69,13 @@ func (th Thresholds) Validate(sem Semantics) error {
 
 // MinESupCount converts the min_esup ratio into the absolute expected
 // support threshold N × min_esup.
-func (th Thresholds) MinESupCount(n int) float64 { return float64(n) * th.MinESup }
+func (th Thresholds) MinESupCount(n int) float64 { return float64(float64(n) * th.MinESup) }
 
 // MinSupCount converts the min_sup ratio into the absolute minimum support
 // count ⌈N × min_sup⌉ (the smallest integer support satisfying
 // sup ≥ N × min_sup).
 func (th Thresholds) MinSupCount(n int) int {
-	c := int(math.Ceil(float64(n)*th.MinSup - 1e-9))
+	c := int(math.Ceil(float64(float64(n)*th.MinSup) - 1e-9))
 	if c < 1 {
 		c = 1
 	}

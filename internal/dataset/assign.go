@@ -29,7 +29,7 @@ func (g GaussianAssigner) Name() string {
 
 // Assign implements Assigner.
 func (g GaussianAssigner) Assign(rng *rand.Rand) float64 {
-	p := g.Mean + rng.NormFloat64()*math.Sqrt(g.Variance)
+	p := g.Mean + float64(rng.NormFloat64()*math.Sqrt(g.Variance))
 	if p < probFloor {
 		return probFloor
 	}
@@ -93,7 +93,7 @@ func (u UniformAssigner) Assign(rng *rand.Rand) float64 {
 	if hi < lo {
 		hi = lo
 	}
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }
 
 // ConstAssigner assigns the same probability to every occurrence. With

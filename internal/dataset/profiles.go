@@ -167,7 +167,7 @@ func gradedCoreWeights(numItems int, avgLen, tau float64) []float64 {
 	for iter := 0; iter < 64; iter++ {
 		total, capped := 0.0, 0.0
 		for i := range w {
-			v := w[i] * scale
+			v := float64(w[i] * scale)
 			if v > 0.98 {
 				v = 0.98
 				capped += v

@@ -197,7 +197,7 @@ func poissonDraw(rng *rand.Rand, mean float64) int {
 		return 0
 	}
 	if mean > 60 {
-		v := int(math.Round(mean + rng.NormFloat64()*math.Sqrt(mean)))
+		v := int(math.Round(mean + float64(rng.NormFloat64()*math.Sqrt(mean))))
 		if v < 0 {
 			return 0
 		}

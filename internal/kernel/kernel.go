@@ -115,7 +115,7 @@ func pairMerge(a, b List, chunkSize int, collect bool) Agg {
 			j++
 			continue
 		}
-		p := aprobs[i] * bprobs[j]
+		p := float64(aprobs[i] * bprobs[j])
 		if int(at) >= chunkEnd {
 			out.ESup += chunkEsup
 			out.Var += chunkVar
@@ -123,7 +123,7 @@ func pairMerge(a, b List, chunkSize int, collect bool) Agg {
 			chunkEnd = (int(at)/chunkSize + 1) * chunkSize
 		}
 		chunkEsup += p
-		chunkVar += p * (1 - p)
+		chunkVar += float64(p * (1 - p))
 		if collect {
 			out.Probs = append(out.Probs, p)
 		}
@@ -154,7 +154,7 @@ func pairSkip(a, b List, chunkSize int, collect bool) Agg {
 	for i < na && j < nb {
 		at, bt := atids[i], btids[j]
 		if at == bt {
-			p := aprobs[i] * bprobs[j]
+			p := float64(aprobs[i] * bprobs[j])
 			if int(at) >= chunkEnd {
 				// Chunk transition: tids ascend, so "different chunk" is
 				// "crossed the boundary" — one division per transition (≤
@@ -165,7 +165,7 @@ func pairSkip(a, b List, chunkSize int, collect bool) Agg {
 				chunkEnd = (int(at)/chunkSize + 1) * chunkSize
 			}
 			chunkEsup += p
-			chunkVar += p * (1 - p)
+			chunkVar += float64(p * (1 - p))
 			if collect {
 				out.Probs = append(out.Probs, p)
 			}
@@ -281,7 +281,7 @@ func KWay(lists []List, chunkSize int, collect bool) Agg {
 			chunkEnd = (int(tid)/chunkSize + 1) * chunkSize
 		}
 		chunkEsup += p
-		chunkVar += p * (1 - p)
+		chunkVar += float64(p * (1 - p))
 		if collect {
 			out.Probs = append(out.Probs, p)
 		}

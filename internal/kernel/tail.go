@@ -16,8 +16,9 @@ import "math"
 // input is NaN or infinite.
 //
 // Three observations let FreqTailDP skip work without moving a bit, a
-// fourth lets FreqTailAbove stop on a candidate that cannot pass, and a
-// fifth lets TailRow resume the DP when more probabilities arrive:
+// fourth lets FreqTailAbove stop on a candidate that cannot pass, a fifth
+// lets TailRow resume the DP when more probabilities arrive, and a sixth
+// lets the row update run four cells per instruction:
 //
 //   - Zero triangle (top): after s probability-bearing transactions, mass
 //     can sit at index ≤ s only. The reference's updates above that index
@@ -60,11 +61,25 @@ import "math"
 //     rejection stays on while a row is first built (a rejected row is
 //     never kept) and is off when it is extended.
 //
+//   - Vector lanes (rowStep): within one step, cell i reads only the old
+//     row[i−1] and row[i], so cells are independent once each block loads
+//     its operands before storing. On amd64 CPUs with AVX2 (and an OS that
+//     saves the YMM registers) the update runs in assembly, four cells per
+//     instruction; each lane is the scalar update — two separate products
+//     (VMULPD), then their sum (VADDPD), never a fused multiply-add — so it
+//     rounds exactly as the Go loop. The choice is made once, at package
+//     init, from CPUID; every other CPU and architecture runs the Go loop.
+//     Nowhere may the Go code fuse either: a product written float64(x*y)
+//     rounds on its own (the spec's rule for explicit conversions), and
+//     `make check-fma` fails the build if an arm64 binary shows an FMA on a
+//     module line. rowStep is the inner loop alone: the zero triangle, dead
+//     window, union-bound cadence and top/used all stay in fold.
+//
 // The rounding slack makes the rejection certain for the computed value,
 // not just the exact one. With u = 2⁻⁵³:
 //
 //   - Each DP update is a convex combination evaluated with at most three
-//     roundings (1−p, two products, their sum; fewer if fused). If the row
+//     roundings (1−p, two products, their sum). If the row
 //     so far is off by at most E, the update is off by at most
 //     E + 4u·(1+E), so after j steps every live entry is within
 //     (1+4u)^j − 1 ≤ 5ju of the exact Pr{S ≥ k} (for n ≤ 2⁴⁰), and the
@@ -89,8 +104,9 @@ import "math"
 // O(minCount·(N−minCount)) — for candidates whose support barely clears the
 // threshold (the ones count pruning lets through), that approaches O(N).
 // Early rejection then cuts most candidates that fail well before the end,
-// and a kept TailRow re-verifies after an append of m probabilities in
-// O(m·H) instead of a fresh DP over all of them.
+// a kept TailRow re-verifies after an append of m probabilities in O(m·H)
+// instead of a fresh DP over all of them, and the vector lanes divide what
+// is left by up to four.
 
 // checkEvery is how many transactions FreqTailAbove processes between
 // union-bound checks.
@@ -209,7 +225,7 @@ func (r *TailRow) fold(ps []float64, minCount int, thr float64, reject, dead boo
 			rest += p
 		}
 		muPad = rest * float64(n+1) * 0x1p-50
-		cut = thr - float64(n+1)*0x1p-49
+		cut = thr - float64(float64(n+1)*0x1p-49)
 		next = checkEvery - 1
 	}
 	row, top := r.row, r.top
@@ -230,20 +246,7 @@ func (r *TailRow) fold(ps []float64, minCount int, thr float64, reject, dead boo
 		if lo < 1 {
 			lo = 1
 		}
-		q := 1 - p
-		hi := row[top]
-		i := top
-		for i-1 >= lo {
-			a := row[i-1]
-			b := row[i-2]
-			row[i] = a*p + hi*q
-			row[i-1] = b*p + a*q
-			hi = b
-			i -= 2
-		}
-		if i == lo {
-			row[i] = row[i-1]*p + hi*q
-		}
+		rowStep(row[lo-1:top+1], p, 1-p)
 		rest -= p
 		if j >= next {
 			next = j + checkEvery
@@ -255,6 +258,40 @@ func (r *TailRow) fold(ps []float64, minCount int, thr float64, reject, dead boo
 	r.top = top
 	r.used += n
 	return true
+}
+
+// rowStep is one DP step over w = row[lo−1 : top+1]: w[i] = w[i−1]·p + w[i]·q
+// for i from len(w)−1 down to 1, with q = 1 − p; w[0] is read, not written.
+// It runs rowStepAsm when this CPU has one, else rowStepGo; both compute
+// every cell bit for bit alike (the sixth observation in the header).
+func rowStep(w []float64, p, q float64) {
+	if rowStepAsm != nil {
+		rowStepAsm(w, p, q)
+		return
+	}
+	rowStepGo(w, p, q)
+}
+
+// rowStepAsm is the vector row update, set once at package init when the
+// CPU and OS support it; nil everywhere else.
+var rowStepAsm func(w []float64, p, q float64)
+
+// rowStepGo is rowStep in plain Go, with the register carry: walking down,
+// this cell's w[i−1] load is the next cell's w[i] operand.
+func rowStepGo(w []float64, p, q float64) {
+	i := len(w) - 1
+	hi := w[i]
+	for i-1 >= 1 {
+		a := w[i-1]
+		b := w[i-2]
+		w[i] = float64(a*p) + float64(hi*q)
+		w[i-1] = float64(b*p) + float64(a*q)
+		hi = b
+		i -= 2
+	}
+	if i == 1 {
+		w[1] = float64(w[0]*p) + float64(hi*q)
+	}
 }
 
 // unionBoundBelow reports whether row[k] + Pr{R ≥ minCount−k+1} ≤ cut for
@@ -298,6 +335,6 @@ func chernoffTail(a, rem int, mu float64) float64 {
 		return 0
 	}
 	l := math.Log(r) // < 0
-	e := x - mu + x*l
-	return math.Exp(e + (x+mu-x*l)*0x1p-50)
+	e := x - mu + float64(x*l)
+	return math.Exp(e + float64((x+mu-float64(x*l))*0x1p-50))
 }

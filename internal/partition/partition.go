@@ -220,7 +220,7 @@ func Phase1Thresholds(b Bound, th core.Thresholds, n int) (core.Thresholds, erro
 	default:
 		return core.Thresholds{}, fmt.Errorf("partition: unknown bound %v", b)
 	}
-	ratio := (floor*(1-phase1Slack) - 2*core.Eps) / float64(n)
+	ratio := (float64(floor*(1-phase1Slack)) - 2*core.Eps) / float64(n)
 	if ratio > 1 {
 		ratio = 1
 	}

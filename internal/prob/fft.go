@@ -36,17 +36,17 @@ func FFT(x []complex128, inverse bool) {
 			half := length / 2
 			for j := 0; j < half; j++ {
 				u := x[i+j]
-				v := x[i+j+half] * w
+				v := cmul(x[i+j+half], w)
 				x[i+j] = u + v
 				x[i+j+half] = u - v
-				w *= wl
+				w = cmul(w, wl)
 			}
 		}
 	}
 	if inverse {
 		inv := complex(1/float64(n), 0)
 		for i := range x {
-			x[i] *= inv
+			x[i] = cmul(x[i], inv)
 		}
 	}
 }
@@ -78,7 +78,7 @@ func convolveDirect(a, b []float64) []float64 {
 			continue
 		}
 		for j, bv := range b {
-			out[i+j] += av * bv
+			out[i+j] += float64(av * bv)
 		}
 	}
 	return out
@@ -101,7 +101,7 @@ func convolveFFT(a, b []float64) []float64 {
 	FFT(fa, false)
 	FFT(fb, false)
 	for i := range fa {
-		fa[i] *= fb[i]
+		fa[i] = cmul(fa[i], fb[i])
 	}
 	FFT(fa, true)
 	out := make([]float64, outLen)
@@ -137,4 +137,12 @@ func ConvolveTruncated(a, b []float64, cap int) []float64 {
 	}
 	out[cap] = tail
 	return out
+}
+
+// cmul is a·b with every product rounded on its own, so no platform fuses a
+// product into the sum (Go may fuse x*y + z; amd64 does not, arm64 does).
+// On amd64 it carries the built-in complex product's bits.
+func cmul(a, b complex128) complex128 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(float64(ar*br)-float64(ai*bi), float64(ar*bi)+float64(ai*br))
 }

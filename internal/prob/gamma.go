@@ -36,13 +36,13 @@ func gammaSeries(a, x float64) float64 {
 	del := sum
 	for i := 0; i < gammaItMax; i++ {
 		ap++
-		del *= x / ap
+		del = float64(del * (x / ap))
 		sum += del
 		if math.Abs(del) < math.Abs(sum)*gammaEps {
 			break
 		}
 	}
-	v := sum * math.Exp(-x+a*math.Log(x)-lg)
+	v := sum * math.Exp(-x+float64(a*math.Log(x))-lg)
 	if v < 0 {
 		return 0
 	}
@@ -63,7 +63,7 @@ func gammaContinuedFraction(a, x float64) float64 {
 	for i := 1; i <= gammaItMax; i++ {
 		an := -float64(i) * (float64(i) - a)
 		b += 2
-		d = an*d + b
+		d = float64(an*d) + b
 		if math.Abs(d) < gammaFPMin {
 			d = gammaFPMin
 		}
@@ -72,13 +72,13 @@ func gammaContinuedFraction(a, x float64) float64 {
 			c = gammaFPMin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < gammaEps {
 			break
 		}
 	}
-	v := math.Exp(-x+a*math.Log(x)-lg) * h
+	v := math.Exp(-x+float64(a*math.Log(x))-lg) * h
 	if v < 0 {
 		return 0
 	}

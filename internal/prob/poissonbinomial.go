@@ -15,7 +15,7 @@ func PBDist(ps []float64) []float64 {
 	for _, p := range ps {
 		dist = append(dist, 0)
 		for k := len(dist) - 1; k >= 1; k-- {
-			dist[k] = dist[k]*(1-p) + dist[k-1]*p
+			dist[k] = float64(dist[k]*(1-p)) + float64(dist[k-1]*p)
 		}
 		dist[0] *= 1 - p
 	}
@@ -48,9 +48,9 @@ func PBDistTruncated(ps []float64, cap int) []float64 {
 			if k == cap {
 				// Absorbing bucket: mass already ≥ cap stays, mass at cap−1
 				// that succeeds joins it.
-				dist[k] += dist[k-1] * p
+				dist[k] += float64(dist[k-1] * p)
 			} else {
-				dist[k] = dist[k]*(1-p) + dist[k-1]*p
+				dist[k] = float64(dist[k]*(1-p)) + float64(dist[k-1]*p)
 			}
 		}
 		dist[0] *= 1 - p
@@ -106,7 +106,7 @@ func PBFreqProbDP(ps []float64, minCount int) float64 {
 			continue
 		}
 		for i := minCount; i >= 1; i-- {
-			row[i] = row[i-1]*p + row[i]*(1-p)
+			row[i] = float64(row[i-1]*p) + float64(row[i]*(1-p))
 		}
 	}
 	v := row[minCount]
@@ -144,5 +144,5 @@ func PBInterval(ps []float64, alpha float64) (lo, hi int) {
 	if alpha <= 0 || alpha >= 1 {
 		panic(fmt.Sprintf("prob: PBInterval alpha=%v outside (0,1)", alpha))
 	}
-	return PBQuantile(ps, alpha/2), PBQuantile(ps, 1-alpha/2)
+	return PBQuantile(ps, alpha/2), PBQuantile(ps, 1-float64(alpha/2))
 }

@@ -99,7 +99,7 @@ func (w *Window) Watch(x core.Itemset) {
 	for i := 0; i < w.filled; i++ {
 		p := w.ring[w.slot(i)].ItemsetProb(x)
 		t.esup += p
-		t.varsum += p * (1 - p)
+		t.varsum += float64(p * (1 - p))
 	}
 	w.index[x.Key()] = len(w.watch)
 	w.watch = append(w.watch, t)
@@ -198,7 +198,7 @@ func (w *Window) push(tx core.Transaction) {
 		for i := range w.watch {
 			p := old.ItemsetProb(w.watch[i].itemset)
 			w.watch[i].esup -= p
-			w.watch[i].varsum -= p * (1 - p)
+			w.watch[i].varsum -= float64(p * (1 - p))
 			// Running subtractions accumulate float error; clamp tiny
 			// negatives so downstream math stays in range.
 			if w.watch[i].esup < 0 {
@@ -216,7 +216,7 @@ func (w *Window) push(tx core.Transaction) {
 	for i := range w.watch {
 		p := tx.ItemsetProb(w.watch[i].itemset)
 		w.watch[i].esup += p
-		w.watch[i].varsum += p * (1 - p)
+		w.watch[i].varsum += float64(p * (1 - p))
 	}
 	w.arrived++
 }

@@ -307,7 +307,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	cum := uint64(0)
 	for i := range h.counts {
 		c := h.counts[i].Load()
@@ -331,7 +331,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			} else if frac > 1 {
 				frac = 1
 			}
-			return lo + (hi-lo)*frac
+			return lo + float64((hi-lo)*frac)
 		}
 		cum += c
 	}
