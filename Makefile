@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build check-fma examples fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke ci
+.PHONY: all build check-fma check-386 examples fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke ci
 
 all: build
 
@@ -21,6 +21,13 @@ build:
 ## rounded on its own.
 check-fma:
 	GO=$(GO) sh scripts/check_fma.sh
+
+## check-386: type-check every package and test binary for GOARCH=386 and
+## run none of them, so a constant or literal that overflows a 32-bit int
+## fails here rather than on a 32-bit user's machine
+check-386:
+	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./...
 
 ## examples: run every examples/* program and fail on the first non-zero
 ## exit, so the programs keep working, not just compiling
@@ -115,13 +122,6 @@ test-steal:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-## bench-storage: the arena/vertical counting micro-benchmarks (-benchmem
-## under the hood via testing.Benchmark) plus the legacy-vs-arena cold-mine
-## comparison; writes BENCH_storage.json and enforces the ≥2× allocs/op
-## reduction and no-cold-mine-regression acceptance margins
-bench-storage:
-	BENCH_STORAGE_OUT=$$(pwd)/BENCH_storage.json $(GO) test ./internal/algo/apriori -run TestWriteStorageBench -count=1 -v
-
 ## bench-kernels: the hot-loop kernel benchmarks — intersection kernels vs
 ## their scalar references per postings-density band (the dense band's margin
 ## is enforced) and the DP verification kernel vs prob.PBFreqProbDP on the
@@ -202,4 +202,4 @@ fuzz-smoke:
 	done
 
 ## ci: everything the pipeline runs
-ci: build check-fma examples fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-storage bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke
+ci: build check-fma check-386 examples fmt vet lint race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke

@@ -54,7 +54,9 @@ func NewSamplingMiner(epsilon, delta float64, seed int64) Miner {
 // MineTopK returns the k itemsets with the highest expected support,
 // descending, without a threshold — a rising-bound level-wise search (see
 // umine/internal/algo/topk). maxLen bounds the itemset length (0 =
-// unbounded).
+// unbounded). An itemset of length ≥ 2 carries the ESup and Var bits
+// UApriori reports for it; singletons come from the item columns, as
+// UH-Mine's and UFP-growth's do.
 func MineTopK(db *Database, k, maxLen int) ([]Result, error) {
 	out, _, err := (&topk.Miner{K: k, MaxLen: maxLen}).Mine(db)
 	return out, err

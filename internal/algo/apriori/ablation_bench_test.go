@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -22,7 +23,7 @@ func BenchmarkAblationCounting(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				work := cloneCandidates(cands)
 				var stats core.MiningStats
-				countLevel(db, work, 2, false, &stats)
+				countChunked(context.Background(), db, work, 2, false, 1, &stats)
 			}
 		})
 		b.Run(fmt.Sprintf("naive/cands=%d", numCands), func(b *testing.B) {
@@ -98,7 +99,7 @@ func TestCountNaiveMatchesTrie(t *testing.T) {
 	countNaive(db, naive)
 	trie := cloneCandidates(cands)
 	var stats core.MiningStats
-	countLevel(db, trie, 2, false, &stats)
+	countChunked(context.Background(), db, trie, 2, false, 1, &stats)
 	for i := range cands {
 		if d := naive[i].ESup - trie[i].ESup; d > 1e-9 || d < -1e-9 {
 			t.Fatalf("%v: naive esup %v, trie %v", cands[i].Items, naive[i].ESup, trie[i].ESup)

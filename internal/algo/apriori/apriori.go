@@ -6,12 +6,13 @@
 // The paper's §4.1 insists on "a common implementation framework which
 // provides common data structures and subroutines" so that comparisons
 // measure algorithms, not implementation accidents. This package is that
-// layer: candidate generation with Apriori subset pruning, a prefix-trie
-// counting pass that accumulates expected support and variance (and,
+// layer: Generate, the candidate join with Apriori subset pruning; Count,
+// the counting pass that accumulates expected support and variance (and,
 // optionally, the per-transaction containment probability vector needed by
-// exact miners) in one database scan per level, and the level-wise driver.
-// Each concrete miner differs only in its Decide function — the per-itemset
-// frequentness test whose cost the paper analyses in Tables 4 and 5.
+// exact miners) in one database scan per level; and Run, the level-wise
+// driver over both. Each concrete miner differs only in its Decide function
+// — the per-itemset frequentness test whose cost the paper analyses in
+// Tables 4 and 5.
 package apriori
 
 import (
@@ -118,7 +119,7 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 		cands = append(cands, Candidate{Items: items})
 	}
 	stats.CandidatesGenerated += len(cands)
-	if err := count(ctx, db, cands, 1, cfg, &stats, &exec); err != nil {
+	if err := Count(ctx, db, cands, 1, cfg, &stats, &exec); err != nil {
 		return nil, stats, err
 	}
 
@@ -131,12 +132,12 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 	cfg.Progress.Emit(cfg.Name, core.PhaseLevel, level, stats)
 
 	for len(frequent) >= 2 {
-		next := generate(frequent, esups, cfg, &stats)
+		next := Generate(frequent, esups, cfg, &stats)
 		if len(next) == 0 {
 			break
 		}
 		k := len(next[0].Items)
-		if err := count(ctx, db, next, k, cfg, &stats, &exec); err != nil {
+		if err := Count(ctx, db, next, k, cfg, &stats, &exec); err != nil {
 			return nil, stats, err
 		}
 		frequent, err = decide(ctx, next, cfg, &results)
@@ -238,7 +239,7 @@ func genShardSize(n int) int {
 	return size
 }
 
-// generate joins frequent k-itemsets into k+1 candidates (classic
+// Generate joins frequent k-itemsets into k+1 candidates (classic
 // F_k ⋈ F_k prefix join) and applies Apriori subset pruning: every k-subset
 // of a candidate must be frequent. Joins outside a non-nil restriction are
 // dropped as if never generated (they are outside the run's search space).
@@ -253,7 +254,7 @@ func genShardSize(n int) int {
 // candidate order, the counters, and therefore everything downstream are
 // bit-identical to the serial join at every worker count. freqSet, esups
 // and cfg.Restrict are only ever read during the join.
-func generate(frequent []core.Itemset, esups map[string]float64, cfg Config, stats *core.MiningStats) []Candidate {
+func Generate(frequent []core.Itemset, esups map[string]float64, cfg Config, stats *core.MiningStats) []Candidate {
 	sort.Slice(frequent, func(i, j int) bool { return frequent[i].Compare(frequent[j]) < 0 })
 	freqSet := make(map[string]bool, len(frequent))
 	for _, f := range frequent {

@@ -83,7 +83,7 @@ func TestTrieCountingAgainstNaive(t *testing.T) {
 		{Items: core.NewItemset(8, 9)},
 	}
 	var stats core.MiningStats
-	countLevel(db, cands, 2, false, &stats)
+	countChunked(context.Background(), db, cands, 2, false, 1, &stats)
 	for i := range cands {
 		want, wantVar := db.ESupVar(cands[i].Items)
 		if math.Abs(cands[i].ESup-want) > 1e-9 {
@@ -103,7 +103,7 @@ func TestGenerateJoinAndPrune(t *testing.T) {
 		core.NewItemset(2, 4),
 	}
 	var stats core.MiningStats
-	cands := generate(frequent, nil, Config{}, &stats)
+	cands := Generate(frequent, nil, Config{}, &stats)
 	// Joins: {1,2}+{1,3} → {1,2,3} (all subsets frequent: {2,3} ✓);
 	// {2,3}+{2,4} → {2,3,4} (subset {3,4} missing → pruned).
 	if len(cands) != 1 || !cands[0].Items.Equal(core.NewItemset(1, 2, 3)) {
@@ -126,11 +126,11 @@ func TestGenerateESupBound(t *testing.T) {
 		core.NewItemset(2, 3).Key(): 1, // bound: esup({1,2,3}) ≤ 1
 	}
 	var stats core.MiningStats
-	if cands := generate(frequent, esups, Config{ESupPrune: 2}, &stats); len(cands) != 0 {
+	if cands := Generate(frequent, esups, Config{ESupPrune: 2}, &stats); len(cands) != 0 {
 		t.Fatalf("esup bound did not prune: %+v", cands)
 	}
 	stats = core.MiningStats{}
-	if cands := generate(frequent, esups, Config{ESupPrune: 0.5}, &stats); len(cands) != 1 {
+	if cands := Generate(frequent, esups, Config{ESupPrune: 0.5}, &stats); len(cands) != 1 {
 		t.Fatalf("loose bound over-pruned: %+v", cands)
 	}
 }

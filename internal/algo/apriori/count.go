@@ -34,11 +34,11 @@ import (
 
 // chunkSizeFor is the one chunk-sizing decision every counting plan in this
 // package derives from a database view: the adaptive ChunkSizeForSpan layout
-// over (transactions, arena units). Both physical plans — and the legacy
-// benchmark emulation — must call this helper rather than sizing chunks
-// themselves: the chunk grouping pins how floating-point partial sums fold,
-// so two plans sizing differently would stop being bit-comparable. The size
-// is a pure function of the view's shape, never of Workers.
+// over (transactions, arena units). Both physical plans must call this
+// helper rather than sizing chunks themselves: the chunk grouping pins how
+// floating-point partial sums fold, so two plans sizing differently would
+// stop being bit-comparable. The size is a pure function of the view's
+// shape, never of Workers.
 func chunkSizeFor(db *core.Database) int {
 	return parallel.ChunkSizeForSpan(db.N(), db.NumUnits())
 }
@@ -51,7 +51,7 @@ type trieNode struct {
 }
 
 // buildTrie constructs the candidate prefix trie. Candidates must all have
-// the same length and be in canonical itemset order (generate produces
+// the same length and be in canonical itemset order (Generate produces
 // them sorted; level 1 is trivially sorted).
 func buildTrie(cands []Candidate) *trieNode {
 	root := &trieNode{leaf: -1}
@@ -72,37 +72,6 @@ func buildTrie(cands []Candidate) *trieNode {
 		n.leaf = ci
 	}
 	return root
-}
-
-// countLevel performs one database scan, accumulating ESup, Var and
-// (optionally) the probability vector of every candidate.
-func countLevel(db *core.Database, cands []Candidate, k int, collectProbs bool, stats *core.MiningStats) {
-	if len(cands) == 0 {
-		return
-	}
-	trie := buildTrie(cands)
-	stats.DBScans++
-	stats.TransactionsScanned += db.N()
-	if collectProbs {
-		reserveProbs(db, cands)
-	}
-	visit := func(leaf int, p float64) {
-		c := &cands[leaf]
-		c.ESup += p
-		c.Var += float64(p * (1 - p))
-		if collectProbs {
-			c.Probs = append(c.Probs, p)
-		}
-	}
-	items, probs, offsets := db.Columns()
-	for j, n := 0, db.N(); j < n; j++ {
-		ts, te := int(offsets[j]), int(offsets[j+1])
-		if te-ts < k {
-			continue
-		}
-		walkTrie(trie, items, probs, ts, te, 1, visit)
-	}
-	stats.TrackPeak(trieBytes(trie) + candidateBytes(cands, collectProbs))
 }
 
 // reserveProbs sizes every candidate's probability vector once, before a
@@ -149,7 +118,7 @@ func candidateBytes(cands []Candidate, collectProbs bool) int64 {
 	return size
 }
 
-// count runs one counting pass on the shared parallel layer, picking the
+// Count runs one counting pass on the shared parallel layer, picking the
 // vertical postings-intersection plan when the crossover heuristic says it
 // is cheaper and the chunk-sharded horizontal scan otherwise. The chunk
 // layout is a function of the database shape alone (chunkSizeFor), per-chunk
@@ -159,8 +128,9 @@ func candidateBytes(cands []Candidate, collectProbs bool) int64 {
 // how many goroutines claim work, never how the floating-point sums
 // associate. Cancellation lands between chunks (horizontal) or between
 // candidates (vertical); on a non-nil error the candidates' aggregates are
-// partial and must be discarded.
-func count(ctx context.Context, db *core.Database, cands []Candidate, k int, cfg Config, stats *core.MiningStats, exec *core.ExecStats) error {
+// partial and must be discarded. The candidates must share one length k,
+// be in canonical order, and carry no aggregates yet.
+func Count(ctx context.Context, db *core.Database, cands []Candidate, k int, cfg Config, stats *core.MiningStats, exec *core.ExecStats) error {
 	if len(cands) == 0 {
 		return ctx.Err()
 	}
@@ -182,38 +152,25 @@ type shardAccum struct {
 	probs        [][]float64
 }
 
-// countChunked is the chunk-sharded counting pass behind count. Every chunk
+// countChunked is the chunk-sharded counting pass behind Count. Every chunk
 // walks its contiguous transaction range against the shared trie (read-only
 // during the walk) into per-chunk accumulators; chunks merge in chunk order,
 // so probability vectors remain in global transaction order. A single-chunk
-// layout (small databases) accumulates directly into the candidates —
-// bit-identical to the serial reference countLevel.
+// layout (small databases) runs serially: there is nothing to shard.
 //
 // PeakTrackedBytes stays the algorithm's structures (trie + candidates):
 // the transient accumulators are execution-layer overhead, visible to the
 // eval heap sampler but excluded here so the paper-style memory reports —
 // and the per-level peaks — are identical for every worker count.
 func countChunked(ctx context.Context, db *core.Database, cands []Candidate, k int, collectProbs bool, workers int, stats *core.MiningStats) error {
-	if len(cands) == 0 {
-		return ctx.Err()
-	}
 	n := db.N()
 	size := chunkSizeFor(db)
 	nc := parallel.NumChunks(n, size)
-	if nc <= 1 {
-		// Single-chunk layouts (≤ one chunk of transactions) are already
-		// within the "one chunk of work" cancellation bound.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		countLevel(db, cands, k, collectProbs, stats)
-		return nil
-	}
 	trie := buildTrie(cands)
 	stats.DBScans++
-	stats.TransactionsScanned += db.N()
+	stats.TransactionsScanned += n
 	var err error
-	if parallel.Resolve(workers) == 1 {
+	if nc <= 1 || parallel.Resolve(workers) == 1 {
 		err = countChunkedSerial(ctx, db, trie, cands, k, collectProbs, size, nc)
 	} else {
 		err = countChunkedParallel(ctx, db, trie, cands, k, collectProbs, workers, size, nc)
@@ -355,11 +312,4 @@ func walkTrie(n *trieNode, items []core.Item, probs []float64, start, end int, p
 			walkTrie(child, items, probs, i+1, end, p*probs[i], visit)
 		}
 	}
-}
-
-// CountLevel exposes the shared trie counting pass to sibling algorithm
-// packages (the uniform-platform requirement: every miner counts the same
-// way). Candidates must share one length k and be in canonical order.
-func CountLevel(db *core.Database, cands []Candidate, k int, collectProbs bool, stats *core.MiningStats) {
-	countLevel(db, cands, k, collectProbs, stats)
 }

@@ -12,33 +12,35 @@ import (
 )
 
 // TestChunkedCountMatchesSerial: the chunked counting pass must reproduce
-// the serial aggregates up to summation order, and keep probability vectors
-// in global transaction order.
+// core's per-itemset oracle — the aggregates up to summation order, and the
+// nonzero containment probabilities in global transaction order.
 func TestChunkedCountMatchesSerial(t *testing.T) {
 	db := dataset.Accident.GenerateUncertain(0.001, 23)
 	for _, workers := range []int{1, 2, 3, 8} {
-		serial := pairCandidates(db, 256)
-		var sStats core.MiningStats
-		countLevel(db, serial, 2, true, &sStats)
-
-		chunked := cloneCandidates(serial)
+		chunked := pairCandidates(db, 256)
 		var pStats core.MiningStats
 		countChunked(context.Background(), db, chunked, 2, true, workers, &pStats)
 
-		for i := range serial {
-			s, p := serial[i], chunked[i]
-			if math.Abs(s.ESup-p.ESup) > 1e-9 || math.Abs(s.Var-p.Var) > 1e-9 {
-				t.Fatalf("workers=%d %v: serial (%v, %v) vs chunked (%v, %v)",
-					workers, s.Items, s.ESup, s.Var, p.ESup, p.Var)
+		for _, p := range chunked {
+			esup, v := db.ESupVar(p.Items)
+			if math.Abs(esup-p.ESup) > 1e-9 || math.Abs(v-p.Var) > 1e-9 {
+				t.Fatalf("workers=%d %v: oracle (%v, %v) vs chunked (%v, %v)",
+					workers, p.Items, esup, v, p.ESup, p.Var)
 			}
-			if len(s.Probs) != len(p.Probs) {
+			var want []float64
+			for _, q := range db.TxProbs(p.Items) {
+				if q != 0 {
+					want = append(want, q)
+				}
+			}
+			if len(want) != len(p.Probs) {
 				t.Fatalf("workers=%d %v: prob vector lengths %d vs %d",
-					workers, s.Items, len(s.Probs), len(p.Probs))
+					workers, p.Items, len(want), len(p.Probs))
 			}
-			for j := range s.Probs {
-				if s.Probs[j] != p.Probs[j] {
+			for j := range want {
+				if want[j] != p.Probs[j] {
 					t.Fatalf("workers=%d %v: prob %d: %v vs %v (order broken)",
-						workers, s.Items, j, s.Probs[j], p.Probs[j])
+						workers, p.Items, j, want[j], p.Probs[j])
 				}
 			}
 		}
@@ -114,7 +116,7 @@ func TestParallelTinyDatabaseFallsBack(t *testing.T) {
 	cands := []Candidate{{Items: core.NewItemset(0)}, {Items: core.NewItemset(1)}}
 	var stats core.MiningStats
 	var ex core.ExecStats
-	count(context.Background(), db, cands, 1, Config{Workers: 8}, &stats, &ex)
+	Count(context.Background(), db, cands, 1, Config{Workers: 8}, &stats, &ex)
 	if math.Abs(cands[0].ESup-0.75) > 1e-12 || math.Abs(cands[1].ESup-0.5) > 1e-12 {
 		t.Fatalf("tiny parallel counts wrong: %+v", cands)
 	}

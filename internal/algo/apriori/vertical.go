@@ -29,7 +29,7 @@ import (
 //     and a chunk whose partial is zero is a no-op in both plans (x + 0 ≡ x
 //     for the non-negative sums involved).
 //
-// Hence count may switch plans per level (and the partition engine's
+// Hence Count may switch plans per level (and the partition engine's
 // restricted runs may see a different choice than a single-shot mine)
 // without moving a single result bit.
 
@@ -79,9 +79,6 @@ func useVertical(db *core.Database, cands []Candidate, k int) bool {
 // tests pin them bit for bit to scalar references (this plan's original
 // loops); exec counts the level's kernel intersections.
 func countVertical(ctx context.Context, db *core.Database, cands []Candidate, collectProbs bool, workers int, stats *core.MiningStats, exec *core.ExecStats) error {
-	if len(cands) == 0 {
-		return ctx.Err()
-	}
 	v := db.Vertical()
 	// One logical counting pass over the data, same as a horizontal scan —
 	// keeping DBScans comparable across plans and levels.
@@ -96,9 +93,7 @@ func countVertical(ctx context.Context, db *core.Database, cands []Candidate, co
 	for ci := range cands {
 		cands[ci].ESup += outs[ci].ESup
 		cands[ci].Var += outs[ci].Var
-		if collectProbs && len(outs[ci].Probs) > 0 {
-			cands[ci].Probs = append(cands[ci].Probs, outs[ci].Probs...)
-		}
+		cands[ci].Probs = outs[ci].Probs
 		stats.PostingsProbed += outs[ci].Probes
 	}
 	exec.KernelIntersects += int64(len(cands))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"umine/internal/core"
@@ -57,7 +58,7 @@ func candidatesAt(t *testing.T, db *core.Database, minESup float64, k int) []Can
 			}
 			return nil
 		}
-		next := generate(frequent, nil, Config{}, &stats)
+		next := Generate(frequent, nil, Config{}, &stats)
 		if len(next) == 0 {
 			return nil
 		}
@@ -75,6 +76,53 @@ func freshCandidates(cands []Candidate) []Candidate {
 		out[i] = Candidate{Items: cands[i].Items}
 	}
 	return out
+}
+
+// TestSparseCountAllocs: counting a sparse set of pair candidates — the
+// shape of a long-tailed level 2 or a SON phase-2 verification — costs a
+// fixed handful of allocations, fresh candidates included, however large the
+// database. The horizontal plan allocates 64 times on this workload, so the
+// bound also pins that Count picks the vertical plan for it.
+func TestSparseCountAllocs(t *testing.T) {
+	db := dataset.Gazelle.GenerateUncertain(0.2, 21)
+	base := bandPairCandidates(db, 96, 8)
+	db.Vertical() // built once per database, not per counting pass
+	var stats core.MiningStats
+	cfg := Config{Workers: 1}
+	allocs := testing.AllocsPerRun(20, func() {
+		var ex core.ExecStats
+		if err := Count(context.Background(), db, freshCandidates(base), 2, cfg, &stats, &ex); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("counting %d sparse pairs: %v allocs per pass, want ≤ 4", len(base), allocs)
+	}
+}
+
+// bandPairCandidates pairs the bandWidth items starting at descending-count
+// rank rankLo (ties broken by item id), in canonical order.
+func bandPairCandidates(db *core.Database, rankLo, bandWidth int) []Candidate {
+	counts := db.ItemTIDCounts()
+	items := make([]core.Item, len(counts))
+	for it := range items {
+		items[it] = core.Item(it)
+	}
+	sort.Slice(items, func(i, j int) bool {
+		if counts[items[i]] != counts[items[j]] {
+			return counts[items[i]] > counts[items[j]]
+		}
+		return items[i] < items[j]
+	})
+	band := items[rankLo : rankLo+bandWidth]
+	var cands []Candidate
+	for i := range band {
+		for j := i + 1; j < len(band); j++ {
+			cands = append(cands, Candidate{Items: core.NewItemset(band[i], band[j])})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].Items.Compare(cands[j].Items) < 0 })
+	return cands
 }
 
 func TestVerticalCountBitIdenticalToHorizontal(t *testing.T) {

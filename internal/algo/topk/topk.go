@@ -13,10 +13,16 @@
 // final top-k, so the expansion frontier is pruned by the same bound the
 // heap maintains. The threshold only rises, making every prune permanently
 // safe.
+//
+// Levels above the first join and count through the Apriori framework
+// (apriori.Generate, apriori.Count), so an itemset of length ≥ 2 carries
+// UApriori's ESup and Var bits; singletons come from db.ItemESupVar, as
+// UH-Mine's and UFP-growth's do.
 package topk
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 
 	"umine/internal/algo/apriori"
@@ -41,6 +47,7 @@ func (m *Miner) Mine(db *core.Database) ([]core.Result, core.MiningStats, error)
 		return nil, core.MiningStats{}, fmt.Errorf("topk: K must be positive, got %d", m.K)
 	}
 	var stats core.MiningStats
+	var exec core.ExecStats
 
 	h := &resultHeap{}
 	heap.Init(h)
@@ -92,11 +99,13 @@ func (m *Miner) Mine(db *core.Database) ([]core.Result, core.MiningStats, error)
 		if len(frontier) < 2 {
 			break
 		}
-		cands := join(frontier, &stats)
+		cands := apriori.Generate(frontier, nil, apriori.Config{}, &stats)
 		if len(cands) == 0 {
 			break
 		}
-		countLevel(db, cands, k, &stats)
+		if err := apriori.Count(context.Background(), db, cands, k, apriori.Config{}, &stats, &exec); err != nil {
+			return nil, stats, err
+		}
 		level = level[:0]
 		th = threshold()
 		for i := range cands {
@@ -145,58 +154,4 @@ func (h *resultHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// join builds k+1 candidates from the frontier with the classic prefix join
-// and subset check (all k-subsets must be in the frontier).
-func join(frontier []core.Itemset, stats *core.MiningStats) []apriori.Candidate {
-	core.SortItemsets(frontier)
-	inFrontier := make(map[string]bool, len(frontier))
-	for _, f := range frontier {
-		inFrontier[f.Key()] = true
-	}
-	var cands []apriori.Candidate
-	sub := core.Itemset{}
-	for i := 0; i < len(frontier); i++ {
-		for j := i + 1; j < len(frontier); j++ {
-			a, b := frontier[i], frontier[j]
-			if !prefixEqual(a, b) {
-				break // sorted: once prefixes diverge, no more joins for i
-			}
-			cand := a.Extend(b[len(b)-1])
-			stats.CandidatesGenerated++
-			ok := true
-			for drop := 0; drop < len(cand)-2 && ok; drop++ {
-				sub = sub[:0]
-				for x, it := range cand {
-					if x != drop {
-						sub = append(sub, it)
-					}
-				}
-				if !inFrontier[sub.Key()] {
-					ok = false
-					stats.CandidatesPruned++
-				}
-			}
-			if ok {
-				cands = append(cands, apriori.Candidate{Items: cand})
-			}
-		}
-	}
-	return cands
-}
-
-func prefixEqual(a, b core.Itemset) bool {
-	for i := 0; i < len(a)-1; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// countLevel counts the candidates in one scan via the shared framework's
-// trie counting (public wrapper).
-func countLevel(db *core.Database, cands []apriori.Candidate, k int, stats *core.MiningStats) {
-	apriori.CountLevel(db, cands, k, false, stats)
 }

@@ -1,11 +1,13 @@
 package topk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"umine/internal/algo/uapriori"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 	"umine/internal/dataset"
@@ -157,6 +159,44 @@ func TestTopKFewerResultsThanK(t *testing.T) {
 	// {0}, {1}, {0,1} — three itemsets with positive esup.
 	if len(got) != 3 {
 		t.Fatalf("got %d results, want 3", len(got))
+	}
+}
+
+// TestTopKMatchesUAprioriBits: top-k joins and counts every level above the
+// first through the shared Apriori framework, so each itemset of length ≥ 2
+// carries the exact ESup and Var bits UApriori reports for it. The workload
+// spans several counting chunks, where a second summation order would show.
+func TestTopKMatchesUAprioriBits(t *testing.T) {
+	db := dataset.Accident.GenerateUncertain(0.01, 1)
+	top, _, err := (&Miner{K: 200}).Mine(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minESup := top[len(top)-1].ESup
+	rs, err := (&uapriori.Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: minESup / float64(db.N())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make(map[string]core.Result, len(rs.Results))
+	for _, r := range rs.Results {
+		ref[r.Itemset.Key()] = r
+	}
+	checked := 0
+	for _, r := range top {
+		if len(r.Itemset) < 2 {
+			continue
+		}
+		checked++
+		u, ok := ref[r.Itemset.Key()]
+		if !ok {
+			t.Fatalf("%v (esup %v) missing from UApriori at min_esup %v", r.Itemset, r.ESup, minESup)
+		}
+		if math.Float64bits(r.ESup) != math.Float64bits(u.ESup) || math.Float64bits(r.Var) != math.Float64bits(u.Var) {
+			t.Errorf("%v: top-k (%v, %v), UApriori (%v, %v)", r.Itemset, r.ESup, r.Var, u.ESup, u.Var)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no itemset of length ≥ 2 in the top-k; the workload checks nothing")
 	}
 }
 

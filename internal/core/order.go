@@ -43,8 +43,3 @@ func FrequencyOrder(esup []float64, minESupCount float64) (order []Item, rank []
 	}
 	return order, rank
 }
-
-// SortItemsets sorts itemsets into canonical order.
-func SortItemsets(sets []Itemset) {
-	slices.SortFunc(sets, func(a, b Itemset) int { return a.Compare(b) })
-}

@@ -431,7 +431,7 @@ func (l *Ledger) rowHeight(b band) int {
 		return err == nil && ok
 	}
 	hi := 1
-	for admits(hi) && hi < 1<<40 {
+	for admits(hi) && hi < min(1<<40, math.MaxInt/2) {
 		hi *= 2
 	}
 	last := sort.Search(hi, func(d int) bool { return d > 0 && !admits(d) }) - 1

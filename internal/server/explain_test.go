@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -288,7 +289,7 @@ func TestMineWithoutObserversHasNilProgress(t *testing.T) {
 // GOMAXPROCS. An uncapped value reaches the work-stealing scheduler, which
 // allocates one deque and starts one goroutine per requested worker.
 func TestWorkersClampedToCores(t *testing.T) {
-	const huge = 1 << 40
+	const huge = math.MaxInt
 	s, ts := httpFixture(t)
 	ex, err := s.Explain(context.Background(), MineRequest{
 		Dataset: "d", Algorithm: "UApriori", Thresholds: core.Thresholds{MinESup: 0.3}, Workers: huge,

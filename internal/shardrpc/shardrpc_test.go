@@ -151,7 +151,7 @@ func TestMineShardWorkersClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := core.Thresholds{MinESup: 0.1}
-	sets, stats, err := be.MineShard(context.Background(), 0, "UH-Mine", th, 1<<40)
+	sets, stats, err := be.MineShard(context.Background(), 0, "UH-Mine", th, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
