@@ -5,13 +5,18 @@
 
 GO ?= go
 
-.PHONY: all build check-fma check-386 examples fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke ci
+.PHONY: all build loc check-fma check-386 examples fmt vet lint test race test-cancel test-partition test-shardrpc test-incmine test-steal bench bench-kernels smoke-server smoke-shards smoke-metrics smoke-subscribe smoke-explain bench-smoke fuzz-smoke ci
 
 all: build
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## loc: Go line counts, non-test and test, with and without perfbench/ —
+## run on both sides of a change for its net LOC (not part of ci)
+loc:
+	sh scripts/loc.sh
 
 ## check-fma: cross-compile every package's test binary for GOARCH=arm64 and
 ## fail if a module source line compiles to a fused multiply-add (FMADDD,

@@ -1,4 +1,7 @@
-package approx
+package algo
+
+// The suite of the approximate probabilistic miners (§3.3): the Poisson
+// rule on Apriori and the Normal rule on Apriori and on UH-Mine.
 
 import (
 	"context"
@@ -6,15 +9,19 @@ import (
 	"math/rand"
 	"testing"
 
-	"umine/internal/algo/exact"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 	"umine/internal/dataset"
 	"umine/internal/prob"
 )
 
+// approxMiners builds the three approximate miners.
+func approxMiners() []core.Miner {
+	return []core.Miner{MustNewWith("PDUApriori", core.Options{}), MustNewWith("NDUApriori", core.Options{}), MustNewWith("NDUH-Mine", core.Options{})}
+}
+
 func TestNamesAndSemantics(t *testing.T) {
-	miners := []core.Miner{&PDUApriori{}, &NDUApriori{}, &NDUHMine{}}
+	miners := approxMiners()
 	want := []string{"PDUApriori", "NDUApriori", "NDUH-Mine"}
 	for i, m := range miners {
 		if m.Name() != want[i] {
@@ -36,11 +43,11 @@ func TestNDUAprioriAndNDUHMineAgree(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		db := coretest.RandomDB(rng, 30+rng.Intn(100), 8, 0.3+0.4*rng.Float64())
 		th := core.Thresholds{MinSup: 0.1 + 0.3*rng.Float64(), PFT: 0.2 + 0.7*rng.Float64()}
-		a, err := (&NDUApriori{}).Mine(context.Background(), db, th)
+		a, err := MustNewWith("NDUApriori", core.Options{}).Mine(context.Background(), db, th)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := (&NDUHMine{}).Mine(context.Background(), db, th)
+		b, err := MustNewWith("NDUH-Mine", core.Options{}).Mine(context.Background(), db, th)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +77,7 @@ func TestPDUAprioriReductionEquivalence(t *testing.T) {
 		db := coretest.RandomDB(rng, 40, 6, 0.5)
 		th := core.Thresholds{MinSup: 0.2 + 0.2*rng.Float64(), PFT: 0.3 + 0.6*rng.Float64()}
 		msc := th.MinSupCount(db.N())
-		rs, err := (&PDUApriori{}).Mine(context.Background(), db, th)
+		rs, err := MustNewWith("PDUApriori", core.Options{}).Mine(context.Background(), db, th)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +104,7 @@ func TestPDUAprioriReductionEquivalence(t *testing.T) {
 
 func TestPDUAprioriFreqProbIsNaN(t *testing.T) {
 	db := coretest.PaperDB()
-	rs, err := (&PDUApriori{}).Mine(context.Background(), db, core.Thresholds{MinSup: 0.25, PFT: 0.5})
+	rs, err := MustNewWith("PDUApriori", core.Options{}).Mine(context.Background(), db, core.Thresholds{MinSup: 0.25, PFT: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +124,14 @@ func TestPDUAprioriFreqProbIsNaN(t *testing.T) {
 func TestApproximationQualityOnLargeDB(t *testing.T) {
 	db := dataset.Accident.GenerateUncertain(0.004, 42) // ~1360 transactions
 	th := core.Thresholds{MinSup: 0.2, PFT: 0.9}
-	exactRS, err := (&exact.Miner{Method: exact.DC, Chernoff: true}).Mine(context.Background(), db, th)
+	exactRS, err := MustNewWith("DCB", core.Options{}).Mine(context.Background(), db, th)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exactRS.Len() == 0 {
 		t.Fatal("exact miner found nothing; workload too hard")
 	}
-	for _, m := range []core.Miner{&NDUApriori{}, &NDUHMine{}, &PDUApriori{}} {
+	for _, m := range approxMiners() {
 		rs, err := m.Mine(context.Background(), db, th)
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +177,7 @@ func TestNormalFreqProbValuesNearExact(t *testing.T) {
 	db := dataset.Accident.GenerateUncertain(0.003, 7)
 	th := core.Thresholds{MinSup: 0.25, PFT: 0.5}
 	msc := th.MinSupCount(db.N())
-	rs, err := (&NDUApriori{}).Mine(context.Background(), db, th)
+	rs, err := MustNewWith("NDUApriori", core.Options{}).Mine(context.Background(), db, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +200,9 @@ func TestNormalFreqProbValuesNearExact(t *testing.T) {
 	}
 }
 
-func TestRejectsBadThresholds(t *testing.T) {
+func TestApproxRejectsBadThresholds(t *testing.T) {
 	db := coretest.PaperDB()
-	for _, m := range []core.Miner{&PDUApriori{}, &NDUApriori{}, &NDUHMine{}} {
+	for _, m := range approxMiners() {
 		for _, th := range []core.Thresholds{
 			{MinSup: 0, PFT: 0.5},
 			{MinSup: 0.5, PFT: 0},
@@ -211,7 +218,7 @@ func TestRejectsBadThresholds(t *testing.T) {
 
 func TestEmptyDatabase(t *testing.T) {
 	empty := core.MustNewDatabase("empty", nil)
-	for _, m := range []core.Miner{&PDUApriori{}, &NDUApriori{}, &NDUHMine{}} {
+	for _, m := range approxMiners() {
 		rs, err := m.Mine(context.Background(), empty, core.Thresholds{MinSup: 0.5, PFT: 0.9})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
@@ -228,7 +235,7 @@ func TestEmptyDatabase(t *testing.T) {
 // threshold or far below — borderline itemsets are rare).
 func TestFreqProbSaturation(t *testing.T) {
 	db := dataset.Connect.GenerateUncertain(0.05, 9) // ~3380 transactions
-	rs, err := (&NDUApriori{}).Mine(context.Background(), db, core.Thresholds{MinSup: 0.5, PFT: 0.9})
+	rs, err := MustNewWith("NDUApriori", core.Options{}).Mine(context.Background(), db, core.Thresholds{MinSup: 0.5, PFT: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package apriori implements the shared breadth-first generate-and-test
-// framework used by five of the paper's eight algorithms: UApriori, the
-// exact probabilistic miners (DP and DC, with and without Chernoff pruning)
-// and the Apriori-family approximate miners (PDUApriori, NDUApriori).
+// framework used by seven of the paper's ten algorithm configurations:
+// UApriori, the exact probabilistic miners (DP and DC, with and without
+// Chernoff pruning) and the Apriori-family approximate miners (PDUApriori,
+// NDUApriori), plus the MCSampling extension.
 //
 // The paper's §4.1 insists on "a common implementation framework which
 // provides common data structures and subroutines" so that comparisons
@@ -10,9 +11,10 @@
 // the counting pass that accumulates expected support and variance (and,
 // optionally, the per-transaction containment probability vector needed by
 // exact miners) in one database scan per level; and Run, the level-wise
-// driver over both. Each concrete miner differs only in its Decide function
-// — the per-itemset frequentness test whose cost the paper analyses in
-// Tables 4 and 5.
+// driver over both. Each algorithm differs only in its Decide function —
+// the per-itemset frequentness test whose cost the paper analyses in
+// Tables 4 and 5 — and in the ESupPrune floor and CollectProbs it sets.
+// The registry (umine/internal/algo) keeps these per algorithm as its rule.
 package apriori
 
 import (
@@ -37,12 +39,28 @@ type Candidate struct {
 	Probs []float64
 }
 
+// Verdict is Decide's report on one candidate: whether it is frequent and
+// which counted tests it ran. Run tallies the counted tests into
+// MiningStats.
+type Verdict uint8
+
+const (
+	// Frequent: report the result and seed the next level.
+	Frequent Verdict = 1 << iota
+	// ChernoffPruned: the Chernoff bound (Lemma 1) rejected the candidate
+	// without an exact test (MiningStats.ChernoffPruned).
+	ChernoffPruned
+	// ExactEvaluated: a DP or DC frequent-probability computation ran
+	// (MiningStats.ExactEvaluations).
+	ExactEvaluated
+)
+
 // Config parameterizes one run of the framework.
 type Config struct {
 	// Decide is the per-itemset frequentness test: given a counted
-	// candidate it returns the result to report and whether the candidate
-	// is frequent (and may therefore seed the next level). Required.
-	Decide func(c *Candidate) (core.Result, bool)
+	// candidate it returns the result to report (read only when the
+	// verdict has Frequent) and its Verdict. Required.
+	Decide func(c *Candidate) (core.Result, Verdict)
 	// CollectProbs requests the per-transaction probability vectors.
 	CollectProbs bool
 	// Restrict, when non-nil, confines the run to a pre-computed candidate
@@ -81,13 +99,13 @@ type Config struct {
 	Workers int
 	// ParallelDecide marks Decide as safe for concurrent calls, letting the
 	// framework evaluate candidates' frequentness on the worker pool when
-	// Workers allows. A Decide that mutates shared state (e.g. stats
-	// counters) must synchronize internally (atomics). Outcomes are
-	// collected into per-candidate slots and appended in candidate order,
-	// so results and the next level's seeds are identical to a serial run.
+	// Workers allows. Outcomes, verdicts included, are collected into
+	// per-candidate slots and appended and tallied in candidate order, so
+	// results, counters and the next level's seeds are identical to a
+	// serial run.
 	ParallelDecide bool
-	// Name labels ProgressEvents with the concrete miner's registry name
-	// (the framework is shared by five algorithms).
+	// Name labels ProgressEvents with the running algorithm's registry name
+	// (the framework is shared by every Apriori-family algorithm).
 	Name string
 	// Progress, when non-nil, receives one PhaseLevel event per completed
 	// level (candidates counted and decided) and a final PhaseDone event.
@@ -123,7 +141,7 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 		return nil, stats, err
 	}
 
-	frequent, err := decide(ctx, cands, cfg, &results)
+	frequent, err := decide(ctx, cands, cfg, &results, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -140,7 +158,7 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 		if err := Count(ctx, db, next, k, cfg, &stats, &exec); err != nil {
 			return nil, stats, err
 		}
-		frequent, err = decide(ctx, next, cfg, &results)
+		frequent, err = decide(ctx, next, cfg, &results, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -156,14 +174,27 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 }
 
 // decide applies cfg.Decide to every counted candidate, appending accepted
-// results and returning the frequent itemsets that seed the next level.
-// With ParallelDecide the tests run on the worker pool — each candidate's
-// verification is independent, which is where the exact miners spend almost
-// all of their time — but outcomes land in per-candidate slots and are
-// appended in candidate order, so the output matches the serial path.
-// Cancellation lands between candidates on both paths.
-func decide(ctx context.Context, cands []Candidate, cfg Config, results *[]core.Result) ([]core.Itemset, error) {
+// results, tallying the verdicts into stats and returning the frequent
+// itemsets that seed the next level. With ParallelDecide the tests run on
+// the worker pool — each candidate's verification is independent, which is
+// where the exact miners spend almost all of their time — but outcomes land
+// in per-candidate slots and are appended in candidate order, so the output
+// matches the serial path. Cancellation lands between candidates on both
+// paths.
+func decide(ctx context.Context, cands []Candidate, cfg Config, results *[]core.Result, stats *core.MiningStats) ([]core.Itemset, error) {
 	var frequent []core.Itemset
+	take := func(i int, res core.Result, v Verdict) {
+		if v&ChernoffPruned != 0 {
+			stats.ChernoffPruned++
+		}
+		if v&ExactEvaluated != 0 {
+			stats.ExactEvaluations++
+		}
+		if v&Frequent != 0 {
+			*results = append(*results, res)
+			frequent = append(frequent, cands[i].Items)
+		}
+	}
 	if !cfg.ParallelDecide || parallel.Resolve(cfg.Workers) == 1 {
 		// Serial path appends in place — no per-candidate outcome slots, so
 		// the paper-faithful single-threaded runs keep their old footprint.
@@ -180,30 +211,24 @@ func decide(ctx context.Context, cands []Candidate, cfg Config, results *[]core.
 				default:
 				}
 			}
-			res, keep := cfg.Decide(&cands[i])
-			if keep {
-				*results = append(*results, res)
-				frequent = append(frequent, cands[i].Items)
-			}
+			res, v := cfg.Decide(&cands[i])
+			take(i, res, v)
 		}
 		return frequent, nil
 	}
 	type outcome struct {
-		res  core.Result
-		keep bool
+		res core.Result
+		v   Verdict
 	}
 	outs, err := parallel.MapCtx(ctx, cfg.Workers, cands, func(i int, _ Candidate) outcome {
-		res, keep := cfg.Decide(&cands[i])
-		return outcome{res, keep}
+		res, v := cfg.Decide(&cands[i])
+		return outcome{res, v}
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, o := range outs {
-		if o.keep {
-			*results = append(*results, o.res)
-			frequent = append(frequent, cands[i].Items)
-		}
+		take(i, o.res, o.v)
 	}
 	return frequent, nil
 }

@@ -11,12 +11,12 @@ import (
 )
 
 // expectedSupportDecide builds the plain UApriori decision for tests.
-func expectedSupportDecide(minCount float64) func(c *Candidate) (core.Result, bool) {
-	return func(c *Candidate) (core.Result, bool) {
+func expectedSupportDecide(minCount float64) func(c *Candidate) (core.Result, Verdict) {
+	return func(c *Candidate) (core.Result, Verdict) {
 		if c.ESup >= minCount-core.Eps {
-			return core.Result{Itemset: c.Items, ESup: c.ESup, Var: c.Var}, true
+			return core.Result{Itemset: c.Items, ESup: c.ESup, Var: c.Var}, Frequent
 		}
-		return core.Result{}, false
+		return core.Result{}, 0
 	}
 }
 
@@ -44,11 +44,14 @@ func TestCollectProbsMatchesTxProbs(t *testing.T) {
 	var seen []*Candidate
 	Run(context.Background(), db, Config{
 		CollectProbs: true,
-		Decide: func(c *Candidate) (core.Result, bool) {
+		Decide: func(c *Candidate) (core.Result, Verdict) {
 			cc := *c
 			cc.Probs = append([]float64(nil), c.Probs...)
 			seen = append(seen, &cc)
-			return core.Result{Itemset: c.Items, ESup: c.ESup}, c.ESup >= 1
+			if c.ESup >= 1 {
+				return core.Result{Itemset: c.Items, ESup: c.ESup}, Frequent
+			}
+			return core.Result{}, 0
 		},
 	})
 	for _, c := range seen {

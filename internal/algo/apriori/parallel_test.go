@@ -83,17 +83,9 @@ func TestChunkedCountWorkerIndependent(t *testing.T) {
 // serial loop.
 func TestRunWithWorkersMatchesSerial(t *testing.T) {
 	db := dataset.Gazelle.GenerateUncertain(0.01, 29)
-	decide := func(minCount float64) func(c *Candidate) (core.Result, bool) {
-		return func(c *Candidate) (core.Result, bool) {
-			if c.ESup >= minCount-core.Eps {
-				return core.Result{Itemset: c.Items, ESup: c.ESup, Var: c.Var}, true
-			}
-			return core.Result{}, false
-		}
-	}
 	minCount := 0.01 * float64(db.N())
-	serial, _, _ := Run(context.Background(), db, Config{Decide: decide(minCount)})
-	parallel, _, _ := Run(context.Background(), db, Config{Decide: decide(minCount), Workers: 4, ParallelDecide: true})
+	serial, _, _ := Run(context.Background(), db, Config{Decide: expectedSupportDecide(minCount)})
+	parallel, _, _ := Run(context.Background(), db, Config{Decide: expectedSupportDecide(minCount), Workers: 4, ParallelDecide: true})
 	if len(serial) != len(parallel) {
 		t.Fatalf("serial %d results, parallel %d", len(serial), len(parallel))
 	}

@@ -1,7 +1,6 @@
 package exact
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -9,32 +8,6 @@ import (
 	"umine/internal/dataset"
 	"umine/internal/prob"
 )
-
-// BenchmarkAblationChernoff isolates the effect of the Lemma 1 pruning —
-// the paper's Figure 5 DPB-vs-DPNB / DCB-vs-DCNB comparison — on one fixed
-// workload, reporting the filter rate next to the time.
-func BenchmarkAblationChernoff(b *testing.B) {
-	db := dataset.Accident.GenerateUncertain(0.001, 42)
-	th := core.Thresholds{MinSup: 0.3, PFT: 0.9}
-	for _, method := range []Method{DP, DC} {
-		for _, chernoff := range []bool{false, true} {
-			m := &Miner{Method: method, Chernoff: chernoff}
-			b.Run(m.Name(), func(b *testing.B) {
-				var stats core.MiningStats
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rs, err := m.Mine(context.Background(), db, th)
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = rs.Stats
-				}
-				b.ReportMetric(float64(stats.ChernoffPruned), "chernoff-pruned")
-				b.ReportMetric(float64(stats.ExactEvaluations), "exact-evals")
-			})
-		}
-	}
-}
 
 // BenchmarkAblationDCTruncation isolates the DC design decision of keeping
 // support-distribution vectors truncated at msc+1 entries with an absorbing

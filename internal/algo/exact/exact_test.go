@@ -1,4 +1,4 @@
-package exact
+package exact_test
 
 import (
 	"context"
@@ -6,20 +6,23 @@ import (
 	"math/rand"
 	"testing"
 
+	"umine/internal/algo"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 	"umine/internal/dataset"
 	"umine/internal/prob"
 )
 
-func allMiners() []*Miner {
-	return []*Miner{
-		{Method: DP},
-		{Method: DP, Chernoff: true},
-		{Method: DC},
-		{Method: DC, Chernoff: true},
+// allMiners builds the four exact miners from the registry.
+func allMiners() []core.Miner {
+	var out []core.Miner
+	for _, name := range []string{"DPNB", "DPB", "DCNB", "DCB"} {
+		out = append(out, newMiner(name))
 	}
+	return out
 }
+
+func newMiner(name string) core.Miner { return algo.MustNewWith(name, core.Options{}) }
 
 func TestNames(t *testing.T) {
 	want := map[string]bool{"DPNB": true, "DPB": true, "DCNB": true, "DCB": true}
@@ -99,11 +102,11 @@ func TestDPAndDCAgreeOnLargerData(t *testing.T) {
 	rng := rand.New(rand.NewSource(502))
 	db := coretest.RandomDB(rng, 300, 8, 0.4)
 	th := core.Thresholds{MinSup: 0.15, PFT: 0.8}
-	dp, err := (&Miner{Method: DP}).Mine(context.Background(), db, th)
+	dp, err := newMiner("DPNB").Mine(context.Background(), db, th)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := (&Miner{Method: DC}).Mine(context.Background(), db, th)
+	dc, err := newMiner("DCNB").Mine(context.Background(), db, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +132,12 @@ func TestChernoffVariantsReturnIdenticalResults(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		db := coretest.RandomDB(rng, 60, 7, 0.5)
 		th := core.Thresholds{MinSup: 0.3, PFT: 0.85}
-		for _, method := range []Method{DP, DC} {
-			plain, err := (&Miner{Method: method}).Mine(context.Background(), db, th)
+		for _, method := range []string{"DP", "DC"} {
+			plain, err := newMiner(method+"NB").Mine(context.Background(), db, th)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pruned, err := (&Miner{Method: method, Chernoff: true}).Mine(context.Background(), db, th)
+			pruned, err := newMiner(method+"B").Mine(context.Background(), db, th)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,11 +158,11 @@ func TestChernoffReducesExactEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(504))
 	db := coretest.RandomDB(rng, 200, 10, 0.3)
 	th := core.Thresholds{MinSup: 0.4, PFT: 0.9}
-	plain, err := (&Miner{Method: DC}).Mine(context.Background(), db, th)
+	plain, err := newMiner("DCNB").Mine(context.Background(), db, th)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := (&Miner{Method: DC, Chernoff: true}).Mine(context.Background(), db, th)
+	pruned, err := newMiner("DCB").Mine(context.Background(), db, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +190,7 @@ func TestDPMatchesReferenceDP(t *testing.T) {
 		{MinSup: 0.25, PFT: 0.05},
 	} {
 		msc := th.MinSupCount(db.N())
-		for _, m := range []*Miner{{Method: DP}, {Method: DP, Chernoff: true}} {
+		for _, m := range []core.Miner{newMiner("DPNB"), newMiner("DPB")} {
 			rs, err := m.Mine(context.Background(), db, th)
 			if err != nil {
 				t.Fatal(err)
@@ -209,47 +212,6 @@ func TestDPMatchesReferenceDP(t *testing.T) {
 	}
 }
 
-// TestDCTruncationExact is the DESIGN.md invariant: the truncated
-// divide-and-conquer distribution matches the untruncated Poisson-Binomial
-// on every point mass below msc and on the lumped tail.
-func TestDCTruncationExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(505))
-	for trial := 0; trial < 50; trial++ {
-		n := 10 + rng.Intn(300)
-		ps := make([]float64, n)
-		for i := range ps {
-			ps[i] = rng.Float64()
-		}
-		cap := 1 + rng.Intn(n)
-		got := supportDistDC(ps, cap)
-		full := prob.PBDist(ps)
-		for k := 0; k < cap && k < len(got)-1; k++ {
-			if math.Abs(got[k]-full[k]) > 1e-8 {
-				t.Fatalf("n=%d cap=%d: point mass %d: %v vs %v", n, cap, k, got[k], full[k])
-			}
-		}
-		tail := 0.0
-		for k := cap; k <= n; k++ {
-			tail += full[k]
-		}
-		if math.Abs(got[len(got)-1]-tail) > 1e-8 {
-			t.Fatalf("n=%d cap=%d: tail %v vs %v", n, cap, got[len(got)-1], tail)
-		}
-	}
-}
-
-func TestFreqProbDCEdges(t *testing.T) {
-	if got := freqProbDC([]float64{0.5}, 0); got != 1 {
-		t.Errorf("msc 0 → %v", got)
-	}
-	if got := freqProbDC([]float64{0.5}, 2); got != 0 {
-		t.Errorf("msc beyond n → %v", got)
-	}
-	if got := freqProbDC(nil, 1); got != 0 {
-		t.Errorf("empty ps → %v", got)
-	}
-}
-
 func TestRejectsBadThresholds(t *testing.T) {
 	db := coretest.PaperDB()
 	bad := []core.Thresholds{
@@ -266,20 +228,25 @@ func TestRejectsBadThresholds(t *testing.T) {
 	}
 }
 
-func TestLargeNStability(t *testing.T) {
-	// 2000 transactions stress the FFT path and DP rolling row; DP and DC
-	// must agree to 1e-6 on a frequent and a borderline itemset.
-	rng := rand.New(rand.NewSource(506))
-	n := 2000
-	ps := make([]float64, n)
-	for i := range ps {
-		ps[i] = 0.3 + 0.4*rng.Float64()
-	}
-	for _, msc := range []int{int(0.45 * float64(n)), int(0.5 * float64(n)), int(0.55 * float64(n))} {
-		dp := prob.PBFreqProbDP(ps, msc)
-		dc := freqProbDC(ps, msc)
-		if math.Abs(dp-dc) > 1e-6 {
-			t.Fatalf("msc=%d: DP %v vs DC %v", msc, dp, dc)
-		}
+// BenchmarkAblationChernoff isolates the effect of the Lemma 1 pruning —
+// the paper's Figure 5 DPB-vs-DPNB / DCB-vs-DCNB comparison — on one fixed
+// workload, reporting the filter rate next to the time.
+func BenchmarkAblationChernoff(b *testing.B) {
+	db := dataset.Accident.GenerateUncertain(0.001, 42)
+	th := core.Thresholds{MinSup: 0.3, PFT: 0.9}
+	for _, m := range allMiners() {
+		b.Run(m.Name(), func(b *testing.B) {
+			var stats core.MiningStats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rs, err := m.Mine(context.Background(), db, th)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stats = rs.Stats
+			}
+			b.ReportMetric(float64(stats.ChernoffPruned), "chernoff-pruned")
+			b.ReportMetric(float64(stats.ExactEvaluations), "exact-evals")
+		})
 	}
 }

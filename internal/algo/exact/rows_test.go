@@ -1,4 +1,4 @@
-package exact
+package exact_test
 
 import (
 	"bytes"
@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 
+	"umine/internal/algo"
+	"umine/internal/algo/exact"
 	"umine/internal/core"
 	"umine/internal/dataset"
 	"umine/internal/kernel"
@@ -28,11 +30,27 @@ func TestResumableRowsFallbacks(t *testing.T) {
 		t.Fatalf("msc did not step between %d and %d transactions", short.N(), n)
 	}
 	for _, chernoff := range []bool{false, true} {
+		name := "DPNB"
+		if chernoff {
+			name = "DPB"
+		}
 		for _, workers := range []int{1, 3} {
-			encode := func(db *core.Database, rows *Rows) []byte {
+			// mine runs the DP miner, resuming from rows when non-nil.
+			mine := func(ctx context.Context, db *core.Database, rows *exact.Rows, progress core.ProgressFunc) (*core.ResultSet, error) {
 				t.Helper()
-				m := &Miner{Method: DP, Chernoff: chernoff, Workers: workers, Rows: rows}
-				rs, err := m.Mine(context.Background(), db, th)
+				opts := core.Options{Workers: workers, Progress: progress}
+				if rows == nil {
+					return algo.MustNewWith(name, opts).Mine(ctx, db, th)
+				}
+				m, err := algo.NewResumable(name, opts, nil, rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.Mine(ctx, db, th)
+			}
+			encode := func(db *core.Database, rows *exact.Rows) []byte {
+				t.Helper()
+				rs, err := mine(context.Background(), db, rows, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -46,7 +64,7 @@ func TestResumableRowsFallbacks(t *testing.T) {
 				return buf.Bytes()
 			}
 			coldShort, coldFull := encode(short, nil), encode(full, nil)
-			check := func(label string, db *core.Database, rows *Rows, want []byte) {
+			check := func(label string, db *core.Database, rows *exact.Rows, want []byte) {
 				t.Helper()
 				if got := encode(db, rows); !bytes.Equal(got, want) {
 					t.Fatalf("chernoff=%v workers=%d %s: mine with rows diverged from the cold mine", chernoff, workers, label)
@@ -55,13 +73,13 @@ func TestResumableRowsFallbacks(t *testing.T) {
 
 			// Valid rows: built over the prefix, resumed over the appended
 			// database.
-			rows := NewRows(msc)
+			rows := exact.NewRows(msc)
 			check("build", short, rows, coldShort)
 			if rows.Len() == 0 || rows.Resumed() != 0 {
 				t.Fatalf("build kept %d rows and resumed %d, want some kept and none resumed", rows.Len(), rows.Resumed())
 			}
 			before := make(map[string]int, rows.Len())
-			for k, r := range rows.kept {
+			for k, r := range rows.Kept() {
 				before[k] = r.Used()
 			}
 			check("resume", full, rows, coldFull)
@@ -69,7 +87,7 @@ func TestResumableRowsFallbacks(t *testing.T) {
 				t.Fatal("no row was resumed over the appended database")
 			}
 			advanced := 0
-			for k, r := range rows.kept {
+			for k, r := range rows.Kept() {
 				if used, ok := before[k]; ok && r.Used() > used {
 					advanced++
 				}
@@ -80,23 +98,21 @@ func TestResumableRowsFallbacks(t *testing.T) {
 
 			// A mine canceled after it has extended rows leaves the kept
 			// rows as they were: Decide extends copies.
-			rows = NewRows(msc)
+			rows = exact.NewRows(msc)
 			check("rebuild", short, rows, coldShort)
 			kept := make(map[string]*kernel.TailRow, rows.Len())
-			for k, r := range rows.kept {
+			for k, r := range rows.Kept() {
 				kept[k] = r.Clone()
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			m := &Miner{Method: DP, Chernoff: chernoff, Workers: workers, Rows: rows,
-				Progress: func(core.ProgressEvent) { cancel() }}
-			if _, err := m.Mine(ctx, full, th); !errors.Is(err, context.Canceled) {
+			if _, err := mine(ctx, full, rows, func(core.ProgressEvent) { cancel() }); !errors.Is(err, context.Canceled) {
 				t.Fatalf("mine canceled from its first progress event = %v, want context.Canceled", err)
 			}
 			cancel()
 			if rows.Resumed() == 0 {
 				t.Fatal("the canceled mine resumed no rows before stopping")
 			}
-			if !reflect.DeepEqual(rows.kept, kept) {
+			if !reflect.DeepEqual(rows.Kept(), kept) {
 				t.Fatal("a canceled mine changed the kept rows")
 			}
 			check("resume after cancel", full, rows, coldFull)
@@ -112,21 +128,21 @@ func TestResumableRowsFallbacks(t *testing.T) {
 
 			// Too short: rows of height mscShort cannot read msc; fresh rows
 			// are built at the store's height instead.
-			rows = NewRows(mscShort)
+			rows = exact.NewRows(mscShort)
 			check("short-build", short, rows, coldShort)
-			rows.h = msc
+			rows.SetH(msc)
 			check("too-short", full, rows, coldFull)
 			if rows.Resumed() != 0 || rows.Len() == 0 {
 				t.Fatalf("too-short rows: resumed %d, kept %d; want 0 resumed and fresh rows kept", rows.Resumed(), rows.Len())
 			}
-			for _, r := range rows.kept {
+			for _, r := range rows.Kept() {
 				if r.H() != msc {
 					t.Fatalf("rebuilt row has H %d, want the store's %d", r.H(), msc)
 				}
 			}
 
 			// A store below msc keeps nothing and mines like the cold path.
-			rows = NewRows(msc - 1)
+			rows = exact.NewRows(msc - 1)
 			check("store-below-msc", full, rows, coldFull)
 			if rows.Len() != 0 {
 				t.Fatalf("a store of height %d below msc %d kept %d rows", msc-1, msc, rows.Len())

@@ -1,8 +1,9 @@
-// The registry side of the SON partitioned mining engine: per-algorithm
-// phase-1 plans (which expected-support miner generates partition
-// candidates, and under which candidate floor) and the constructor that
-// wires a partition.Engine to the registry. The engine itself
-// (umine/internal/partition) stays free of algorithm knowledge.
+// The registry side of the SON partitioned mining engine: queries over each
+// entry's phase-1 plan (which expected-support miner generates partition
+// candidates, and under which candidate floor; Entry.phase1 and
+// Entry.bound) and the constructor that wires a partition.Engine to the
+// registry. The engine itself (umine/internal/partition) stays free of
+// algorithm knowledge.
 
 package algo
 
@@ -14,30 +15,6 @@ import (
 	"umine/internal/partition"
 )
 
-// partitionPlan returns the phase-1 miner and candidate bound for a
-// registry entry. Expected-support algorithms mine partitions with
-// themselves at their own (relaxed) threshold; probabilistic algorithms —
-// whose frequentness test is not partitionwise decomposable — generate
-// candidates with their family's expected-support engine at the provable
-// esup floor of their acceptance region (see the partition package doc).
-func partitionPlan(e Entry) (phase1 string, bound partition.Bound) {
-	switch e.Family {
-	case ExpectedSupportFamily:
-		return e.Name, partition.BoundESup
-	case ExactFamily:
-		return "UApriori", partition.BoundMarkov
-	default: // ApproxFamily
-		switch e.Name {
-		case "PDUApriori":
-			return "UApriori", partition.BoundPoisson
-		case "NDUH-Mine":
-			return "UH-Mine", partition.BoundNormal
-		default: // NDUApriori
-			return "UApriori", partition.BoundNormal
-		}
-	}
-}
-
 // PartitionPhase1 returns the registry name of the miner that generates
 // phase-1 candidates for the named algorithm in a partitioned mine, and
 // whether the algorithm is partition-capable at all. External orchestrators
@@ -47,8 +24,7 @@ func PartitionPhase1(name string) (string, bool) {
 	if !ok || !e.Partition {
 		return "", false
 	}
-	p1, _ := partitionPlan(e)
-	return p1, true
+	return e.phase1, true
 }
 
 // Phase1ThresholdsFor returns the expected-support candidate floor the
@@ -69,8 +45,7 @@ func Phase1ThresholdsFor(name string, th core.Thresholds, n int) (core.Threshold
 	if !e.Partition {
 		return core.Thresholds{}, fmt.Errorf("algo: %s has no expected-support candidate floor", name)
 	}
-	_, bound := partitionPlan(e)
-	return partition.Phase1Thresholds(bound, th, n)
+	return partition.Phase1Thresholds(e.bound, th, n)
 }
 
 // familySemantics maps a registry family to its frequentness definition.
@@ -107,7 +82,6 @@ func NewPartitionEngine(name string, opts core.Options) (*partition.Engine, erro
 	if !entry.Partition {
 		return nil, fmt.Errorf("algo: %s does not support partitioned mining", name)
 	}
-	p1name, bound := partitionPlan(entry)
 	return &partition.Engine{
 		Algorithm: entry.Name,
 		Sem:       familySemantics(entry.Family),
@@ -115,10 +89,10 @@ func NewPartitionEngine(name string, opts core.Options) (*partition.Engine, erro
 		Workers:   opts.Workers,
 		Progress:  opts.Progress,
 		Phase1Thresholds: func(th core.Thresholds, n int) (core.Thresholds, error) {
-			return partition.Phase1Thresholds(bound, th, n)
+			return partition.Phase1Thresholds(entry.bound, th, n)
 		},
 		MineShard: func(ctx context.Context, _ int, db *core.Database, th core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
-			m := MustNewWith(p1name, core.Options{Workers: workers})
+			m := MustNewWith(entry.phase1, core.Options{Workers: workers})
 			rs, err := m.Mine(ctx, db, th)
 			if err != nil {
 				return nil, core.MiningStats{}, err

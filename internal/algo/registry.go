@@ -9,13 +9,11 @@ import (
 	"fmt"
 	"sort"
 
-	"umine/internal/algo/approx"
 	"umine/internal/algo/exact"
 	"umine/internal/algo/sampling"
-	"umine/internal/algo/uapriori"
 	"umine/internal/algo/ufpgrowth"
-	"umine/internal/algo/uhmine"
 	"umine/internal/core"
+	"umine/internal/partition"
 )
 
 // Family groups the algorithms as in the paper's Section 3.
@@ -44,8 +42,8 @@ func (f Family) String() string {
 }
 
 // Entry describes one registered algorithm: its identity, the capability
-// metadata callers consult without constructing a miner, and the
-// constructor behind NewWith and NewRestricted.
+// metadata callers consult without constructing a miner, and what its
+// miner runs — a rule on a search framework, or a miner of its own.
 type Entry struct {
 	Name   string
 	Family Family
@@ -57,62 +55,74 @@ type Entry struct {
 	// single-shot mine cannot hold. TestRegistryCapabilityMetadata checks
 	// the restriction contract on every entry that sets it.
 	Partition bool
-	// build constructs a fresh miner with opts.Workers and opts.Progress
-	// and the phase-2 restriction allow (nil = unrestricted) in its struct
-	// literal; it does not read opts.Partitions.
-	build func(opts core.Options, allow func(core.Itemset) bool) core.Miner
-	// resume, set on the DP miners only, is build with the DP verification
+	// PFTMonotonic reports whether each result's FreqProb depends on the
+	// itemset and min_sup alone, not on pft, so that a result set mined at
+	// one pft filters exactly to any higher pft: true for the exact rules
+	// (exact probabilities) and the Normal rule (a function of esup, var
+	// and msc); false for the Poisson rule, whose results carry no
+	// probability, for MCSampling's run-dependent estimates and for the
+	// expected-support algorithms, which have no pft.
+	PFTMonotonic bool
+	// phase1 names the expected-support miner that generates a partitioned
+	// mine's phase-1 candidates, and bound the provable esup floor of the
+	// entry's acceptance region they are mined at (see the partition
+	// package doc). Expected-support algorithms mine partitions with
+	// themselves at their own threshold; the probabilistic ones, whose
+	// test does not decompose over partitions, with their framework's
+	// expected-support miner.
+	phase1 string
+	bound  partition.Bound
+	// rule is the entry's frequentness test, run on UH-Mine when uh is set
+	// and on Apriori otherwise; nil for the two entries with their own
+	// miner type, which build constructs.
+	rule rule
+	uh   bool
+	// resume, set on the DP entries only, is rule with the DP verification
 	// resuming from a row store (NewResumable).
-	resume func(opts core.Options, allow func(core.Itemset) bool, rows *exact.Rows) core.Miner
+	resume func(*exact.Rows) rule
+	// build constructs UFP-growth, which has its own search, and
+	// MCSampling, which has its own options (NewSamplingMiner), with
+	// opts.Workers and opts.Progress and the phase-2 restriction allow
+	// (nil = unrestricted); it does not read opts.Partitions.
+	build func(opts core.Options, allow func(core.Itemset) bool) core.Miner
 }
 
-// dpMiner returns the DP miners' resume constructor, with or without the
-// Chernoff pruning.
-func dpMiner(chernoff bool) func(core.Options, func(core.Itemset) bool, *exact.Rows) core.Miner {
-	return func(o core.Options, allow func(core.Itemset) bool, rows *exact.Rows) core.Miner {
-		return &exact.Miner{Method: exact.DP, Chernoff: chernoff, Workers: o.Workers, Progress: o.Progress, Restrict: allow, Rows: rows}
+// miner returns the entry's miner running rule r (e.rule, or a resumed DP
+// rule), built with opts.Workers, opts.Progress and the restriction allow.
+func (e Entry) miner(opts core.Options, allow func(core.Itemset) bool, r rule) core.Miner {
+	if e.build != nil {
+		return e.build(opts, allow)
 	}
+	f := frame{name: e.Name, sem: familySemantics(e.Family), rule: r, workers: opts.Workers, progress: opts.Progress, allow: allow}
+	if e.uh {
+		return &uhMiner{f}
+	}
+	return &aprioriMiner{f}
 }
 
 var registry = []Entry{
-	{"UApriori", ExpectedSupportFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &uapriori.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}, nil},
-	{"UFP-growth", ExpectedSupportFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &ufpgrowth.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}, nil},
-	{"UH-Mine", ExpectedSupportFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &uhmine.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}, nil},
-	{"DPNB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return dpMiner(false)(o, allow, nil)
-	}, dpMiner(false)},
-	{"DPB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return dpMiner(true)(o, allow, nil)
-	}, dpMiner(true)},
-	{"DCNB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &exact.Miner{Method: exact.DC, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}, nil},
-	{"DCB", ExactFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &exact.Miner{Method: exact.DC, Chernoff: true, Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}, nil},
-	{"PDUApriori", ApproxFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &approx.PDUApriori{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}, nil},
-	{"NDUApriori", ApproxFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &approx.NDUApriori{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}, nil},
-	{"NDUH-Mine", ApproxFamily, true, func(o core.Options, allow func(core.Itemset) bool) core.Miner {
-		return &approx.NDUHMine{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
-	}, nil},
+	{Name: "UApriori", Family: ExpectedSupportFamily, Partition: true, phase1: "UApriori", bound: partition.BoundESup, rule: esupRule},
+	{Name: "UFP-growth", Family: ExpectedSupportFamily, Partition: true, phase1: "UFP-growth", bound: partition.BoundESup,
+		build: func(o core.Options, allow func(core.Itemset) bool) core.Miner {
+			return &ufpgrowth.Miner{Workers: o.Workers, Progress: o.Progress, Restrict: allow}
+		}},
+	{Name: "UH-Mine", Family: ExpectedSupportFamily, Partition: true, phase1: "UH-Mine", bound: partition.BoundESup, rule: esupRule, uh: true},
+	{Name: "DPNB", Family: ExactFamily, Partition: true, PFTMonotonic: true, phase1: "UApriori", bound: partition.BoundMarkov, rule: exactRule(false, false, nil), resume: dpRule(false)},
+	{Name: "DPB", Family: ExactFamily, Partition: true, PFTMonotonic: true, phase1: "UApriori", bound: partition.BoundMarkov, rule: exactRule(false, true, nil), resume: dpRule(true)},
+	{Name: "DCNB", Family: ExactFamily, Partition: true, PFTMonotonic: true, phase1: "UApriori", bound: partition.BoundMarkov, rule: exactRule(true, false, nil)},
+	{Name: "DCB", Family: ExactFamily, Partition: true, PFTMonotonic: true, phase1: "UApriori", bound: partition.BoundMarkov, rule: exactRule(true, true, nil)},
+	{Name: "PDUApriori", Family: ApproxFamily, Partition: true, phase1: "UApriori", bound: partition.BoundPoisson, rule: poissonRule},
+	{Name: "NDUApriori", Family: ApproxFamily, Partition: true, PFTMonotonic: true, phase1: "UApriori", bound: partition.BoundNormal, rule: normalRule},
+	{Name: "NDUH-Mine", Family: ApproxFamily, Partition: true, PFTMonotonic: true, phase1: "UH-Mine", bound: partition.BoundNormal, rule: normalRule, uh: true},
 	// MCSampling is an extension beyond the paper's eight algorithms: the
 	// possible-world sampling estimator of the paper's reference [11]
 	// (Calders et al., PAKDD 2010). See internal/algo/sampling. It is the
 	// one non-partitionable configuration (see Entry.Partition), so
 	// NewRestricted never passes it an allow.
-	{"MCSampling", ApproxFamily, false, func(o core.Options, _ func(core.Itemset) bool) core.Miner {
-		return &sampling.Miner{Workers: o.Workers, Progress: o.Progress}
-	}, nil},
+	{Name: "MCSampling", Family: ApproxFamily,
+		build: func(o core.Options, _ func(core.Itemset) bool) core.Miner {
+			return &sampling.Miner{Workers: o.Workers, Progress: o.Progress}
+		}},
 }
 
 // lookup resolves a registry name to its entry — the single place name
@@ -153,7 +163,7 @@ func NewWith(name string, opts core.Options) (core.Miner, error) {
 	if opts.Partitions > 1 && e.Partition {
 		return NewPartitionEngine(name, opts)
 	}
-	return e.build(opts, nil), nil
+	return e.miner(opts, nil, e.rule), nil
 }
 
 // NewRestricted returns the named miner built like NewWith (Partitions is
@@ -178,7 +188,15 @@ func NewRestricted(name string, opts core.Options, allow func(core.Itemset) bool
 	if !e.Partition {
 		return nil, fmt.Errorf("algo: %s does not support a candidate restriction", name)
 	}
-	return e.build(opts, allow), nil
+	return e.miner(opts, allow, e.rule), nil
+}
+
+// PFTMonotonic reports whether the named algorithm's results filter
+// exactly to a higher pft (see Entry.PFTMonotonic). Unknown names report
+// false.
+func PFTMonotonic(name string) bool {
+	e, ok := lookup(name)
+	return ok && e.PFTMonotonic
 }
 
 // SupportsResume reports whether NewResumable accepts the named algorithm:
@@ -202,7 +220,7 @@ func NewResumable(name string, opts core.Options, allow func(core.Itemset) bool,
 	if e.resume == nil {
 		return nil, fmt.Errorf("algo: %s has no resumable verification", name)
 	}
-	return e.resume(opts, allow, rows), nil
+	return e.miner(opts, allow, e.resume(rows)), nil
 }
 
 // errUnknown is the uniform unknown-algorithm error.

@@ -16,10 +16,18 @@ import (
 // (a superset restriction is bit-identical, a narrower one drops exactly
 // what it excludes), and NewRestricted rejects every other name. Only the
 // DP miners are resumable: NewResumable builds them (mining bit-identical
-// to NewWith with rows kept) and rejects every other name.
+// to NewWith with rows kept) and rejects every other name. PFTMonotonic
+// holds exactly for the exact family, NDUApriori and NDUH-Mine.
 func TestRegistryCapabilityMetadata(t *testing.T) {
 	db := coretest.RandomDB(rand.New(rand.NewSource(19)), 200, 8, 0.8)
+	if n := len(Entries()); n != 11 {
+		t.Fatalf("%d registry entries, want 11", n)
+	}
 	for _, e := range Entries() {
+		wantPFT := e.Family == ExactFamily || e.Name == "NDUApriori" || e.Name == "NDUH-Mine"
+		if e.PFTMonotonic != wantPFT || PFTMonotonic(e.Name) != wantPFT {
+			t.Errorf("%s: PFTMonotonic = %v, PFTMonotonic(name) = %v, want %v", e.Name, e.PFTMonotonic, PFTMonotonic(e.Name), wantPFT)
+		}
 		done := 0
 		m := MustNewWith(e.Name, core.Options{Workers: 1, Progress: func(ev core.ProgressEvent) {
 			if ev.Phase == core.PhaseDone {
@@ -112,6 +120,9 @@ func TestRegistryCapabilityMetadata(t *testing.T) {
 	}
 	if _, err := NewResumable("NoSuchMiner", core.Options{}, nil, exact.NewRows(1)); err == nil || SupportsResume("NoSuchMiner") {
 		t.Error("NewResumable on an unknown name must fail and SupportsResume report false")
+	}
+	if PFTMonotonic("NoSuchMiner") {
+		t.Error("PFTMonotonic on an unknown name must report false")
 	}
 	if SupportsPartitions("NoSuchMiner") {
 		t.Error("SupportsPartitions on an unknown name must report false")

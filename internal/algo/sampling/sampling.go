@@ -109,50 +109,36 @@ func (m *Miner) Mine(ctx context.Context, db *core.Database, th core.Thresholds)
 		eps = DefaultEpsilon
 	}
 	rng := rand.New(rand.NewSource(m.Seed))
-	var stats core.MiningStats
 
 	cfg := apriori.Config{
 		CollectProbs: true,
 		// Workers shards the counting pass only; ParallelDecide stays off
 		// because Decide consumes the shared RNG stream in candidate order.
-		Workers: m.Workers,
-		Name:    m.Name(),
-		Decide: func(c *apriori.Candidate) (core.Result, bool) {
+		Workers:  m.Workers,
+		Name:     m.Name(),
+		Progress: m.Progress,
+		Decide: func(c *apriori.Candidate) (core.Result, apriori.Verdict) {
 			if !m.DisableChernoff && prob.ChernoffInfrequent(c.ESup, msc, th.PFT) {
-				stats.ChernoffPruned++
-				return core.Result{}, false
+				return core.Result{}, apriori.ChernoffPruned
 			}
 			fp := estimateFreqProb(rng, c.Probs, msc, th.PFT, budget, eps)
 			if fp > th.PFT+core.Eps {
-				return core.Result{Itemset: c.Items, ESup: c.ESup, Var: c.Var, FreqProb: fp}, true
+				return core.Result{Itemset: c.Items, ESup: c.ESup, Var: c.Var, FreqProb: fp}, apriori.Frequent
 			}
-			return core.Result{}, false
+			return core.Result{}, 0
 		},
 	}
-	if m.Progress != nil {
-		// Fold the Decide closure's family-specific counter into the
-		// framework's snapshots, so streamed events (and the CLIs' partial
-		// stats on cancellation) report the Chernoff pruning work. Decide
-		// and the level-boundary emissions share the mining goroutine
-		// (ParallelDecide is off), so the read is unsynchronized but safe.
-		fn := m.Progress
-		cfg.Progress = func(ev core.ProgressEvent) {
-			ev.Stats.ChernoffPruned += stats.ChernoffPruned
-			fn(ev)
-		}
-	}
-	results, runStats, err := apriori.Run(ctx, db, cfg)
+	results, stats, err := apriori.Run(ctx, db, cfg)
 	if err != nil {
 		return nil, err
 	}
-	runStats.Add(stats)
 	return &core.ResultSet{
 		Algorithm:  m.Name(),
 		Semantics:  core.Probabilistic,
 		Thresholds: th,
 		N:          db.N(),
 		Results:    results,
-		Stats:      runStats,
+		Stats:      stats,
 	}, nil
 }
 

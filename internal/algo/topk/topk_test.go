@@ -7,7 +7,7 @@ import (
 	"sort"
 	"testing"
 
-	"umine/internal/algo/uapriori"
+	"umine/internal/algo"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 	"umine/internal/dataset"
@@ -173,7 +173,7 @@ func TestTopKMatchesUAprioriBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	minESup := top[len(top)-1].ESup
-	rs, err := (&uapriori.Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: minESup / float64(db.N())})
+	rs, err := algo.MustNewWith("UApriori", core.Options{}).Mine(context.Background(), db, core.Thresholds{MinESup: minESup / float64(db.N())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,6 @@
-package uapriori
+package algo
+
+// The UApriori suite: the expected-support rule on the Apriori framework.
 
 import (
 	"context"
@@ -6,13 +8,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"umine/internal/algo/apriori"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 )
 
+func newUApriori() core.Miner { return MustNewWith("UApriori", core.Options{}) }
+
 func TestPaperExample1(t *testing.T) {
 	db := coretest.PaperDB()
-	rs, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.5})
+	rs, err := newUApriori().Mine(context.Background(), db, core.Thresholds{MinESup: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +35,7 @@ func TestPaperDBLowerThreshold(t *testing.T) {
 	// At min_esup = 0.25 (threshold 1.0) the frequent set grows to include
 	// 2-itemsets; validate against brute force.
 	db := coretest.PaperDB()
-	rs, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.25})
+	rs, err := newUApriori().Mine(context.Background(), db, core.Thresholds{MinESup: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +74,7 @@ func TestAgainstBruteForceRandom(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		db := coretest.RandomDB(rng, 10+rng.Intn(30), 6, 0.4+0.4*rng.Float64())
 		minESup := 0.05 + 0.5*rng.Float64()
-		rs, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: minESup})
+		rs, err := newUApriori().Mine(context.Background(), db, core.Thresholds{MinESup: minESup})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,26 +87,31 @@ func TestDecrementalPruneDoesNotChangeResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	for trial := 0; trial < 20; trial++ {
 		db := coretest.RandomDB(rng, 40, 8, 0.5)
-		with, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.2})
+		// UApriori's configuration, then the same without its ESupPrune
+		// floor: classical Apriori pruning only.
+		m := newUApriori().(*aprioriMiner)
+		cfg := m.config(m.rule(core.Thresholds{MinESup: 0.2}, db.N()))
+		with, withStats, err := apriori.Run(context.Background(), db, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		without, err := (&Miner{DisableDecrementalPrune: true}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.2})
+		cfg.ESupPrune = 0
+		without, withoutStats, err := apriori.Run(context.Background(), db, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareResults(t, with.Results, without.Results)
-		if with.Stats.CandidatesPruned < without.Stats.CandidatesPruned {
+		compareResults(t, with, without)
+		if withStats.CandidatesPruned < withoutStats.CandidatesPruned {
 			t.Fatalf("decremental pruning pruned fewer candidates (%d) than plain Apriori (%d)",
-				with.Stats.CandidatesPruned, without.Stats.CandidatesPruned)
+				withStats.CandidatesPruned, withoutStats.CandidatesPruned)
 		}
 	}
 }
 
-func TestRejectsBadThresholds(t *testing.T) {
+func TestUAprioriRejectsBadThresholds(t *testing.T) {
 	db := coretest.PaperDB()
 	for _, th := range []core.Thresholds{{MinESup: 0}, {MinESup: -0.5}, {MinESup: 2}} {
-		if _, err := (&Miner{}).Mine(context.Background(), db, th); err == nil {
+		if _, err := newUApriori().Mine(context.Background(), db, th); err == nil {
 			t.Errorf("thresholds %+v accepted", th)
 		}
 	}
@@ -109,7 +119,7 @@ func TestRejectsBadThresholds(t *testing.T) {
 
 func TestEmptyAndDegenerateDatabases(t *testing.T) {
 	empty := core.MustNewDatabase("empty", nil)
-	rs, err := (&Miner{}).Mine(context.Background(), empty, core.Thresholds{MinESup: 0.5})
+	rs, err := newUApriori().Mine(context.Background(), empty, core.Thresholds{MinESup: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +129,7 @@ func TestEmptyAndDegenerateDatabases(t *testing.T) {
 
 	// All-empty transactions.
 	blank := core.MustNewDatabase("blank", [][]core.Unit{{}, {}, {}})
-	rs, err = (&Miner{}).Mine(context.Background(), blank, core.Thresholds{MinESup: 0.5})
+	rs, err = newUApriori().Mine(context.Background(), blank, core.Thresholds{MinESup: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +139,7 @@ func TestEmptyAndDegenerateDatabases(t *testing.T) {
 
 	// Single certain transaction: the itemset lattice of that transaction.
 	one := core.MustNewDatabase("one", [][]core.Unit{{{Item: 0, Prob: 1}, {Item: 1, Prob: 1}}})
-	rs, err = (&Miner{}).Mine(context.Background(), one, core.Thresholds{MinESup: 1})
+	rs, err = newUApriori().Mine(context.Background(), one, core.Thresholds{MinESup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +157,7 @@ func TestCertainDataMatchesClassicalApriori(t *testing.T) {
 		{{Item: 0, Prob: 1}, {Item: 2, Prob: 1}},
 		{{Item: 1, Prob: 1}, {Item: 2, Prob: 1}},
 	})
-	rs, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.5})
+	rs, err := newUApriori().Mine(context.Background(), db, core.Thresholds{MinESup: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +172,7 @@ func TestCertainDataMatchesClassicalApriori(t *testing.T) {
 
 func TestStatsAreTracked(t *testing.T) {
 	db := coretest.PaperDB()
-	rs, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.25})
+	rs, err := newUApriori().Mine(context.Background(), db, core.Thresholds{MinESup: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package uhmine implements UH-Mine [Aggarwal, Li, Wang, Wang 2009], the
 // depth-first hyper-structure miner (paper §3.1.3), as a reusable engine:
-// the expected-support miner (this package's Miner) and the paper's new
-// NDUH-Mine algorithm (package approx) differ only in the per-itemset
-// frequentness test they plug into the engine.
+// the expected-support UH-Mine and the paper's new NDUH-Mine algorithm
+// differ only in the per-itemset frequentness test and item floor they plug
+// into the engine, which the registry (umine/internal/algo) holds as each
+// algorithm's rule.
 //
 // The UH-Struct stores each transaction once, projected to frequent items
 // and reordered by descending item expected support. Mining recursively
@@ -90,12 +91,12 @@ type Engine struct {
 	Progress core.ProgressFunc
 }
 
-// Mine runs the engine and returns results in canonical order plus work
+// Run runs the engine and returns results in canonical order plus work
 // counters. Cancellation lands between candidate extensions inside every
 // prefix subtree (and stops the fan-out from dispatching further subtrees),
 // so a canceled mine returns ctx.Err() within one extension's head-table
 // scan of work; a completed mine is identical to an uncancellable run.
-func (e *Engine) Mine(ctx context.Context, db *core.Database) ([]core.Result, core.MiningStats, error) {
+func (e *Engine) Run(ctx context.Context, db *core.Database) ([]core.Result, core.MiningStats, error) {
 	var stats core.MiningStats
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err

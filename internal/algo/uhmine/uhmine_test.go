@@ -1,4 +1,4 @@
-package uhmine
+package uhmine_test
 
 import (
 	"context"
@@ -6,13 +6,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"umine/internal/algo"
+	"umine/internal/algo/uhmine"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 )
 
+func newUHMine() core.Miner { return algo.MustNewWith("UH-Mine", core.Options{}) }
+
 func TestPaperExample1(t *testing.T) {
 	db := coretest.PaperDB()
-	rs, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.5})
+	rs, err := newUHMine().Mine(context.Background(), db, core.Thresholds{MinESup: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +34,7 @@ func TestAgainstBruteForceRandom(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		db := coretest.RandomDB(rng, 10+rng.Intn(30), 6, 0.3+0.5*rng.Float64())
 		minESup := 0.05 + 0.5*rng.Float64()
-		rs, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: minESup})
+		rs, err := newUHMine().Mine(context.Background(), db, core.Thresholds{MinESup: minESup})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +66,7 @@ func TestSparseDataDeepPatterns(t *testing.T) {
 		{{Item: 0, Prob: 0.9}, {Item: 1, Prob: 0.9}},
 		{{Item: 0, Prob: 0.9}},
 	})
-	rs, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.2})
+	rs, err := newUHMine().Mine(context.Background(), db, core.Thresholds{MinESup: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +87,14 @@ func TestSparseDataDeepPatterns(t *testing.T) {
 func TestEngineItemFloorFiltersBeforeDecide(t *testing.T) {
 	db := coretest.PaperDB()
 	calls := 0
-	e := &Engine{
+	e := &uhmine.Engine{
 		ItemFloor: 2.0, // only A (2.1) and C (2.6) pass
 		Decide: func(items core.Itemset, esup, varsup float64) (core.Result, bool) {
 			calls++
 			return core.Result{Itemset: items, ESup: esup, Var: varsup}, true
 		},
 	}
-	results, _, _ := e.Mine(context.Background(), db)
+	results, _, _ := e.Run(context.Background(), db)
 	// Items A, C pass the floor; extensions {A C} evaluated too.
 	if calls != 3 {
 		t.Fatalf("decide called %d times, want 3 (A, C, AC)", calls)
@@ -101,7 +105,7 @@ func TestEngineItemFloorFiltersBeforeDecide(t *testing.T) {
 }
 
 func TestEmptyDatabase(t *testing.T) {
-	rs, err := (&Miner{}).Mine(context.Background(), core.MustNewDatabase("empty", nil), core.Thresholds{MinESup: 0.5})
+	rs, err := newUHMine().Mine(context.Background(), core.MustNewDatabase("empty", nil), core.Thresholds{MinESup: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestEmptyDatabase(t *testing.T) {
 }
 
 func TestRejectsBadThresholds(t *testing.T) {
-	if _, err := (&Miner{}).Mine(context.Background(), coretest.PaperDB(), core.Thresholds{MinESup: 0}); err == nil {
+	if _, err := newUHMine().Mine(context.Background(), coretest.PaperDB(), core.Thresholds{MinESup: 0}); err == nil {
 		t.Fatal("min_esup 0 accepted")
 	}
 }
@@ -119,7 +123,7 @@ func TestRejectsBadThresholds(t *testing.T) {
 func TestPeakMemoryTracked(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	db := coretest.RandomDB(rng, 100, 10, 0.5)
-	rs, err := (&Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.1})
+	rs, err := newUHMine().Mine(context.Background(), db, core.Thresholds{MinESup: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

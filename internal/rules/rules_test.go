@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"umine/internal/algo/uapriori"
+	"umine/internal/algo"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 	"umine/internal/dataset"
@@ -16,7 +16,7 @@ import (
 // at a low threshold, so multi-item itemsets exist.
 func mined(t *testing.T, minESup float64) *core.ResultSet {
 	t.Helper()
-	rs, err := (&uapriori.Miner{}).Mine(context.Background(), coretest.PaperDB(), core.Thresholds{MinESup: minESup})
+	rs, err := algo.MustNewWith("UApriori", core.Options{}).Mine(context.Background(), coretest.PaperDB(), core.Thresholds{MinESup: minESup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestGenerateValidation(t *testing.T) {
 
 func TestGenerateOnProfileWorkload(t *testing.T) {
 	db := dataset.Gazelle.GenerateUncertain(0.01, 5)
-	rs, err := (&uapriori.Miner{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.01})
+	rs, err := algo.MustNewWith("UApriori", core.Options{}).Mine(context.Background(), db, core.Thresholds{MinESup: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}

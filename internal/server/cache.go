@@ -62,25 +62,6 @@ func thresholdKey(sem core.Semantics, th core.Thresholds) string {
 	}
 }
 
-// pftMonotonic marks the algorithms whose cached results can be filtered to
-// a higher pft: the exact miners (exact per-itemset probabilities,
-// independent of pft) and the Normal-approximation miners (probabilities a
-// deterministic function of esup/var/msc alone).
-var pftMonotonic = func() map[string]bool {
-	m := map[string]bool{}
-	for _, e := range algo.Entries() {
-		switch e.Family {
-		case algo.ExactFamily:
-			m[e.Name] = true
-		case algo.ApproxFamily:
-			if e.Name == "NDUApriori" || e.Name == "NDUH-Mine" {
-				m[e.Name] = true
-			}
-		}
-	}
-	return m
-}()
-
 // Cache-entry provenance labels: who computed the stored result set. A
 // filtered entry inherits its superset's source, so /explain can report that
 // a hit was ultimately served from an incremental-ledger refresh.
@@ -139,7 +120,9 @@ func (c *resultCache) lookup(q cacheQuery) (rs *core.ResultSet, kind, src string
 			}
 		}
 	case core.Probabilistic:
-		if !pftMonotonic[q.algorithm] {
+		// Only algorithms whose FreqProb does not depend on pft filter
+		// exactly to a higher pft (see algo.Entry.PFTMonotonic).
+		if !algo.PFTMonotonic(q.algorithm) {
 			break
 		}
 		for _, e := range group {

@@ -76,7 +76,7 @@ func TestMonotonicFilterBitIdentical(t *testing.T) {
 				hi:  core.Thresholds{MinESup: 0.2},
 			})
 		default:
-			if pftMonotonic[e.Name] {
+			if e.PFTMonotonic {
 				cases = append(cases, tc{
 					alg: e.Name,
 					low: core.Thresholds{MinSup: 0.15, PFT: 0.3},

@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"umine/internal/algo/uapriori"
+	"umine/internal/algo"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 	"umine/internal/prob"
@@ -227,7 +227,7 @@ func TestRefreshDiscoversNewPatterns(t *testing.T) {
 		Thresholds:   th,
 		Semantics:    core.ExpectedSupport,
 		RefreshEvery: 8,
-		Miner:        &uapriori.Miner{},
+		Miner:        algo.MustNewWith("UApriori", core.Options{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestLoadDefersRefresh(t *testing.T) {
 			Miner:        m,
 		}
 	}
-	cm := &countingMiner{inner: &uapriori.Miner{}}
+	cm := &countingMiner{inner: algo.MustNewWith("UApriori", core.Options{})}
 	loaded, err := NewWindow(cfg(cm))
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +359,7 @@ func TestLoadDefersRefresh(t *testing.T) {
 		t.Errorf("Load ran %d refresh re-mines, want exactly 1", cm.calls)
 	}
 
-	pushed, err := NewWindow(cfg(&uapriori.Miner{}))
+	pushed, err := NewWindow(cfg(algo.MustNewWith("UApriori", core.Options{})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestRefreshCancel(t *testing.T) {
 	w, err := NewWindow(Config{
 		Size:       16,
 		Thresholds: core.Thresholds{MinESup: 0.1},
-		Miner:      &uapriori.Miner{},
+		Miner:      algo.MustNewWith("UApriori", core.Options{}),
 	})
 	if err != nil {
 		t.Fatal(err)
