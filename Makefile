@@ -197,7 +197,8 @@ FUZZ_TARGETS = \
 	./internal/kernel:FuzzFreqTailAbove \
 	./internal/kernel:FuzzTailRowExtend \
 	./internal/kernel:FuzzRowStep \
-	./internal/shardrpc:FuzzMineShardResponse
+	./internal/shardrpc:FuzzMineShardResponse \
+	./internal/shardrpc:FuzzDecodeTransactions
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -13,13 +13,12 @@
 // exact miners) in one database scan per level; and Run, the level-wise
 // driver over both. Each algorithm differs only in its Decide function —
 // the per-itemset frequentness test whose cost the paper analyses in
-// Tables 4 and 5 — and in the ESupPrune floor and CollectProbs it sets.
+// Tables 4 and 5 — and in whether it sets CollectProbs.
 // The registry (umine/internal/algo) keeps these per algorithm as its rule.
 package apriori
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"umine/internal/core"
@@ -80,13 +79,6 @@ type Config struct {
 	// must be safe for concurrent use (the platform's restrictions are
 	// read-only set lookups, which are).
 	Restrict func(core.Itemset) bool
-	// ESupPrune, when positive, drops generated candidates whose expected
-	// support upper bound — the minimum ESup over their k−1 subsets — is
-	// below the given absolute threshold. This is the decremental-style
-	// pruning of UApriori [Chui et al. 2007/2008]: valid whenever the
-	// Decide test can never accept an itemset with esup below the
-	// threshold. Zero disables it.
-	ESupPrune float64
 	// Workers bounds the goroutines used by the counting pass and (with
 	// ParallelDecide) the per-candidate frequentness tests: 0 or 1 =
 	// serial, negative = GOMAXPROCS (see umine/internal/parallel). The
@@ -99,10 +91,11 @@ type Config struct {
 	Workers int
 	// ParallelDecide marks Decide as safe for concurrent calls, letting the
 	// framework evaluate candidates' frequentness on the worker pool when
-	// Workers allows. Outcomes, verdicts included, are collected into
-	// per-candidate slots and appended and tallied in candidate order, so
-	// results, counters and the next level's seeds are identical to a
-	// serial run.
+	// Workers allows. Without it Decide runs on one worker: inline, in
+	// candidate order, never concurrently. Either way outcomes, verdicts
+	// included, are collected into per-candidate slots and appended and
+	// tallied in candidate order, so results, counters and the next level's
+	// seeds are identical at every worker count.
 	ParallelDecide bool
 	// Name labels ProgressEvents with the running algorithm's registry name
 	// (the framework is shared by every Apriori-family algorithm).
@@ -145,12 +138,11 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 	if err != nil {
 		return nil, stats, err
 	}
-	esups := rememberESups(nil, cands)
 	level := 1
 	cfg.Progress.Emit(cfg.Name, core.PhaseLevel, level, stats)
 
 	for len(frequent) >= 2 {
-		next := Generate(frequent, esups, cfg, &stats)
+		next := Generate(frequent, cfg, &stats)
 		if len(next) == 0 {
 			break
 		}
@@ -162,7 +154,6 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 		if err != nil {
 			return nil, stats, err
 		}
-		esups = rememberESups(esups, next)
 		level = k
 		cfg.Progress.Emit(cfg.Name, core.PhaseLevel, level, stats)
 	}
@@ -177,72 +168,42 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 // results, tallying the verdicts into stats and returning the frequent
 // itemsets that seed the next level. With ParallelDecide the tests run on
 // the worker pool — each candidate's verification is independent, which is
-// where the exact miners spend almost all of their time — but outcomes land
-// in per-candidate slots and are appended in candidate order, so the output
-// matches the serial path. Cancellation lands between candidates on both
-// paths.
+// where the exact miners spend almost all of their time. Without it they
+// run on one worker, which parallel.MapCtx runs inline and in candidate
+// order: the contract a Decide with sequential state (MCSampling's RNG)
+// needs. Outcomes land in per-candidate slots and are tallied in candidate
+// order either way. Cancellation lands between candidates: the pool polls
+// ctx before each one.
 func decide(ctx context.Context, cands []Candidate, cfg Config, results *[]core.Result, stats *core.MiningStats) ([]core.Itemset, error) {
-	var frequent []core.Itemset
-	take := func(i int, res core.Result, v Verdict) {
-		if v&ChernoffPruned != 0 {
-			stats.ChernoffPruned++
-		}
-		if v&ExactEvaluated != 0 {
-			stats.ExactEvaluations++
-		}
-		if v&Frequent != 0 {
-			*results = append(*results, res)
-			frequent = append(frequent, cands[i].Items)
-		}
-	}
-	if !cfg.ParallelDecide || parallel.Resolve(cfg.Workers) == 1 {
-		// Serial path appends in place — no per-candidate outcome slots, so
-		// the paper-faithful single-threaded runs keep their old footprint.
-		// The per-candidate context check is a non-blocking channel poll —
-		// noise next to even the cheapest Decide, and what bounds the
-		// cancellation latency of the exact miners' seconds-long tests to a
-		// single candidate.
-		done := ctx.Done()
-		for i := range cands {
-			if done != nil {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			res, v := cfg.Decide(&cands[i])
-			take(i, res, v)
-		}
-		return frequent, nil
+	workers := 1
+	if cfg.ParallelDecide {
+		workers = cfg.Workers
 	}
 	type outcome struct {
 		res core.Result
 		v   Verdict
 	}
-	outs, err := parallel.MapCtx(ctx, cfg.Workers, cands, func(i int, _ Candidate) outcome {
+	outs, err := parallel.MapCtx(ctx, workers, cands, func(i int, _ Candidate) outcome {
 		res, v := cfg.Decide(&cands[i])
 		return outcome{res, v}
 	})
 	if err != nil {
 		return nil, err
 	}
+	var frequent []core.Itemset
 	for i, o := range outs {
-		take(i, o.res, o.v)
+		if o.v&ChernoffPruned != 0 {
+			stats.ChernoffPruned++
+		}
+		if o.v&ExactEvaluated != 0 {
+			stats.ExactEvaluations++
+		}
+		if o.v&Frequent != 0 {
+			*results = append(*results, o.res)
+			frequent = append(frequent, cands[i].Items)
+		}
 	}
 	return frequent, nil
-}
-
-// rememberESups records candidate expected supports for subset-bound
-// pruning at the next level.
-func rememberESups(m map[string]float64, cands []Candidate) map[string]float64 {
-	if m == nil {
-		m = make(map[string]float64, len(cands))
-	}
-	for i := range cands {
-		m[cands[i].Items.Key()] = cands[i].ESup
-	}
-	return m
 }
 
 // genShardSize fixes the shard layout of the parallel candidate join: the
@@ -268,18 +229,15 @@ func genShardSize(n int) int {
 // F_k ⋈ F_k prefix join) and applies Apriori subset pruning: every k-subset
 // of a candidate must be frequent. Joins outside a non-nil restriction are
 // dropped as if never generated (they are outside the run's search space).
-// With ESupPrune > 0, candidates whose subset-minimum expected support
-// falls below the threshold are dropped too (esup is anti-monotone, so min
-// over subsets upper-bounds the candidate).
 //
-// The join parallelizes over fixed shards of anchor indices: each shard
-// joins its anchors i against the whole sorted tail (reads cross shard
-// boundaries; writes never do), produces its own candidate slice and
-// counter deltas, and shards merge in shard (= anchor) order — so the
-// candidate order, the counters, and therefore everything downstream are
-// bit-identical to the serial join at every worker count. freqSet, esups
-// and cfg.Restrict are only ever read during the join.
-func Generate(frequent []core.Itemset, esups map[string]float64, cfg Config, stats *core.MiningStats) []Candidate {
+// The join runs over fixed shards of anchor indices: each shard joins its
+// anchors i against the whole sorted tail (reads cross shard boundaries;
+// writes never do), produces its own candidate slice and counter deltas,
+// and shards merge in shard (= anchor) order — so the candidate order, the
+// counters, and therefore everything downstream are identical at every
+// worker count. At one worker the shards run inline, in order. freqSet and
+// cfg.Restrict are only ever read during the join.
+func Generate(frequent []core.Itemset, cfg Config, stats *core.MiningStats) []Candidate {
 	sort.Slice(frequent, func(i, j int) bool { return frequent[i].Compare(frequent[j]) < 0 })
 	freqSet := make(map[string]bool, len(frequent))
 	for _, f := range frequent {
@@ -287,11 +245,9 @@ func Generate(frequent []core.Itemset, esups map[string]float64, cfg Config, sta
 	}
 	k := len(frequent[0])
 
-	// joinRange joins anchors [lo, hi) into dst, returning the updated
-	// slice and the generated/pruned counts — the shared body of the serial
-	// and sharded paths.
-	joinRange := func(lo, hi int, dst []Candidate) (out []Candidate, generated, pruned int) {
-		out = dst
+	// joinRange joins anchors [lo, hi), returning the candidates and the
+	// generated/pruned counts.
+	joinRange := func(lo, hi int) (out []Candidate, generated, pruned int) {
 		buf := make(core.Itemset, k+1)
 		for i := lo; i < hi; i++ {
 			a := frequent[i]
@@ -310,12 +266,6 @@ func Generate(frequent []core.Itemset, esups map[string]float64, cfg Config, sta
 					pruned++
 					continue
 				}
-				if cfg.ESupPrune > 0 {
-					if ub := minSubsetESup(buf, esups); ub < cfg.ESupPrune-core.Eps {
-						pruned++
-						continue
-					}
-				}
 				out = append(out, Candidate{Items: buf.Clone()})
 			}
 		}
@@ -324,21 +274,14 @@ func Generate(frequent []core.Itemset, esups map[string]float64, cfg Config, sta
 
 	n := len(frequent)
 	size := genShardSize(n)
-	nc := parallel.NumChunks(n, size)
-	if nc <= 1 || parallel.Resolve(cfg.Workers) == 1 {
-		out, generated, pruned := joinRange(0, n, nil)
-		stats.CandidatesGenerated += generated
-		stats.CandidatesPruned += pruned
-		return out
-	}
 	type genShard struct {
 		out               []Candidate
 		generated, pruned int
 	}
-	shards := make([]genShard, nc)
+	shards := make([]genShard, parallel.NumChunks(n, size))
 	parallel.DoChunks(cfg.Workers, n, size, func(c, lo, hi int) {
 		s := &shards[c]
-		s.out, s.generated, s.pruned = joinRange(lo, hi, nil)
+		s.out, s.generated, s.pruned = joinRange(lo, hi)
 	})
 	var out []Candidate
 	for c := range shards {
@@ -379,26 +322,4 @@ func allSubsetsFrequent(cand core.Itemset, freqSet map[string]bool) bool {
 		}
 	}
 	return true
-}
-
-// minSubsetESup returns the minimum recorded expected support over the
-// candidate's immediate subsets (+Inf when none is recorded).
-func minSubsetESup(cand core.Itemset, esups map[string]float64) float64 {
-	minE := math.Inf(1)
-	k := len(cand) - 1
-	sub := make(core.Itemset, k)
-	for drop := 0; drop <= k; drop++ {
-		idx := 0
-		for i, it := range cand {
-			if i == drop {
-				continue
-			}
-			sub[idx] = it
-			idx++
-		}
-		if e, ok := esups[sub.Key()]; ok && e < minE {
-			minE = e
-		}
-	}
-	return minE
 }

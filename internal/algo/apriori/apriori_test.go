@@ -106,7 +106,7 @@ func TestGenerateJoinAndPrune(t *testing.T) {
 		core.NewItemset(2, 4),
 	}
 	var stats core.MiningStats
-	cands := Generate(frequent, nil, Config{}, &stats)
+	cands := Generate(frequent, Config{}, &stats)
 	// Joins: {1,2}+{1,3} → {1,2,3} (all subsets frequent: {2,3} ✓);
 	// {2,3}+{2,4} → {2,3,4} (subset {3,4} missing → pruned).
 	if len(cands) != 1 || !cands[0].Items.Equal(core.NewItemset(1, 2, 3)) {
@@ -114,27 +114,6 @@ func TestGenerateJoinAndPrune(t *testing.T) {
 	}
 	if stats.CandidatesPruned != 1 {
 		t.Fatalf("pruned = %d, want 1", stats.CandidatesPruned)
-	}
-}
-
-func TestGenerateESupBound(t *testing.T) {
-	frequent := []core.Itemset{
-		core.NewItemset(1, 2),
-		core.NewItemset(1, 3),
-		core.NewItemset(2, 3),
-	}
-	esups := map[string]float64{
-		core.NewItemset(1, 2).Key(): 5,
-		core.NewItemset(1, 3).Key(): 5,
-		core.NewItemset(2, 3).Key(): 1, // bound: esup({1,2,3}) ≤ 1
-	}
-	var stats core.MiningStats
-	if cands := Generate(frequent, esups, Config{ESupPrune: 2}, &stats); len(cands) != 0 {
-		t.Fatalf("esup bound did not prune: %+v", cands)
-	}
-	stats = core.MiningStats{}
-	if cands := Generate(frequent, esups, Config{ESupPrune: 0.5}, &stats); len(cands) != 1 {
-		t.Fatalf("loose bound over-pruned: %+v", cands)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"umine/internal/core"
@@ -128,5 +129,49 @@ func BenchmarkParallelCounting(b *testing.B) {
 				countChunked(context.Background(), db, work, 2, false, workers, &stats)
 			}
 		})
+	}
+}
+
+// TestSerialDecideKeepsCandidateOrder: without ParallelDecide, Run calls
+// Decide one candidate at a time, in candidate order, however many Workers
+// the counting pass uses — the contract a Decide with sequential state
+// (MCSampling's RNG) relies on.
+func TestSerialDecideKeepsCandidateOrder(t *testing.T) {
+	db := dataset.Accident.GenerateUncertain(0.001, 23)
+	minCount := 0.2 * float64(db.N())
+	accept := expectedSupportDecide(minCount)
+	record := func(workers int) []core.Itemset {
+		var seen []core.Itemset
+		var inFlight atomic.Int32
+		_, _, err := Run(context.Background(), db, Config{
+			Workers: workers,
+			Decide: func(c *Candidate) (core.Result, Verdict) {
+				if n := inFlight.Add(1); n != 1 {
+					t.Errorf("workers=%d: %d concurrent Decide calls", workers, n)
+				}
+				runtime.Gosched()
+				seen = append(seen, c.Items)
+				res, v := accept(c)
+				inFlight.Add(-1)
+				return res, v
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	want := record(1)
+	got := record(4)
+	if len(got) != len(want) || len(got) < 2 {
+		t.Fatalf("Decide called %d times at 4 workers, %d at 1", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("call %d: Decide got %v, want %v", i, got[i], want[i])
+		}
+		if i > 0 && len(got[i]) == len(got[i-1]) && got[i-1].Compare(got[i]) >= 0 {
+			t.Fatalf("call %d: %v after %v is out of candidate order", i, got[i], got[i-1])
+		}
 	}
 }

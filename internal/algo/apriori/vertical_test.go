@@ -58,7 +58,7 @@ func candidatesAt(t *testing.T, db *core.Database, minESup float64, k int) []Can
 			}
 			return nil
 		}
-		next := Generate(frequent, nil, Config{}, &stats)
+		next := Generate(frequent, Config{}, &stats)
 		if len(next) == 0 {
 			return nil
 		}

@@ -25,8 +25,7 @@ type rule func(th core.Thresholds, n int) test
 // test is what a rule hands its framework. Exactly one of decide and
 // verify is set.
 type test struct {
-	// floor is an expected support no accepted itemset falls below: Apriori
-	// prunes candidates whose subset bound is under it (ESupPrune), UH-Mine
+	// floor is an expected support no accepted itemset falls below; UH-Mine
 	// drops items under it from its head table (ItemFloor). 0 = none.
 	floor float64
 	// decide tests an itemset from its expected support and variance.
@@ -138,7 +137,6 @@ func (m *aprioriMiner) config(t test) apriori.Config {
 		Decide:       t.verify,
 		CollectProbs: t.verify != nil,
 		Restrict:     m.allow,
-		ESupPrune:    t.floor,
 		Workers:      m.workers,
 		// Every rule's test is safe for concurrent calls.
 		ParallelDecide: true,

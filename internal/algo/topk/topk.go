@@ -99,7 +99,7 @@ func (m *Miner) Mine(db *core.Database) ([]core.Result, core.MiningStats, error)
 		if len(frontier) < 2 {
 			break
 		}
-		cands := apriori.Generate(frontier, nil, apriori.Config{}, &stats)
+		cands := apriori.Generate(frontier, apriori.Config{}, &stats)
 		if len(cands) == 0 {
 			break
 		}

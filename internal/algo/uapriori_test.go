@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"umine/internal/algo/apriori"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
 )
@@ -80,31 +79,6 @@ func TestAgainstBruteForceRandom(t *testing.T) {
 		}
 		want := coretest.BruteForceExpected(db, minESup)
 		compareResults(t, rs.Results, want)
-	}
-}
-
-func TestDecrementalPruneDoesNotChangeResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(102))
-	for trial := 0; trial < 20; trial++ {
-		db := coretest.RandomDB(rng, 40, 8, 0.5)
-		// UApriori's configuration, then the same without its ESupPrune
-		// floor: classical Apriori pruning only.
-		m := newUApriori().(*aprioriMiner)
-		cfg := m.config(m.rule(core.Thresholds{MinESup: 0.2}, db.N()))
-		with, withStats, err := apriori.Run(context.Background(), db, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.ESupPrune = 0
-		without, withoutStats, err := apriori.Run(context.Background(), db, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, with, without)
-		if withStats.CandidatesPruned < withoutStats.CandidatesPruned {
-			t.Fatalf("decremental pruning pruned fewer candidates (%d) than plain Apriori (%d)",
-				withStats.CandidatesPruned, withoutStats.CandidatesPruned)
-		}
 	}
 }
 

@@ -128,9 +128,8 @@ type MiningStats struct {
 	// (for Apriori-family miners: candidates; for pattern-growth miners:
 	// enumerated prefixes).
 	CandidatesGenerated int `json:"candidates_generated"`
-	// CandidatesPruned counts candidates eliminated before a full
-	// frequentness evaluation (subset-infrequency pruning, decremental
-	// pruning, ...).
+	// CandidatesPruned counts joined candidates eliminated before counting
+	// because one of their subsets is infrequent (Apriori subset pruning).
 	CandidatesPruned int `json:"candidates_pruned"`
 	// ChernoffPruned counts candidates discarded by the Chernoff bound
 	// (Lemma 1) without an exact frequent-probability computation.

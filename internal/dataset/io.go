@@ -97,11 +97,18 @@ func ReadUncertain(r io.Reader, name string) (*core.Database, error) {
 	return b.Build(), nil
 }
 
+// MaxItems bounds the item ids the item:prob text format accepts: ids are
+// in [0, MaxItems). The item universe sizes per-item arrays (a miner's
+// level-1 candidates, the count tables), so one unchecked id from the
+// network could ask for gigabytes. The bound is 25× the largest universe in
+// the paper's benchmarks (Kosarak, 41,270 items).
+const MaxItems = 1 << 20
+
 // ParseUnits parses one transaction line of the item:prob text format into
 // raw units; an empty line is an empty transaction. It is the single parser
 // behind ReadUncertain and the server's ingest surface, so the two accept
-// exactly the same lines (probabilities in (0, 1]; zero-probability units
-// rejected).
+// exactly the same lines (items below MaxItems; probabilities in (0, 1];
+// zero-probability units rejected).
 func ParseUnits(line string) ([]core.Unit, error) {
 	fields := strings.Fields(line)
 	units := make([]core.Unit, 0, len(fields))
@@ -113,6 +120,9 @@ func ParseUnits(line string) ([]core.Unit, error) {
 		item, err := strconv.ParseUint(f[:colon], 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("bad item in %q: %w", f, err)
+		}
+		if item >= MaxItems {
+			return nil, fmt.Errorf("item %d in %q is not below %d", item, f, MaxItems)
 		}
 		p, err := strconv.ParseFloat(f[colon+1:], 64)
 		if err != nil {

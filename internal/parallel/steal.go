@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"umine/internal/core"
 )
 
 // The work-stealing scheduler. The fixed-chunk pool of parallel.go balances
@@ -35,22 +37,6 @@ import (
 // Hence a run with W workers, any steal interleaving included, is
 // bit-identical to the serial run — which executes Fork inline as a direct
 // call, exactly the recursion it replaces.
-
-// StealStats counts scheduler activity during one RunStealing call. The
-// counts are *observational*: Spawned depends on the fork cutoff (input
-// only), but Stolen and Inline depend on timing and worker count, so they
-// must never feed result data or core.MiningStats — they surface through
-// core.ExecStats and the EXPLAIN plan instead.
-type StealStats struct {
-	// Spawned counts tasks submitted to the scheduler: roots plus forks.
-	Spawned int64
-	// Stolen counts tasks executed by a worker other than the one that
-	// forked them (always 0 in a serial run).
-	Stolen int64
-	// Inline counts forks executed as direct calls because the run is
-	// serial (workers <= 1), where Fork degenerates to recursion.
-	Inline int64
-}
 
 // Task is one unit of stealable work. The Forker argument lets the task
 // submit subtasks; it is valid only for the duration of the call and only on
@@ -109,10 +95,15 @@ func (f *Forker) Fork(t Task) {
 // claiming queued tasks (running tasks finish — tasks should poll ctx at
 // their own checkpoints to bound latency), the pool drains fully, and the
 // call returns ctx.Err(); any partial output must be discarded.
-func RunStealing(ctx context.Context, workers int, roots []Task) (StealStats, error) {
+//
+// The returned counters fill ExecStats' scheduler fields (TasksSpawned,
+// TasksStolen, ForksInline). They are observational: only TasksSpawned is
+// a function of the input, so they must never feed result data or
+// core.MiningStats.
+func RunStealing(ctx context.Context, workers int, roots []Task) (core.ExecStats, error) {
 	n := len(roots)
 	if n == 0 {
-		return StealStats{}, ctx.Err()
+		return core.ExecStats{}, ctx.Err()
 	}
 	// Workers are NOT capped at len(roots): forks create work mid-run, so
 	// workers beyond the root count park briefly and then steal subtrees.
@@ -135,7 +126,7 @@ func RunStealing(ctx context.Context, workers int, roots []Task) (StealStats, er
 			}
 			t(f)
 		}
-		return StealStats{Spawned: int64(n), Inline: f.inline}, ctx.Err()
+		return core.ExecStats{TasksSpawned: int64(n), ForksInline: f.inline}, ctx.Err()
 	}
 
 	s := &stealRun{
@@ -156,7 +147,7 @@ func RunStealing(ctx context.Context, workers int, roots []Task) (StealStats, er
 		}(g)
 	}
 	wg.Wait()
-	return StealStats{Spawned: s.spawned.Load(), Stolen: s.stolen.Load()}, ctx.Err()
+	return core.ExecStats{TasksSpawned: s.spawned.Load(), TasksStolen: s.stolen.Load()}, ctx.Err()
 }
 
 // deque is one worker's task queue. A mutex-guarded slice, not a lock-free

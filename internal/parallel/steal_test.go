@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"umine/internal/core"
 )
 
 // stealFib is the recursive test workload: a naive Fibonacci tree whose
@@ -32,10 +34,10 @@ func stealFib(f *Forker, n int, cutoff int, sum *atomic.Int64) {
 }
 
 // TestRunStealingDeterministicAcrossWorkers: the same roots produce the same
-// result at every worker count, and Spawned (a function of the input) is
-// identical while only Stolen/Inline (observational) may differ.
+// result at every worker count, and TasksSpawned (a function of the input)
+// is identical while only TasksStolen/ForksInline (observational) may differ.
 func TestRunStealingDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (int64, StealStats) {
+	run := func(workers int) (int64, core.ExecStats) {
 		var sum atomic.Int64
 		roots := make([]Task, 5)
 		for i := range roots {
@@ -49,27 +51,27 @@ func TestRunStealingDeterministicAcrossWorkers(t *testing.T) {
 		return sum.Load(), st
 	}
 	refSum, refStats := run(1)
-	if refStats.Stolen != 0 {
-		t.Fatalf("serial run recorded %d steals", refStats.Stolen)
+	if refStats.TasksStolen != 0 {
+		t.Fatalf("serial run recorded %d steals", refStats.TasksStolen)
 	}
-	if refStats.Inline == 0 {
+	if refStats.ForksInline == 0 {
 		t.Fatalf("serial run recorded no inline forks")
 	}
-	if refStats.Spawned != 5 {
-		t.Fatalf("serial Spawned = %d, want 5 roots", refStats.Spawned)
+	if refStats.TasksSpawned != 5 {
+		t.Fatalf("serial Spawned = %d, want 5 roots", refStats.TasksSpawned)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		sum, st := run(workers)
 		if sum != refSum {
 			t.Fatalf("workers=%d: sum=%d, serial %d", workers, sum, refSum)
 		}
-		if st.Inline != 0 {
-			t.Fatalf("workers=%d: recorded %d inline forks on the parallel path", workers, st.Inline)
+		if st.ForksInline != 0 {
+			t.Fatalf("workers=%d: recorded %d inline forks on the parallel path", workers, st.ForksInline)
 		}
-		// Spawned = roots + forks; forks are input-determined, so the count
+		// TasksSpawned = roots + forks; forks are input-determined, so the count
 		// must match the serial run's roots + inline forks.
-		if want := refStats.Spawned + refStats.Inline; st.Spawned != want {
-			t.Fatalf("workers=%d: Spawned=%d, want %d", workers, st.Spawned, want)
+		if want := refStats.TasksSpawned + refStats.ForksInline; st.TasksSpawned != want {
+			t.Fatalf("workers=%d: Spawned=%d, want %d", workers, st.TasksSpawned, want)
 		}
 	}
 }
@@ -133,11 +135,11 @@ func TestRunStealingStealsUnderSkew(t *testing.T) {
 	if err != nil {
 		t.Fatalf("err=%v", err)
 	}
-	if st.Spawned < 2 {
-		t.Fatalf("Spawned=%d, want forks beyond the root", st.Spawned)
+	if st.TasksSpawned < 2 {
+		t.Fatalf("Spawned=%d, want forks beyond the root", st.TasksSpawned)
 	}
-	if st.Stolen == 0 {
-		t.Fatalf("no steals under maximal skew (Spawned=%d)", st.Spawned)
+	if st.TasksStolen == 0 {
+		t.Fatalf("no steals under maximal skew (Spawned=%d)", st.TasksSpawned)
 	}
 }
 
@@ -261,7 +263,7 @@ func TestRunStealingNoGoroutineLeak(t *testing.T) {
 // TestRunStealingEmptyRoots: a no-op run returns immediately.
 func TestRunStealingEmptyRoots(t *testing.T) {
 	st, err := RunStealing(context.Background(), 4, nil)
-	if err != nil || st != (StealStats{}) {
+	if err != nil || st != (core.ExecStats{}) {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
 }

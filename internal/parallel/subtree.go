@@ -139,7 +139,7 @@ func MineSubtrees(ctx context.Context, workers int, name string, progress core.P
 			r.finish(task(i, &r.tree))
 		}
 	}
-	ss, err := RunStealing(ctx, workers, tasks)
+	exec, err := RunStealing(ctx, workers, tasks)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -148,11 +148,7 @@ func MineSubtrees(ctx context.Context, workers int, name string, progress core.P
 		stats.Add(r.stats)
 	}
 	core.SortResults(results)
-	progress.EmitExec(name, core.ExecStats{
-		TasksSpawned: ss.Spawned,
-		TasksStolen:  ss.Stolen,
-		ForksInline:  ss.Inline,
-	})
+	progress.EmitExec(name, exec)
 	progress.Emit(name, core.PhaseDone, core.MaxItemsetLen(results), stats)
 	return results, stats, nil
 }

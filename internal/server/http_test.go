@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"umine/internal/core"
+	"umine/internal/dataset"
 )
 
 // httpFixture boots the handler over a real listener with one registered
@@ -215,6 +217,24 @@ func TestIngestParserParity(t *testing.T) {
 	}
 	if ing.Added != 1 {
 		t.Errorf("added %d transactions, want 1 (comment skipped)", ing.Added)
+	}
+}
+
+// TestIngestRejectsHugeItemID: an item id at dataset.MaxItems is refused
+// with 400 before it reaches the dataset, so the next mine never sizes a
+// per-item array from it. The dataset's version and universe stay put.
+func TestIngestRejectsHugeItemID(t *testing.T) {
+	s, ts := httpFixture(t)
+	before, _ := s.Dataset("d")
+	line := fmt.Sprintf("0:0.5 %d:1", dataset.MaxItems)
+	resp, body := post(t, ts.URL+"/ingest", ingestRequest{Dataset: "d", Transactions: []string{line}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("item %d: HTTP %d (want 400): %s", dataset.MaxItems, resp.StatusCode, body)
+	}
+	after, _ := s.Dataset("d")
+	if after.Version != before.Version || after.NumItems != before.NumItems {
+		t.Fatalf("rejected ingest moved the dataset: version %d → %d, items %d → %d",
+			before.Version, after.Version, before.NumItems, after.NumItems)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"umine/internal/algo"
 	"umine/internal/core"
+	"umine/internal/dataset"
 	"umine/internal/obsq"
 	"umine/internal/partition"
 	"umine/internal/telemetry"
@@ -242,6 +243,10 @@ func (s *ShardServer) handlePush(w http.ResponseWriter, r *http.Request) {
 	tr.Root().SetAttr("append", fmt.Sprint(req.Append))
 	if req.Dataset == "" || req.Lo < 0 || req.Hi < req.Lo {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad push pin %q [%d,%d)", req.Dataset, req.Lo, req.Hi))
+		return
+	}
+	if req.NumItems > dataset.MaxItems {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("push declares %d items, above %d", req.NumItems, dataset.MaxItems))
 		return
 	}
 	var base *core.Database

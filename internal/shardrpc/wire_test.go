@@ -1,10 +1,15 @@
 package shardrpc
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"umine/internal/core"
+	"umine/internal/dataset"
 	"umine/internal/partition"
 )
 
@@ -97,6 +102,74 @@ func FuzzMineShardResponse(f *testing.F) {
 		}
 		if back.Stats != resp.Stats {
 			t.Fatalf("stats changed in round trip: %+v -> %+v", resp.Stats, back.Stats)
+		}
+	})
+}
+
+// TestPushRejectsOversizedUniverse: a push declaring more than
+// dataset.MaxItems items is refused with 400 and installs nothing, so the
+// shard never widens a slice's per-item indexes to an unchecked size.
+func TestPushRejectsOversizedUniverse(t *testing.T) {
+	ss := NewShardServer(ShardConfig{})
+	ts := httptest.NewServer(ss.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(PushRequest{Dataset: "d", Version: 1, Hi: 1, NumItems: dataset.MaxItems + 1, Transactions: []string{"0:0.5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+pathPush, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("push with NumItems %d: HTTP %d, want 400", dataset.MaxItems+1, resp.StatusCode)
+	}
+	if st := ss.Stats(); st.Pushes != 0 || len(st.Datasets) != 0 {
+		t.Fatalf("rejected push was installed: %+v", st)
+	}
+}
+
+// FuzzDecodeTransactions feeds arbitrary lines through the push decoder,
+// with and without a base slice to extend. It must never panic; an accepted
+// push holds the base plus one transaction per line, every item below
+// dataset.MaxItems.
+func FuzzDecodeTransactions(f *testing.F) {
+	f.Add("0:0.5 3:1\n2:0.25", false)
+	f.Add("", true)
+	f.Add("1:0.5\n\n4:1", true)
+	f.Add("1048576:0.5", false)
+	f.Add("4294967295:1", true)
+	f.Add("2:0.5 2:0.5", false)
+	f.Add("# comment", true)
+	base := core.MustNewDatabase("base", [][]core.Unit{
+		{{Item: 0, Prob: 0.5}, {Item: 7, Prob: 1}},
+		{},
+		{{Item: 3, Prob: 0.25}},
+	})
+	f.Fuzz(func(t *testing.T, input string, withBase bool) {
+		lines := strings.Split(input, "\n")
+		var b *core.Database
+		if withBase {
+			b = base
+		}
+		db, err := decodeTransactions("fuzz", b, lines)
+		if err != nil {
+			return
+		}
+		want := len(lines)
+		if b != nil {
+			want += b.N()
+		}
+		if db.N() != want {
+			t.Fatalf("decoded %d transactions, want %d", db.N(), want)
+		}
+		for i := 0; i < db.N(); i++ {
+			for _, it := range db.Tx(i).Items {
+				if int(it) >= dataset.MaxItems {
+					t.Fatalf("transaction %d holds item %d, not below %d", i, it, dataset.MaxItems)
+				}
+			}
 		}
 	})
 }
