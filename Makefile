@@ -100,15 +100,15 @@ test-shardrpc:
 ## test-incmine: the incremental-maintenance suites under the race detector —
 ## ledger-vs-cold bit-identity for every miner family across arbitrary append
 ## sequences (including the eviction / non-append / border-exhaustion
-## fallbacks), the delta counting kernel's bitwise additivity, window
-## eviction accounting, and the server's subscribe/ingest/SSE surface; then
+## fallbacks), window eviction accounting, and the server's
+## subscribe/ingest/SSE surface; then
 ## the resumable DP rows three times at -cpu 1,4 — the kernel row's
 ## extend-vs-fresh identity, the DP miners' row store, whose rows the
 ## verification worker pool builds concurrently, through its fallbacks and
 ## a mid-mine cancel, and the ledger's resumed refreshes and canceled updates
 test-incmine:
 	$(GO) test -race -count=1 ./internal/incmine ./internal/stream
-	$(GO) test -race -count=1 -run 'Subscribe|Incremental|Ingest|Delta|Eviction' ./internal/server ./internal/core
+	$(GO) test -race -count=1 -run 'Subscribe|Incremental|Ingest|Delta|Eviction' ./internal/server
 	$(GO) test -race -count=3 -cpu 1,4 -run 'TailRow|Resum' ./internal/kernel ./internal/algo/exact ./internal/incmine
 
 ## test-steal: the work-stealing scheduler and parallel-determinism suites
@@ -198,7 +198,8 @@ FUZZ_TARGETS = \
 	./internal/kernel:FuzzTailRowExtend \
 	./internal/kernel:FuzzRowStep \
 	./internal/shardrpc:FuzzMineShardResponse \
-	./internal/shardrpc:FuzzDecodeTransactions
+	./internal/shardrpc:FuzzDecodeTransactions \
+	./internal/server:FuzzIngestBody
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -70,10 +70,11 @@ func SemanticsOf(name string) (core.Semantics, error) {
 // NewPartitionEngine returns the SON two-phase partition engine for the
 // named algorithm, configured from opts (Partitions, Workers, Progress).
 // The engine implements core.Miner; its completed mines are bit-identical
-// to single-shot mines of the algorithm. Callers needing custom shard
-// execution (e.g. the serving layer's scatter-gather) may override the
-// MineShard hook afterwards. Non-partitionable algorithms (MCSampling) and
-// unknown names are errors.
+// to single-shot mines of the algorithm. Its MineShard hook mines each
+// partition's slice in process (MineSlice); callers needing custom shard
+// execution (the serving layer's remote shard pool) may override it
+// afterwards. Non-partitionable algorithms (MCSampling) and unknown names
+// are errors.
 func NewPartitionEngine(name string, opts core.Options) (*partition.Engine, error) {
 	entry, ok := lookup(name)
 	if !ok {
@@ -92,15 +93,27 @@ func NewPartitionEngine(name string, opts core.Options) (*partition.Engine, erro
 			return partition.Phase1Thresholds(entry.bound, th, n)
 		},
 		MineShard: func(ctx context.Context, _ int, db *core.Database, th core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
-			m := MustNewWith(entry.phase1, core.Options{Workers: workers})
-			rs, err := m.Mine(ctx, db, th)
-			if err != nil {
-				return nil, core.MiningStats{}, err
-			}
-			return rs.Itemsets(), rs.Stats, nil
+			return MineSlice(ctx, entry.phase1, db, th, core.Options{Workers: workers})
 		},
 		NewPhase2: func(o core.Options, allow func(core.Itemset) bool) (core.Miner, error) {
 			return NewRestricted(entry.Name, o, allow)
 		},
 	}, nil
+}
+
+// MineSlice runs the named miner, built from opts, over db and returns its
+// frequent itemsets with the run's work counters: the phase-1 mine of one
+// partition or shard slice. The partition engine's in-process shards, the
+// shard pool's local failover and the shard server's /mine1 all mine
+// through it.
+func MineSlice(ctx context.Context, name string, db *core.Database, th core.Thresholds, opts core.Options) ([]core.Itemset, core.MiningStats, error) {
+	m, err := NewWith(name, opts)
+	if err != nil {
+		return nil, core.MiningStats{}, err
+	}
+	rs, err := m.Mine(ctx, db, th)
+	if err != nil {
+		return nil, core.MiningStats{}, err
+	}
+	return rs.Itemsets(), rs.Stats, nil
 }

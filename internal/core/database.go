@@ -153,24 +153,14 @@ func (db *Database) Transactions() []Transaction {
 }
 
 // BytesResident returns the resident size of this view's storage: the
-// arena span it covers (items + probs), its offset table, and the vertical
-// index when one has been built. Slices report only their span, so a
-// registry sharing one arena across sharded views does not multiply-count
-// the backing store.
+// arena span it covers (items + probs), its offset table, and the per-item
+// indexes (TID counts, vertical postings) when they have been built. Slices
+// report only their span, so a registry sharing one arena across sharded
+// views does not multiply-count the backing store.
 func (db *Database) BytesResident() int64 {
 	span := int64(db.NumUnits())
-	return span*int64(unsafe.Sizeof(Item(0))+unsafe.Sizeof(float64(0))) +
-		int64(len(db.offsets))*int64(unsafe.Sizeof(uint32(0))) +
-		db.IndexBytes()
-}
-
-// IndexBytes returns the resident size of the view's derived per-item
-// indexes alone (cached TID counts + vertical postings) — the part of
-// BytesResident beyond the arena span. Views sharing an arena (Slice)
-// build their own indexes, so a registry summing shard overheads adds
-// IndexBytes per view without double-counting the columns.
-func (db *Database) IndexBytes() int64 {
-	var b int64
+	b := span*int64(unsafe.Sizeof(Item(0))+unsafe.Sizeof(float64(0))) +
+		int64(len(db.offsets))*int64(unsafe.Sizeof(uint32(0)))
 	if v := db.vert.Load(); v != nil {
 		b += v.Bytes()
 	}

@@ -324,9 +324,9 @@ func (l *Ledger) Update(ctx context.Context, snap Snapshot) (*Refresh, error) {
 			t0 := time.Now()
 			next = l.band
 			next.screens = make([]float64, len(l.sets))
-			snap.DB.AccumulateESup(l.lastN, n, l.sets, next.screens)
-			for i, s := range l.screens {
-				next.screens[i] += s
+			delta := snap.DB.Slice(l.lastN, n)
+			for i, x := range l.sets {
+				next.screens[i] = delta.ESup(x) + l.screens[i]
 			}
 			deltaScanned = n - l.lastN
 			span.Record("delta scan", t0, time.Now(),

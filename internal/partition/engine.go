@@ -41,7 +41,8 @@ type RunStats struct {
 // implements core.Miner, so a configured engine drops in wherever a miner
 // does; the hook fields keep the package free of algorithm-registry
 // knowledge — umine/internal/algo wires them (NewPartitionEngine), and the
-// serving layer overrides MineShard with its shard backend.
+// serving layer wraps MineShard to time each shard, replacing it with its
+// remote shard backend when one is configured.
 type Engine struct {
 	// Algorithm is the target algorithm's registry name, reported as
 	// Name() and on progress events.

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
+	"umine/internal/algo"
 	"umine/internal/core"
 	"umine/internal/dataset"
 	"umine/internal/obsq"
@@ -239,6 +241,57 @@ func (b mineRequestJSON) request() MineRequest {
 	}
 }
 
+// queryRequest parses the query string of GET /explain and GET /subscribe:
+// dataset, algo (or algorithm), the thresholds as min_esup / min_sup / pft
+// — or threshold, which fills the algorithm's primary threshold (min_esup
+// for expected-support miners, min_sup for probabilistic ones) — plus
+// workers, timeout_ms and no_cache.
+func queryRequest(q url.Values) (MineRequest, error) {
+	req := MineRequest{Dataset: q.Get("dataset"), Algorithm: q.Get("algo")}
+	if req.Algorithm == "" {
+		req.Algorithm = q.Get("algorithm")
+	}
+	if req.Dataset == "" || req.Algorithm == "" {
+		return req, errors.New("need dataset and algo parameters")
+	}
+	sem, err := algo.SemanticsOf(req.Algorithm)
+	if err != nil {
+		return req, err
+	}
+	var primary float64
+	for _, p := range []struct {
+		key  string
+		into *float64
+	}{{"min_esup", &req.Thresholds.MinESup}, {"min_sup", &req.Thresholds.MinSup}, {"pft", &req.Thresholds.PFT}, {"threshold", &primary}} {
+		if v := q.Get(p.key); v != "" {
+			if *p.into, err = strconv.ParseFloat(v, 64); err != nil {
+				return req, fmt.Errorf("parameter %s: %w", p.key, err)
+			}
+		}
+	}
+	if primary != 0 {
+		if sem == core.ExpectedSupport {
+			req.Thresholds.MinESup = primary
+		} else {
+			req.Thresholds.MinSup = primary
+		}
+	}
+	var timeoutMS int
+	for _, p := range []struct {
+		key  string
+		into *int
+	}{{"workers", &req.Workers}, {"timeout_ms", &timeoutMS}} {
+		if v := q.Get(p.key); v != "" {
+			if *p.into, err = strconv.Atoi(v); err != nil {
+				return req, fmt.Errorf("parameter %s: %w", p.key, err)
+			}
+		}
+	}
+	req.Timeout = time.Duration(timeoutMS) * time.Millisecond
+	req.NoCache = q.Get("no_cache") == "true" || q.Get("no_cache") == "1"
+	return req, nil
+}
+
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	tr := s.startTrace(w, "POST /mine")
 	defer tr.Finish()
@@ -269,9 +322,8 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // handleExplain serves /explain: the query runs exactly as /mine would
 // (cache, coalescing, backend selection — results stay bit-identical) and
 // the response is the executed plan with its observed cost breakdown. GET
-// takes the /subscribe-style query parameters (dataset, algo, min_esup /
-// min_sup / pft or threshold, plus workers and no_cache); POST takes the
-// /mine body.
+// takes the query string queryRequest parses (the same as /subscribe);
+// POST takes the /mine body.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	tr := s.startTrace(w, r.Method+" /explain")
 	defer tr.Finish()
@@ -283,39 +335,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		req = body.request()
 	} else {
-		q := r.URL.Query()
-		req.Dataset = q.Get("dataset")
-		req.Algorithm = q.Get("algo")
-		if req.Algorithm == "" {
-			req.Algorithm = q.Get("algorithm")
-		}
-		if req.Dataset == "" || req.Algorithm == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("need dataset and algo parameters"))
-			return
-		}
-		th, err := subscribeThresholds(q, req.Algorithm)
-		if err != nil {
+		var err error
+		if req, err = queryRequest(r.URL.Query()); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		req.Thresholds = th
-		if v := q.Get("workers"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("parameter workers: %w", err))
-				return
-			}
-			req.Workers = n
-		}
-		if v := q.Get("timeout_ms"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("parameter timeout_ms: %w", err))
-				return
-			}
-			req.Timeout = time.Duration(n) * time.Millisecond
-		}
-		req.NoCache = q.Get("no_cache") == "true" || q.Get("no_cache") == "1"
 	}
 	ctx := r.Context()
 	if tr != nil {

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"umine/internal/core"
+	"umine/internal/core/coretest"
 	"umine/internal/dataset"
 )
 
@@ -275,8 +277,10 @@ func TestHTTPWindowedRegister(t *testing.T) {
 
 // TestHTTPRegisterRejects: the register body rejects fields it does not
 // declare (naming the field, so a client still sending a retired option
-// learns why) and a negative window size, registering nothing in either
-// case. The other bodies keep ignoring unknown fields.
+// learns why), a negative window size and a profile scale outside (0, 1]
+// (the generator allocates scale × the published size up front),
+// registering nothing in any case. The other bodies keep ignoring unknown
+// fields.
 func TestHTTPRegisterRejects(t *testing.T) {
 	s, ts := httpFixture(t)
 	text := "0:0.9\n1:0.8\n0:0.7 1:0.6\n"
@@ -287,6 +291,8 @@ func TestHTTPRegisterRejects(t *testing.T) {
 	}{
 		{"unknown field", map[string]any{"name": "w", "text": text, "window_size": 2, "refresh_every": 4}, `refresh_every`},
 		{"negative window", map[string]any{"name": "w", "text": text, "window_size": -1}, `window size -1`},
+		{"huge scale", map[string]any{"name": "w", "profile": "connect", "scale": 1e300}, `outside (0, 1]`},
+		{"scale above one", map[string]any{"name": "w", "profile": "connect", "scale": 2}, `outside (0, 1]`},
 	}
 	for _, c := range cases {
 		resp, body := post(t, ts.URL+"/datasets", c.body)
@@ -301,4 +307,58 @@ func TestHTTPRegisterRejects(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("ingest with an unknown field: HTTP %d %s, want 200", resp.StatusCode, body)
 	}
+}
+
+// FuzzIngestBody posts arbitrary bytes to /ingest on a server holding a
+// small dataset. The handler must never panic and must answer 200, 400, 404
+// or 413. On 200 the dataset grows by one transaction per line that is not
+// a "#" comment, and its version moves only when that count is above 0.
+func FuzzIngestBody(f *testing.F) {
+	db := coretest.RandomDB(rand.New(rand.NewSource(3)), 20, 6, 0.6)
+	for _, seed := range []string{
+		`{"dataset":"d","transactions":["0:0.5 1:0.25","# comment",""]}`,
+		`{"dataset":"d","transactions":["# only a comment"]}`,
+		`{"dataset":"d","transactions":[]}`,
+		`{"dataset":"nope","transactions":["0:0.5"]}`,
+		`{"dataset":"d","transactions":["0:0.5 0:0.5"]}`,
+		`{"dataset":"d","transactions":["1048576:1"]}`,
+		`{"dataset":"d","transactions":["3:1"]} trailing`,
+		`[1,2`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(Config{})
+		if _, err := s.RegisterDatabase("d", db, RegisterOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := s.Dataset("d")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+		}
+		// A 200 means the handler decoded the body; decode it the same way.
+		var req ingestRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("HTTP 200 for a body that does not decode: %v", err)
+		}
+		added := 0
+		for _, line := range req.Transactions {
+			if !strings.HasPrefix(strings.TrimSpace(line), "#") {
+				added++
+			}
+		}
+		after, _ := s.Dataset("d")
+		if after.NumTrans != before.NumTrans+added {
+			t.Fatalf("N %d → %d, want +%d", before.NumTrans, after.NumTrans, added)
+		}
+		if bumped := after.Version != before.Version; bumped != (added > 0) {
+			t.Fatalf("version %d → %d with %d transactions added", before.Version, after.Version, added)
+		}
+	})
 }

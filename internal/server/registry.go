@@ -63,9 +63,10 @@ type DatasetInfo struct {
 	// Shards > 1 marks the dataset for scatter-gather mining across that
 	// many sub-shards (see RegisterOptions.Shards).
 	Shards int `json:"shards,omitempty"`
-	// BytesResident is the snapshot's arena footprint (columns + offset
-	// table + any built vertical index). Sharded views slice the one arena,
-	// so this is the whole dataset's storage, not a per-shard multiple.
+	// BytesResident is the snapshot's footprint (columns + offset table +
+	// any built per-item indexes). A sharded mine's slices share the one
+	// arena and are dropped with the mine, so a sharded dataset reports its
+	// snapshot's storage, counted once, not a per-shard multiple.
 	BytesResident int64  `json:"bytes_resident"`
 	Registered    string `json:"registered"`
 }
@@ -82,33 +83,6 @@ type dsEntry struct {
 	ingested   int64
 	source     string
 	registered time.Time
-
-	// Cached scatter backend for the current snapshot: rebuilding slices
-	// per request would discard the shards' lazily built per-item indexes.
-	// Invalidation is implicit — the cache is keyed on the snapshot
-	// pointer, which every ingest swaps.
-	shardBE   ShardBackend
-	shardBEdb *core.Database
-	shardBEk  int
-}
-
-// backendFor returns the scatter backend for the given snapshot (identified
-// by pointer and registry version) and shard count, building it with mk on
-// first use and caching it until the snapshot is swapped (ingest) or the
-// clamped width changes. A backend for a snapshot that is no longer current
-// (an in-flight mine racing an ingest) is built but never cached — storing
-// it would re-pin the replaced arena indefinitely.
-func (d *dsEntry) backendFor(db *core.Database, version uint64, k int, mk func(name string, version uint64, db *core.Database, k int) ShardBackend) ShardBackend {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.shardBE != nil && d.shardBEdb == db && d.shardBEk == k {
-		return d.shardBE
-	}
-	be := mk(d.name, version, db, k)
-	if db == d.db {
-		d.shardBE, d.shardBEdb, d.shardBEk = be, db, k
-	}
-	return be
 }
 
 // snapshot returns the current immutable database and its version.
@@ -138,19 +112,9 @@ func (d *dsEntry) info() DatasetInfo {
 	}
 	if d.shards > 1 {
 		info.Shards = d.shards
-		// Per-shard views share the snapshot's arena (never double-counted)
-		// but build their own per-item indexes; an in-process backend can
-		// report those so bytes_resident covers the sharded state too.
-		if be, ok := d.shardBE.(indexResident); ok && d.shardBEdb == d.db {
-			info.BytesResident += be.indexBytes()
-		}
 	}
 	return info
 }
-
-// indexResident is implemented by in-process shard backends that can
-// report their shards' derived per-item index footprint.
-type indexResident interface{ indexBytes() int64 }
 
 // IngestResult reports one Ingest call.
 type IngestResult struct {
@@ -201,10 +165,6 @@ func (d *dsEntry) ingest(raw [][]core.Unit) (IngestResult, error) {
 	dropOld := min(drop, old.N())
 	d.db = rebuild(d.name, old, dropOld, txs[drop-dropOld:])
 	d.evicted += int64(drop)
-	// The scatter-backend cache is keyed on the snapshot pointer; drop it
-	// with the snapshot so the replaced arena does not stay pinned until
-	// (or beyond) the next sharded mine.
-	d.shardBE, d.shardBEdb, d.shardBEk = nil, nil, 0
 	d.version++
 	d.ingested += int64(len(txs))
 	return IngestResult{
@@ -326,14 +286,16 @@ func (s *Server) RegisterDatabase(name string, db *core.Database, opts RegisterO
 }
 
 // RegisterProfile generates one of the paper's Table 6 benchmark profiles at
-// the given scale and registers it.
+// the given scale and registers it. Scale is a fraction of the published
+// size, in (0, 1]: the generator allocates scale × the profile's
+// transaction count up front, and scale is client input on POST /datasets.
 func (s *Server) RegisterProfile(name, profile string, scale float64, seed int64, opts RegisterOptions) (DatasetInfo, error) {
 	p, ok := dataset.Profiles[profile]
 	if !ok {
 		return DatasetInfo{}, fmt.Errorf("server: unknown benchmark profile %q", profile)
 	}
-	if scale <= 0 {
-		return DatasetInfo{}, fmt.Errorf("server: profile scale %v must be positive", scale)
+	if !(scale > 0 && scale <= 1) {
+		return DatasetInfo{}, fmt.Errorf("server: profile scale %v outside (0, 1]", scale)
 	}
 	if opts.Source == "" {
 		opts.Source = fmt.Sprintf("profile:%s@%g", profile, scale)

@@ -63,7 +63,8 @@ type Config struct {
 	// remote shard servers (process-per-shard; umine/internal/shardrpc). The
 	// scatter width is clamped to the pool's width, a shard exhausting its
 	// retries fails over to an in-process mine of its slice, and results stay
-	// bit-identical to the local backend. Nil mines shards in-process.
+	// bit-identical to an unsharded mine. Nil mines shards in process (the
+	// partition engine's own slice mine).
 	ShardPool *shardrpc.Pool
 	// ShardProgress observes the remote backend's robustness events
 	// (PhaseShardRetry/Hedge/Failover/Repush; Level is the 1-based shard
@@ -102,9 +103,9 @@ type Server struct {
 	// mineFn runs one mining job under ctx; tests substitute it to control
 	// timing and observe cancellation.
 	mineFn func(ctx context.Context, algorithm string, db *core.Database, th core.Thresholds, opts core.Options) (*core.ResultSet, error)
-	// newShardBackend builds the phase-1 backend for a sharded dataset's
-	// snapshot; nil means Config.ShardPool when set, the in-process
-	// localShards otherwise. Tests substitute it to observe the scatter.
+	// newShardBackend, when set, builds the phase-1 backend for every
+	// sharded mine in place of Config.ShardPool and the partition engine's
+	// in-process slice mine. Tests substitute it to observe the scatter.
 	newShardBackend func(name string, version uint64, db *core.Database, k int) ShardBackend
 
 	requests      atomic.Uint64
@@ -614,7 +615,7 @@ func (s *Server) runMine(ctx context.Context, req MineRequest, d *dsEntry, db *c
 	}
 	if sharded {
 		span.SetAttr("shards", fmt.Sprint(shards))
-		return s.mineSharded(ctx, req.Algorithm, d, db, version, shards, req.Thresholds, opts, req.exec)
+		return s.mineSharded(ctx, req.Algorithm, d.name, db, version, shards, req.Thresholds, opts, req.exec)
 	}
 	if req.exec != nil {
 		req.exec.backend = "local"
@@ -771,9 +772,10 @@ type Stats struct {
 	Subscribers          int64  `json:"subscribers"`
 	IncrementalUpdates   uint64 `json:"incremental_updates"`
 	IncrementalFallbacks uint64 `json:"incremental_fallbacks"`
-	// BytesResident totals the datasets' arena footprints (columns, offset
-	// tables, built vertical indexes); DatasetBytesResident breaks it down
-	// per dataset. Sharded views share one arena, counted once.
+	// BytesResident totals the datasets' snapshot footprints (columns,
+	// offset tables, built per-item indexes); DatasetBytesResident breaks it
+	// down per dataset. A sharded dataset's per-mine slices share its one
+	// arena, counted once.
 	BytesResident        int64            `json:"bytes_resident"`
 	DatasetBytesResident map[string]int64 `json:"dataset_bytes_resident,omitempty"`
 }
@@ -822,8 +824,6 @@ func (s *Server) Stats() Stats {
 		st.CacheEntries = s.cache.len()
 	}
 	for _, d := range s.reg.list() {
-		// info() folds in any cached shard backend's per-view index bytes,
-		// so /stats and /datasets agree on a sharded dataset's footprint.
 		b := d.info().BytesResident
 		if st.DatasetBytesResident == nil {
 			st.DatasetBytesResident = make(map[string]int64)

@@ -19,14 +19,17 @@ import (
 // (a sharded and an unsharded mine of the same query are interchangeable
 // cache entries).
 //
-// ShardBackend is the seam for moving phase 1 out of process: the engine
-// only needs "mine shard i at these thresholds and return its frequent
-// itemsets", which an RPC to a process holding just that slice answers as
-// well as the in-process localShards does today.
+// In process, phase 1 is the partition engine's own slice mine
+// (algo.NewPartitionEngine). ShardBackend is the seam for moving it out of
+// process: the engine only needs "mine shard i at these thresholds and
+// return its frequent itemsets", which an RPC to a process holding just
+// that slice (the shardrpc pool) answers as well.
 
 // ShardBackend mines one shard of a dataset during phase 1 of a
-// scatter-gather mine. Implementations must be safe for concurrent
-// MineShard calls (phase 1 fans out on the worker pool).
+// scatter-gather mine, in place of the partition engine's in-process slice
+// mine. The remote shard pool and tests implement it. Implementations must
+// be safe for concurrent MineShard calls (phase 1 fans out on the worker
+// pool).
 type ShardBackend interface {
 	// Shards returns the shard count K.
 	Shards() int
@@ -36,75 +39,41 @@ type ShardBackend interface {
 	MineShard(ctx context.Context, shard int, algorithm string, th core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error)
 }
 
-// localShards is the in-process ShardBackend: fixed-boundary slices of one
-// immutable database snapshot. Boundaries derive from (N, K) alone —
-// partition.Boundaries — so a re-registration or a process-per-shard
-// deployment decomposes identically.
-type localShards struct {
-	dbs []*core.Database
-}
-
-// newLocalShards slices the snapshot into K fixed-boundary shards.
-func newLocalShards(db *core.Database, k int) *localShards {
-	bounds := partition.Boundaries(db.N(), k)
-	dbs := make([]*core.Database, len(bounds))
-	for i, r := range bounds {
-		dbs[i] = db.Slice(r.Lo, r.Hi)
-	}
-	return &localShards{dbs: dbs}
-}
-
-// Shards implements ShardBackend.
-func (l *localShards) Shards() int { return len(l.dbs) }
-
-// MineShard implements ShardBackend.
-func (l *localShards) MineShard(ctx context.Context, shard int, algorithm string, th core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
-	if shard < 0 || shard >= len(l.dbs) {
-		return nil, core.MiningStats{}, fmt.Errorf("server: shard %d outside [0,%d)", shard, len(l.dbs))
-	}
-	m, err := algo.NewWith(algorithm, core.Options{Workers: workers})
-	if err != nil {
-		return nil, core.MiningStats{}, err
-	}
-	rs, err := m.Mine(ctx, l.dbs[shard], th)
-	if err != nil {
-		return nil, core.MiningStats{}, err
-	}
-	return rs.Itemsets(), rs.Stats, nil
-}
-
 // mineSharded runs one scatter-gather mine over the snapshot: the partition
-// engine drives phase 1 through the shard backend and phase 2 through the
-// restricted target miner, and its RunStats feed the /stats partition
-// counters. Results are bit-identical to s.mineFn on the same snapshot.
-// version is the snapshot's registry version, pinned onto every remote
-// shard request.
-func (s *Server) mineSharded(ctx context.Context, algorithm string, d *dsEntry, db *core.Database, version uint64, k int, th core.Thresholds, opts core.Options, exec *execRecord) (*core.ResultSet, error) {
+// engine drives phase 1 — its own in-process slice mine, or the shard
+// backend when one is configured — and phase 2 through the restricted
+// target miner, and its RunStats feed the /stats partition counters.
+// Results are bit-identical to s.mineFn on the same snapshot. version is
+// the snapshot's registry version, pinned onto every remote shard request.
+func (s *Server) mineSharded(ctx context.Context, algorithm, name string, db *core.Database, version uint64, k int, th core.Thresholds, opts core.Options, exec *execRecord) (*core.ResultSet, error) {
 	opts.Partitions = k
 	eng, err := algo.NewPartitionEngine(algorithm, opts)
 	if err != nil {
 		return nil, err
 	}
-	phase1, _ := algo.PartitionPhase1(algorithm)
-	backend := d.backendFor(db, version, k, s.shardBackend)
-	if exec != nil {
-		exec.shards = k
-		switch backend.(type) {
-		case *shardrpc.Backend:
-			exec.backend = "shardrpc"
-		default:
-			exec.backend = "sharded"
+	mine, label := eng.MineShard, "sharded"
+	if backend := s.shardBackend(name, version, db, k); backend != nil {
+		if got := backend.Shards(); got != k {
+			// The engine fans out over Boundaries(N, k); a backend with a
+			// different shard count (a misconfigured process-per-shard
+			// deployment) must fail up front, not mid-scatter.
+			return nil, fmt.Errorf("server: shard backend holds %d shards, dataset scatters %d", got, k)
+		}
+		if _, ok := backend.(*shardrpc.Backend); ok {
+			label = "shardrpc"
+		}
+		phase1, _ := algo.PartitionPhase1(algorithm)
+		mine = func(ctx context.Context, shard int, _ *core.Database, th1 core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
+			return backend.MineShard(ctx, shard, phase1, th1, workers)
 		}
 	}
-	if got := backend.Shards(); got != k {
-		// The engine fans out over Boundaries(N, k); a backend with a
-		// different shard count (a misconfigured process-per-shard
-		// deployment) must fail up front, not mid-scatter.
-		return nil, fmt.Errorf("server: shard backend holds %d shards, dataset scatters %d", got, k)
+	if exec != nil {
+		exec.shards = k
+		exec.backend = label
 	}
-	eng.MineShard = func(ctx context.Context, shard int, _ *core.Database, th1 core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
+	eng.MineShard = func(ctx context.Context, shard int, slice *core.Database, th1 core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
 		t0 := time.Now()
-		sets, stats, err := backend.MineShard(ctx, shard, phase1, th1, workers)
+		sets, stats, err := mine(ctx, shard, slice, th1, workers)
 		s.histShard.Observe(time.Since(t0).Seconds())
 		return sets, stats, err
 	}
@@ -124,28 +93,28 @@ func (s *Server) mineSharded(ctx context.Context, algorithm string, d *dsEntry, 
 	return eng.Mine(ctx, db, th)
 }
 
-// shardBackend builds the backend mining a snapshot's shards: the test
-// substitution hook first, then the configured remote pool, then the
-// in-process localShards. dsEntry.backendFor caches the result per
-// (snapshot, K), so the local shards' lazily built per-item indexes (TID
-// counts, vertical postings) — or the remote backend's pushed slices —
-// amortize across every cold mine of the same snapshot instead of being
-// rebuilt and discarded per request.
+// shardBackend returns the backend that replaces the engine's in-process
+// slice mine for one sharded mine: the test substitution hook first, then a
+// Backend view of the configured remote pool, built per mine (it holds only
+// the shard bounds; the shard servers hold the slices). nil — no hook, no
+// pool, or a width the pool cannot serve — keeps the in-process mine.
 func (s *Server) shardBackend(name string, version uint64, db *core.Database, k int) ShardBackend {
 	if s.newShardBackend != nil {
 		return s.newShardBackend(name, version, db, k)
 	}
-	if p := s.cfg.ShardPool; p != nil {
-		be, err := p.Backend(name, version, db, k, s.shardHooks(), s.cfg.ShardProgress)
-		if err == nil {
-			return be
-		}
+	p := s.cfg.ShardPool
+	if p == nil {
+		return nil
+	}
+	be, err := p.Backend(name, version, db, k, s.shardHooks(), s.cfg.ShardProgress)
+	if err != nil {
 		// A width the pool cannot serve (runMine clamps, so only a racing
-		// reconfiguration lands here) degrades to the in-process backend —
+		// reconfiguration lands here) degrades to the in-process mine —
 		// the same graceful degradation a dead shard gets.
 		s.shardFailovers.Add(1)
+		return nil
 	}
-	return newLocalShards(db, k)
+	return be
 }
 
 // shardHooks binds the remote backend's robustness events to the /stats
@@ -157,16 +126,4 @@ func (s *Server) shardHooks() shardrpc.Hooks {
 		OnFailover: func(int) { s.shardFailovers.Add(1) },
 		OnRepush:   func(int) { s.shardRepushes.Add(1) },
 	}
-}
-
-// indexBytes reports the shards' derived per-item index footprint (TID
-// counts + vertical postings). The arena itself is shared with the parent
-// snapshot and already counted by Database.BytesResident, so only the
-// index overhead is added here (the registry's indexResident hook).
-func (l *localShards) indexBytes() int64 {
-	var b int64
-	for _, db := range l.dbs {
-		b += db.IndexBytes()
-	}
-	return b
 }

@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"umine/internal/algo"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
+	"umine/internal/partition"
 )
 
 func shardTestDB() *core.Database {
@@ -112,8 +114,21 @@ func TestShardedFallback(t *testing.T) {
 	}
 }
 
-// countingBackend wraps localShards, counting scatter calls — the seam a
-// process-per-shard deployment would implement remotely.
+// sliceBackend mines each fixed-boundary slice of one snapshot in the test
+// process — the work the remote shard pool does over the wire.
+type sliceBackend struct {
+	db     *core.Database
+	bounds []partition.Range
+}
+
+func (b sliceBackend) Shards() int { return len(b.bounds) }
+func (b sliceBackend) MineShard(ctx context.Context, shard int, alg string, th core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
+	r := b.bounds[shard]
+	return algo.MineSlice(ctx, alg, b.db.Slice(r.Lo, r.Hi), th, core.Options{Workers: workers})
+}
+
+// countingBackend wraps a shard backend, counting scatter calls — the seam
+// a process-per-shard deployment implements remotely.
 type countingBackend struct {
 	inner ShardBackend
 	calls atomic.Int64
@@ -129,7 +144,7 @@ func TestShardBackendSubstitution(t *testing.T) {
 	s := New(Config{})
 	var backend *countingBackend
 	s.newShardBackend = func(_ string, _ uint64, db *core.Database, k int) ShardBackend {
-		backend = &countingBackend{inner: newLocalShards(db, k)}
+		backend = &countingBackend{inner: sliceBackend{db: db, bounds: partition.Boundaries(db.N(), k)}}
 		return backend
 	}
 	if _, err := s.RegisterDatabase("d", shardTestDB(), RegisterOptions{Shards: 5}); err != nil {

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
@@ -301,22 +299,11 @@ func (s *Server) borderItemsets() int {
 }
 
 // handleSubscribe serves GET /subscribe: an SSE stream of result-set diffs
-// for one continuous query. Query parameters: dataset, algo (or algorithm),
-// and thresholds as min_esup / min_sup / pft — or threshold, which fills
-// the algorithm's primary threshold (min_esup for expected-support miners,
-// min_sup for probabilistic ones).
+// for one continuous query, named by the query string queryRequest parses
+// (the same as GET /explain); its dataset, algorithm, thresholds and
+// workers make the SubscribeRequest.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	name := q.Get("dataset")
-	alg := q.Get("algo")
-	if alg == "" {
-		alg = q.Get("algorithm")
-	}
-	if name == "" || alg == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("need dataset and algo parameters"))
-		return
-	}
-	th, err := subscribeThresholds(q, alg)
+	req, err := queryRequest(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -326,7 +313,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
-	sub, err := s.Subscribe(r.Context(), SubscribeRequest{Dataset: name, Algorithm: alg, Thresholds: th})
+	sub, err := s.Subscribe(r.Context(), SubscribeRequest{Dataset: req.Dataset, Algorithm: req.Algorithm, Thresholds: req.Thresholds, Workers: req.Workers})
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -353,47 +340,4 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 	}
-}
-
-// subscribeThresholds parses the /subscribe threshold parameters for the
-// named algorithm's semantics.
-func subscribeThresholds(q url.Values, alg string) (core.Thresholds, error) {
-	sem, err := algo.SemanticsOf(alg)
-	if err != nil {
-		return core.Thresholds{}, err
-	}
-	var th core.Thresholds
-	parse := func(key string, into *float64) error {
-		v := q.Get(key)
-		if v == "" {
-			return nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("parameter %s: %w", key, err)
-		}
-		*into = f
-		return nil
-	}
-	if err := parse("min_esup", &th.MinESup); err != nil {
-		return th, err
-	}
-	if err := parse("min_sup", &th.MinSup); err != nil {
-		return th, err
-	}
-	if err := parse("pft", &th.PFT); err != nil {
-		return th, err
-	}
-	var primary float64
-	if err := parse("threshold", &primary); err != nil {
-		return th, err
-	}
-	if primary != 0 {
-		if sem == core.ExpectedSupport {
-			th.MinESup = primary
-		} else {
-			th.MinSup = primary
-		}
-	}
-	return th, nil
 }

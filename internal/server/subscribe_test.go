@@ -106,6 +106,23 @@ func TestSubscribeStreamsDiffs(t *testing.T) {
 	}
 }
 
+// TestSubscribeHTTPBadWorkers: GET /subscribe parses the same query string
+// as GET /explain, workers included, so a malformed value is a 400 rather
+// than a stream opened with the parameter dropped.
+func TestSubscribeHTTPBadWorkers(t *testing.T) {
+	s := newTestServer(t, testDB(t))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/subscribe?dataset=d&algo=UApriori&threshold=0.3&workers=x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("subscribe with workers=x: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestSubscribeHTTPSSE drives the SSE surface: GET /subscribe streams the
 // snapshot event, and a POST /ingest batch produces a follow-up diff event.
 func TestSubscribeHTTPSSE(t *testing.T) {

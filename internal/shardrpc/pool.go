@@ -102,8 +102,9 @@ type Pool struct {
 
 	// Data-movement accounting: request-body bytes sent to shard servers,
 	// split by endpoint. Pushes are the interesting cost (full slices or
-	// deltas); mine bodies are small pinned requests. Exposed on the
-	// coordinator's /metrics and in per-attempt span attributes.
+	// deltas); mine bodies are small pinned requests. /explain, the
+	// dashboard and perfbench read them through BytesPushed and
+	// BytesMineRequests; each attempt's size is also a span attribute.
 	pushBytes atomic.Int64
 	mineBytes atomic.Int64
 }
@@ -476,15 +477,7 @@ func (b *Backend) failover(ctx context.Context, shard int, algorithm string, th 
 	fsp.SetAttr("cause", cause.Error())
 	defer fsp.End()
 	r := b.bounds[shard]
-	m, err := algo.NewWith(algorithm, core.Options{Workers: workers})
-	if err != nil {
-		return nil, core.MiningStats{}, err
-	}
-	rs, err := m.Mine(ctx, b.db.Slice(r.Lo, r.Hi), th)
-	if err != nil {
-		return nil, core.MiningStats{}, err
-	}
-	return rs.Itemsets(), rs.Stats, nil
+	return algo.MineSlice(ctx, algorithm, b.db.Slice(r.Lo, r.Hi), th, core.Options{Workers: workers})
 }
 
 // post sends one JSON POST and returns the status, body and request-body

@@ -338,6 +338,11 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if _, err := algo.SemanticsOf(req.Algorithm); err != nil {
+		// An unknown miner is a malformed request, not a mining failure.
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
 	mineSpan := tr.Root().StartChild("mine")
 	mineSpan.SetAttr("algorithm", req.Algorithm)
 	// Workers is client input: cap it at the cores this process has, so a
@@ -350,12 +355,7 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 		// time went, not just that it went.
 		opts.Progress = obsq.NewCollector(mineSpan).Progress()
 	}
-	m, err := algo.NewWith(req.Algorithm, opts)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	rs, err := m.Mine(r.Context(), h.db, req.Th)
+	sets, stats, err := algo.MineSlice(r.Context(), req.Algorithm, h.db, req.Th, opts)
 	mineSpan.End()
 	if err != nil {
 		// Mining errors (including a canceled hedge loser's ctx) are 422:
@@ -365,8 +365,8 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mines.Add(1)
 	resp := MineShardResponse{
-		Itemsets: partition.EncodeItemsets(rs.Itemsets()),
-		Stats:    rs.Stats,
+		Itemsets: partition.EncodeItemsets(sets),
+		Stats:    stats,
 	}
 	h.cacheMu.Lock()
 	if h.cache == nil {

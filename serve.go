@@ -44,7 +44,8 @@ type (
 	// support changes.
 	ResultDiff = incmine.Diff
 	// ShardBackend mines one shard during phase 1 of a scatter-gather
-	// /mine — in-process (the default) or over RPC (ShardPool).
+	// /mine over RPC (ShardPool implements it through its Backend views);
+	// without a pool, shards are the partition engine's in-process slices.
 	ShardBackend = server.ShardBackend
 	// ShardPool is the client side of the process-per-shard RPC backend:
 	// a fixed set of shard servers (cmd/ushard) plus the retry / hedging /
