@@ -199,7 +199,8 @@ FUZZ_TARGETS = \
 	./internal/kernel:FuzzRowStep \
 	./internal/shardrpc:FuzzMineShardResponse \
 	./internal/shardrpc:FuzzDecodeTransactions \
-	./internal/server:FuzzIngestBody
+	./internal/server:FuzzIngestBody \
+	./internal/server:FuzzMineBody
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

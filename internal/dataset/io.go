@@ -136,23 +136,29 @@ func ParseUnits(line string) ([]core.Unit, error) {
 	return units, nil
 }
 
-// WriteUncertain serializes an uncertain database in item:prob format with
-// full float64 round-trip precision.
+// AppendUncertain appends tx to dst as one item:prob line, without the
+// newline. Each probability carries full float64 round-trip precision (17
+// significant digits), so ParseUnits reads the line back bit for bit.
+func AppendUncertain(dst []byte, tx core.Transaction) []byte {
+	for i, it := range tx.Items {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendUint(dst, uint64(it), 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendFloat(dst, tx.Probs[i], 'g', 17, 64)
+	}
+	return dst
+}
+
+// WriteUncertain serializes an uncertain database in item:prob format, one
+// AppendUncertain line per transaction.
 func WriteUncertain(w io.Writer, db *core.Database) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for j, n := 0, db.N(); j < n; j++ {
-		tx := db.Tx(j)
-		for i, it := range tx.Items {
-			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(bw, "%d:%s", it, strconv.FormatFloat(tx.Probs[i], 'g', 17, 64)); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(AppendUncertain(line[:0], db.Tx(j)), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

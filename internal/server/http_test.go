@@ -362,3 +362,64 @@ func FuzzIngestBody(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMineBody posts arbitrary bytes to /mine and then /explain on a server
+// holding a tiny dataset (24 transactions over 8 items). Neither handler may
+// panic, and each answers 200, 400, 404, 413 or 422 — or 503 when the body
+// set its own timeout_ms, whose expiry is the request's budget, not a
+// decoder fault. A 200 /mine body is byte-identical to WriteJSON of a
+// direct mine at the decoded thresholds. (The /datasets body is left to a
+// per-request work budget: a valid profile at scale 1 is real work.)
+func FuzzMineBody(f *testing.F) {
+	db := coretest.RandomDB(rand.New(rand.NewSource(4)), 24, 8, 0.5)
+	for _, seed := range []string{
+		`{"dataset":"d","algorithm":"UApriori","min_esup":0.1}`,
+		`{"dataset":"d","algorithm":"DPB","min_sup":0.2,"pft":0.7,"no_cache":true}`,
+		`{"dataset":"d","algorithm":"UH-Mine","min_esup":1e-300,"workers":-3}`,
+		`{"dataset":"d","algorithm":"MCSampling","min_sup":0.3,"pft":0.5,"workers":9999999}`,
+		`{"dataset":"nope","algorithm":"UApriori","min_esup":0.1}`,
+		`{"dataset":"d","algorithm":"nope","min_esup":0.1}`,
+		`{"dataset":"d","algorithm":"NDUApriori","min_sup":0.2,"pft":1}`,
+		`{"dataset":"d","algorithm":"UApriori","min_esup":0.1} trailing`,
+		`{"dataset":"d","algorithm":"UApriori","min_esup":"0.1"}`,
+		`[1,2`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(Config{})
+		if _, err := s.RegisterDatabase("d", db, RegisterOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		// The handlers decode the body this way; a 503 is allowed only when
+		// the decoded request carries its own timeout.
+		var req mineRequestJSON
+		decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil
+		for _, path := range []string{"/mine", "/explain"} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK:
+				if !decoded {
+					t.Fatalf("%s: HTTP 200 for a body that does not decode", path)
+				}
+			case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+				continue
+			case http.StatusServiceUnavailable:
+				if decoded && req.request().Timeout > 0 {
+					continue
+				}
+				t.Fatalf("%s: HTTP 503 without a request timeout: %s", path, rec.Body)
+			default:
+				t.Fatalf("%s: HTTP %d: %s", path, rec.Code, rec.Body)
+			}
+			if path != "/mine" {
+				continue
+			}
+			want := marshal(t, directMine(t, req.Algorithm, db, req.Thresholds))
+			if !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("/mine body differs from a direct mine\ngot:  %s\nwant: %s", rec.Body.Bytes(), want)
+			}
+		}
+	})
+}

@@ -103,10 +103,6 @@ type Server struct {
 	// mineFn runs one mining job under ctx; tests substitute it to control
 	// timing and observe cancellation.
 	mineFn func(ctx context.Context, algorithm string, db *core.Database, th core.Thresholds, opts core.Options) (*core.ResultSet, error)
-	// newShardBackend, when set, builds the phase-1 backend for every
-	// sharded mine in place of Config.ShardPool and the partition engine's
-	// in-process slice mine. Tests substitute it to observe the scatter.
-	newShardBackend func(name string, version uint64, db *core.Database, k int) ShardBackend
 
 	requests      atomic.Uint64
 	cacheHits     atomic.Uint64
@@ -591,7 +587,7 @@ func (s *Server) runMine(ctx context.Context, req MineRequest, d *dsEntry, db *c
 		// window): the scatter must narrow, never degenerate.
 		shards = maxK
 	}
-	if p := s.cfg.ShardPool; p != nil && s.newShardBackend == nil && shards > p.Width() {
+	if p := s.cfg.ShardPool; p != nil && shards > p.Width() {
 		// A scatter can't be wider than the shard pool; narrow it rather
 		// than failing the mine (results are shard-count independent).
 		shards = p.Width()

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"umine/internal/algo"
@@ -20,31 +19,17 @@ import (
 // cache entries).
 //
 // In process, phase 1 is the partition engine's own slice mine
-// (algo.NewPartitionEngine). ShardBackend is the seam for moving it out of
-// process: the engine only needs "mine shard i at these thresholds and
-// return its frequent itemsets", which an RPC to a process holding just
-// that slice (the shardrpc pool) answers as well.
-
-// ShardBackend mines one shard of a dataset during phase 1 of a
-// scatter-gather mine, in place of the partition engine's in-process slice
-// mine. The remote shard pool and tests implement it. Implementations must
-// be safe for concurrent MineShard calls (phase 1 fans out on the worker
-// pool).
-type ShardBackend interface {
-	// Shards returns the shard count K.
-	Shards() int
-	// MineShard mines shard i with the named algorithm at the phase-1
-	// thresholds and returns its locally frequent itemsets plus work
-	// counters.
-	MineShard(ctx context.Context, shard int, algorithm string, th core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error)
-}
+// (algo.NewPartitionEngine). With Config.ShardPool set, each shard's phase
+// 1 is instead an RPC to the process holding just that slice (the shardrpc
+// pool's Backend); the engine only needs "mine shard i at these thresholds
+// and return its frequent itemsets", which either answers.
 
 // mineSharded runs one scatter-gather mine over the snapshot: the partition
-// engine drives phase 1 — its own in-process slice mine, or the shard
-// backend when one is configured — and phase 2 through the restricted
-// target miner, and its RunStats feed the /stats partition counters.
-// Results are bit-identical to s.mineFn on the same snapshot. version is
-// the snapshot's registry version, pinned onto every remote shard request.
+// engine drives phase 1 — its own in-process slice mine, or the shard pool
+// when one is configured — and phase 2 through the restricted target miner,
+// and its RunStats feed the /stats partition counters. Results are
+// bit-identical to s.mineFn on the same snapshot. version is the snapshot's
+// registry version, pinned onto every remote shard request.
 func (s *Server) mineSharded(ctx context.Context, algorithm, name string, db *core.Database, version uint64, k int, th core.Thresholds, opts core.Options, exec *execRecord) (*core.ResultSet, error) {
 	opts.Partitions = k
 	eng, err := algo.NewPartitionEngine(algorithm, opts)
@@ -52,19 +37,21 @@ func (s *Server) mineSharded(ctx context.Context, algorithm, name string, db *co
 		return nil, err
 	}
 	mine, label := eng.MineShard, "sharded"
-	if backend := s.shardBackend(name, version, db, k); backend != nil {
-		if got := backend.Shards(); got != k {
-			// The engine fans out over Boundaries(N, k); a backend with a
-			// different shard count (a misconfigured process-per-shard
-			// deployment) must fail up front, not mid-scatter.
-			return nil, fmt.Errorf("server: shard backend holds %d shards, dataset scatters %d", got, k)
-		}
-		if _, ok := backend.(*shardrpc.Backend); ok {
+	if p := s.cfg.ShardPool; p != nil {
+		// The Backend is built per mine: it holds only the shard bounds;
+		// the shard servers hold the slices.
+		be, err := p.Backend(name, version, db, k, s.shardHooks(), s.cfg.ShardProgress)
+		if err != nil {
+			// A width the pool cannot serve (runMine clamps, so only a
+			// racing reconfiguration lands here) degrades to the in-process
+			// mine — the same graceful degradation a dead shard gets.
+			s.shardFailovers.Add(1)
+		} else {
+			phase1, _ := algo.PartitionPhase1(algorithm)
 			label = "shardrpc"
-		}
-		phase1, _ := algo.PartitionPhase1(algorithm)
-		mine = func(ctx context.Context, shard int, _ *core.Database, th1 core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
-			return backend.MineShard(ctx, shard, phase1, th1, workers)
+			mine = func(ctx context.Context, shard int, _ *core.Database, th1 core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
+				return be.MineShard(ctx, shard, phase1, th1, workers)
+			}
 		}
 	}
 	if exec != nil {
@@ -91,30 +78,6 @@ func (s *Server) mineSharded(ctx context.Context, algorithm, name string, db *co
 		s.histPhase2.Observe(st.Phase2Elapsed.Seconds())
 	}
 	return eng.Mine(ctx, db, th)
-}
-
-// shardBackend returns the backend that replaces the engine's in-process
-// slice mine for one sharded mine: the test substitution hook first, then a
-// Backend view of the configured remote pool, built per mine (it holds only
-// the shard bounds; the shard servers hold the slices). nil — no hook, no
-// pool, or a width the pool cannot serve — keeps the in-process mine.
-func (s *Server) shardBackend(name string, version uint64, db *core.Database, k int) ShardBackend {
-	if s.newShardBackend != nil {
-		return s.newShardBackend(name, version, db, k)
-	}
-	p := s.cfg.ShardPool
-	if p == nil {
-		return nil
-	}
-	be, err := p.Backend(name, version, db, k, s.shardHooks(), s.cfg.ShardProgress)
-	if err != nil {
-		// A width the pool cannot serve (runMine clamps, so only a racing
-		// reconfiguration lands here) degrades to the in-process mine —
-		// the same graceful degradation a dead shard gets.
-		s.shardFailovers.Add(1)
-		return nil
-	}
-	return be
 }
 
 // shardHooks binds the remote backend's robustness events to the /stats

@@ -4,13 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
-	"umine/internal/algo"
 	"umine/internal/core"
 	"umine/internal/core/coretest"
-	"umine/internal/partition"
 )
 
 func shardTestDB() *core.Database {
@@ -111,52 +108,6 @@ func TestShardedFallback(t *testing.T) {
 	}
 	if st := s.Stats(); st.ShardedMines != 0 {
 		t.Fatalf("ShardedMines = %d, want 0 (fallback path)", st.ShardedMines)
-	}
-}
-
-// sliceBackend mines each fixed-boundary slice of one snapshot in the test
-// process — the work the remote shard pool does over the wire.
-type sliceBackend struct {
-	db     *core.Database
-	bounds []partition.Range
-}
-
-func (b sliceBackend) Shards() int { return len(b.bounds) }
-func (b sliceBackend) MineShard(ctx context.Context, shard int, alg string, th core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
-	r := b.bounds[shard]
-	return algo.MineSlice(ctx, alg, b.db.Slice(r.Lo, r.Hi), th, core.Options{Workers: workers})
-}
-
-// countingBackend wraps a shard backend, counting scatter calls — the seam
-// a process-per-shard deployment implements remotely.
-type countingBackend struct {
-	inner ShardBackend
-	calls atomic.Int64
-}
-
-func (c *countingBackend) Shards() int { return c.inner.Shards() }
-func (c *countingBackend) MineShard(ctx context.Context, shard int, alg string, th core.Thresholds, workers int) ([]core.Itemset, core.MiningStats, error) {
-	c.calls.Add(1)
-	return c.inner.MineShard(ctx, shard, alg, th, workers)
-}
-
-func TestShardBackendSubstitution(t *testing.T) {
-	s := New(Config{})
-	var backend *countingBackend
-	s.newShardBackend = func(_ string, _ uint64, db *core.Database, k int) ShardBackend {
-		backend = &countingBackend{inner: sliceBackend{db: db, bounds: partition.Boundaries(db.N(), k)}}
-		return backend
-	}
-	if _, err := s.RegisterDatabase("d", shardTestDB(), RegisterOptions{Shards: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Mine(context.Background(), MineRequest{
-		Dataset: "d", Algorithm: "UApriori", Thresholds: core.Thresholds{MinESup: 0.05},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if backend == nil || backend.calls.Load() != 5 {
-		t.Fatalf("scatter fanned out %v shard mines, want 5", backend.calls.Load())
 	}
 }
 

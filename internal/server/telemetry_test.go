@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"umine/internal/core"
+	"umine/internal/shardrpc"
 	"umine/internal/telemetry"
 )
 
@@ -89,32 +91,43 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$`
 
 // TestMetricsEndpoint: /metrics appears when a telemetry hub is
 // configured, renders parseable Prometheus text, and its counters and
-// per-phase histograms move with traffic.
+// per-phase histograms move with traffic — with phase 1 mined in process
+// and over a shard pool alike.
 func TestMetricsEndpoint(t *testing.T) {
+	t.Run("sharded", func(t *testing.T) { testMetricsEndpoint(t, nil) })
+	t.Run("shardrpc", func(t *testing.T) { testMetricsEndpoint(t, startShardCluster(t, 2)) })
+}
+
+func testMetricsEndpoint(t *testing.T, pool *shardrpc.Pool) {
 	db := shardTestDB()
 	hub := telemetry.NewHub(telemetry.HubConfig{TraceCapacity: 8})
-	s := New(Config{DefaultWorkers: 2, Telemetry: hub})
+	s := New(Config{DefaultWorkers: 2, Telemetry: hub, ShardPool: pool})
 	if _, err := s.RegisterDatabase("d", db, RegisterOptions{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	mine := func(body string) *http.Response {
+	// mine reads the whole response, so the client reuses the connection
+	// and the server reads the next request only after this handler (and
+	// its deferred trace Finish) returned.
+	mine := func(body string) http.Header {
 		t.Helper()
 		res, err := ts.Client().Post(ts.URL+"/mine", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer res.Body.Close()
+		if _, err := io.Copy(io.Discard, res.Body); err != nil {
+			t.Fatal(err)
+		}
 		if res.StatusCode != 200 {
 			t.Fatalf("mine: HTTP %d", res.StatusCode)
 		}
-		return res
+		return res.Header
 	}
 	// First mine through the cache (a miss — the trace shows the lookup).
-	res := mine(`{"dataset":"d","algorithm":"UApriori","min_esup":0.05}`)
-	traceID := res.Header.Get("X-Umine-Trace-Id")
-	res.Body.Close()
+	traceID := mine(`{"dataset":"d","algorithm":"UApriori","min_esup":0.05}`).Get("X-Umine-Trace-Id")
 	if traceID == "" {
 		t.Fatal("mine response missing X-Umine-Trace-Id")
 	}
@@ -173,12 +186,12 @@ func TestMetricsEndpoint(t *testing.T) {
 			m1["umine_requests_total"], m1["umine_sharded_mines_total"])
 	}
 	if m1["umine_shard_phase1_duration_seconds_count"] != "2" {
-		t.Errorf("phase-1 histogram count = %s, want 2 (one per shard)",
+		t.Fatalf("phase-1 histogram count = %s, want 2 (one per shard)",
 			m1["umine_shard_phase1_duration_seconds_count"])
 	}
 
 	// Histogram counts are monotonic across scrapes under load.
-	mine(`{"dataset":"d","algorithm":"UApriori","min_esup":0.05,"no_cache":true}`).Body.Close()
+	mine(`{"dataset":"d","algorithm":"UApriori","min_esup":0.05,"no_cache":true}`)
 	m2 := scrape()
 	if m2["umine_mine_duration_seconds_count"] != "2" || m2["umine_requests_total"] != "2" {
 		t.Errorf("after two mines: count=%s requests=%s, want 2/2",
@@ -201,7 +214,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if td.Name != "POST /mine" {
 		t.Errorf("trace name %q", td.Name)
 	}
-	for _, span := range []string{"parse", "cache lookup", "mine", "phase1", "shard 0", "shard 1", "merge", "phase2"} {
+	spans := []string{"parse", "cache lookup", "mine", "phase1", "shard 0", "shard 1", "merge", "phase2"}
+	if pool != nil {
+		// Phase 1 went over the wire: each shard's RPC attempt is a span.
+		spans = append(spans, "attempt")
+	}
+	for _, span := range spans {
 		if _, ok := td.Root.Find(span); !ok {
 			t.Errorf("trace missing %q span:\n%+v", span, td.Root)
 		}

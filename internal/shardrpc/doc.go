@@ -31,14 +31,9 @@
 // spectrum (Jiang et al., "Tunable Causal Consistency"): /mine reads are
 // pinned to one snapshot version across all K shards, so a scatter never
 // mixes pre- and post-ingest slices no matter how the pushes interleave.
-// The eventual end is /stats: shard stats (mines served, cache hits, bytes
-// resident) are unsynchronized gauges that may lag the ingest path — they
-// are observability, not answers.
-//
-// Shard-local result caches are the analytical state of this split (the
-// HTAP framing of Polynesia): keyed by (version, algorithm, thresholds)
-// and dropped wholesale when a push replaces the slice, they can never
-// serve a result across a version boundary.
+// The eventual end is /stats: shard stats (mines served, bytes resident)
+// are unsynchronized gauges that may lag the ingest path — they are
+// observability, not answers.
 //
 // # Robustness
 //

@@ -85,9 +85,6 @@ type PoolConfig struct {
 	// shard i of a k-wide scatter is Addrs[i], k ≤ len(Addrs).
 	Addrs  []string
 	Tuning Tuning
-	// Client is the HTTP client for all shard RPCs; nil uses a dedicated
-	// client (per-attempt deadlines come from Tuning, not the client).
-	Client *http.Client
 }
 
 // Pool is the coordinator's client side of the shard protocol: a fixed,
@@ -132,14 +129,11 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		}
 		addrs[i] = strings.TrimRight(a, "/")
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	return &Pool{
 		addrs:  addrs,
 		tuning: cfg.Tuning.withDefaults(),
-		client: client,
+		// A dedicated client: per-attempt deadlines come from Tuning.
+		client: &http.Client{},
 	}, nil
 }
 
@@ -155,7 +149,8 @@ func (p *Pool) Addrs() []string {
 }
 
 // Backend pins a (dataset snapshot, scatter width) onto the pool's first k
-// shard servers and implements the serving layer's ShardBackend seam. db is
+// shard servers; the serving layer runs each sharded mine's phase 1 through
+// its MineShard. db is
 // the coordinator's own snapshot — the source of pushes and the failover
 // path's data. k must be ≤ Width. hooks and progress observe the backend's
 // robustness events; either may be zero/nil.
@@ -185,9 +180,6 @@ type Backend struct {
 	hooks    Hooks
 	progress core.ProgressFunc
 }
-
-// Shards implements the ShardBackend seam.
-func (b *Backend) Shards() int { return len(b.bounds) }
 
 // outcomeKind classifies one RPC attempt.
 type outcomeKind int
@@ -235,7 +227,7 @@ type attemptResult struct {
 // ingest; a shard still rejecting after that is treated as failed.
 const maxRepushes = 2
 
-// MineShard implements the ShardBackend seam: one pinned phase-1 mine with
+// MineShard mines one shard during phase 1: one pinned remote mine with
 // retries, hedging, stale re-push and local failover. algorithm names the
 // phase-1 miner (already mapped by the caller); th carries the phase-1
 // candidate floors.

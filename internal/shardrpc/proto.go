@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strconv"
-	"strings"
 
 	"umine/internal/core"
 	"umine/internal/dataset"
@@ -94,12 +92,9 @@ type MineShardRequest struct {
 type MineShardResponse struct {
 	Itemsets [][]uint32       `json:"itemsets"`
 	Stats    core.MiningStats `json:"stats"`
-	// Cached reports a shard-local result-cache hit (no mine ran).
-	Cached bool `json:"cached,omitempty"`
-	// Spans is the shard-side span tree of this response (absent when the
-	// request carried no TraceID). The slice cache stores responses without
-	// spans — each response snapshots its own handling, a cache hit
-	// included — so the coordinator never stitches a stale tree.
+	// Spans is the shard's span tree for this /mine1: its root, with the
+	// mine and the miner's checkpoints under it. Absent when the request
+	// carried no trace ID (neither TraceID nor the X-Umine-Trace-Id header).
 	Spans []telemetry.SpanData `json:"spans,omitempty"`
 }
 
@@ -152,24 +147,14 @@ func TxHash(db *core.Database, n int) uint64 {
 }
 
 // encodeTransactions renders db's transactions [lo, hi) as item:prob lines
-// with full float64 round-trip precision (17 significant digits — the same
-// encoding dataset.WriteUncertain uses), so the shard's rebuilt arena is
-// bit-identical to the coordinator's slice.
+// (dataset.AppendUncertain, the line format of dataset.WriteUncertain), so
+// the shard's rebuilt arena is bit-identical to the coordinator's slice.
 func encodeTransactions(db *core.Database, lo, hi int) []string {
 	out := make([]string, 0, hi-lo)
-	var sb strings.Builder
+	var line []byte
 	for j := lo; j < hi; j++ {
-		sb.Reset()
-		tx := db.Tx(j)
-		for i, it := range tx.Items {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(strconv.FormatUint(uint64(it), 10))
-			sb.WriteByte(':')
-			sb.WriteString(strconv.FormatFloat(tx.Probs[i], 'g', 17, 64))
-		}
-		out = append(out, sb.String())
+		line = dataset.AppendUncertain(line[:0], db.Tx(j))
+		out = append(out, string(line))
 	}
 	return out
 }

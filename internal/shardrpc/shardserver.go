@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,12 +17,6 @@ import (
 	"umine/internal/partition"
 	"umine/internal/telemetry"
 )
-
-// maxShardCacheEntries bounds each held slice's result cache. Phase-1
-// queries recur at a handful of (algorithm, threshold) points per version,
-// so a small cap covers the working set; when it fills, new results are
-// served but not retained (never evicting a hot entry for a cold one).
-const maxShardCacheEntries = 64
 
 // ShardConfig parameterizes a ShardServer. The zero value is usable.
 type ShardConfig struct {
@@ -41,26 +33,12 @@ type ShardConfig struct {
 }
 
 // heldSlice is one dataset slice a shard holds: an immutable arena tagged
-// with the (version, lo, hi) pin it answers to, plus the slice-local
-// result cache. A push replaces the whole struct, so the cache can never
-// survive a version boundary.
+// with the (version, lo, hi) pin it answers to. A push replaces the whole
+// struct.
 type heldSlice struct {
 	version uint64
 	lo, hi  int
 	db      *core.Database
-
-	cacheMu sync.Mutex
-	cache   map[string]MineShardResponse
-}
-
-// cacheKey identifies one phase-1 query against a held slice. The version
-// is deliberately absent: the cache lives inside the heldSlice, which a
-// version change replaces wholesale.
-// Workers never changes results (the determinism contract), so it is not
-// part of the key.
-func cacheKey(alg string, th core.Thresholds) string {
-	return fmt.Sprintf("%s|%x|%x|%x", alg,
-		math.Float64bits(th.MinESup), math.Float64bits(th.MinSup), math.Float64bits(th.PFT))
 }
 
 // ShardServer hosts dataset slices and serves phase-1 mines over them —
@@ -76,7 +54,6 @@ type ShardServer struct {
 	pushes       atomic.Uint64
 	deltaPushes  atomic.Uint64
 	mines        atomic.Uint64
-	cacheHits    atomic.Uint64
 	staleRejects atomic.Uint64
 	errs         atomic.Uint64
 
@@ -106,8 +83,7 @@ func (s *ShardServer) registerMetrics(reg *telemetry.Registry) {
 	}
 	counter("ushard_pushes_total", "Slices installed via /push.", &s.pushes)
 	counter("ushard_delta_pushes_total", "Pushes applied via the append-only delta path.", &s.deltaPushes)
-	counter("ushard_mines_total", "Phase-1 mines executed (cache hits excluded).", &s.mines)
-	counter("ushard_cache_hits_total", "Phase-1 mines answered from the slice result cache.", &s.cacheHits)
+	counter("ushard_mines_total", "Phase-1 mines executed.", &s.mines)
 	counter("ushard_stale_rejects_total", "Mine requests rejected 409 for pinning a version not held.", &s.staleRejects)
 	counter("ushard_errors_total", "Failed requests.", &s.errs)
 	reg.GaugeFunc("ushard_datasets", "Dataset slices currently held.", nil, func() float64 {
@@ -126,7 +102,7 @@ func (s *ShardServer) registerMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("umine_build_info", "Build metadata; always 1.", telemetry.BuildInfoLabels(),
 		func() float64 { return 1 })
 	s.histMine1 = reg.Histogram("ushard_mine1_duration_seconds",
-		"Latency of /mine1 phase-1 mines (cache hits included).", nil, nil)
+		"Latency of /mine1 phase-1 mines.", nil, nil)
 	s.histPush = reg.Histogram("ushard_push_duration_seconds",
 		"Latency of /push slice installs (full and delta).", nil, nil)
 }
@@ -138,7 +114,6 @@ type ShardStats struct {
 	Pushes        uint64                      `json:"pushes"`
 	DeltaPushes   uint64                      `json:"delta_pushes"`
 	Mines         uint64                      `json:"mines"`
-	CacheHits     uint64                      `json:"cache_hits"`
 	StaleRejects  uint64                      `json:"stale_rejects"`
 	Errors        uint64                      `json:"errors"`
 	BytesResident int64                       `json:"bytes_resident"`
@@ -159,7 +134,6 @@ func (s *ShardServer) Stats() ShardStats {
 		Pushes:       s.pushes.Load(),
 		DeltaPushes:  s.deltaPushes.Load(),
 		Mines:        s.mines.Load(),
-		CacheHits:    s.cacheHits.Load(),
 		StaleRejects: s.staleRejects.Load(),
 		Errors:       s.errs.Load(),
 	}
@@ -215,16 +189,7 @@ func (s *ShardServer) startTrace(r *http.Request, protoID, name string) *telemet
 // (slices arrive on demand), so readiness is liveness plus an inventory of
 // held slices for operators and boot scripts.
 func (s *ShardServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.held))
-	inventory := make(map[string]ShardDatasetInfo, len(s.held))
-	for name, h := range s.held {
-		names = append(names, name)
-		inventory[name] = ShardDatasetInfo{Version: h.version, Lo: h.lo, Hi: h.hi, N: h.db.N()}
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
-	shardWriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "datasets": inventory})
+	shardWriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "datasets": s.Stats().Datasets})
 }
 
 // handlePush installs a slice. The delta path (Append) extends the held
@@ -323,21 +288,6 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := cacheKey(req.Algorithm, req.Th)
-	h.cacheMu.Lock()
-	cached, ok := h.cache[key]
-	h.cacheMu.Unlock()
-	if ok {
-		s.cacheHits.Add(1)
-		cached.Cached = true
-		tr.Root().SetAttr("outcome", "cache-hit")
-		if traced {
-			cached.Spans = []telemetry.SpanData{tr.Finish().Root}
-		}
-		shardWriteJSON(w, http.StatusOK, cached)
-		return
-	}
-
 	if _, err := algo.SemanticsOf(req.Algorithm); err != nil {
 		// An unknown miner is a malformed request, not a mining failure.
 		s.fail(w, http.StatusBadRequest, err)
@@ -368,16 +318,6 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 		Itemsets: partition.EncodeItemsets(sets),
 		Stats:    stats,
 	}
-	h.cacheMu.Lock()
-	if h.cache == nil {
-		h.cache = make(map[string]MineShardResponse)
-	}
-	if len(h.cache) < maxShardCacheEntries {
-		// Cached without spans: a later hit snapshots its own (trivial)
-		// handling instead of replaying this mine's tree.
-		h.cache[key] = resp
-	}
-	h.cacheMu.Unlock()
 	if traced {
 		resp.Spans = []telemetry.SpanData{tr.Finish().Root}
 	}

@@ -3,6 +3,7 @@ package shardrpc
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -172,4 +173,53 @@ func FuzzDecodeTransactions(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEncodeTransactionsMatchesWriteUncertain pins the one item:prob line
+// format at its extremes — probabilities 1, the smallest subnormal, 0.1 and
+// the largest float64 below 1, item ids up to dataset.MaxItems−1, empty
+// transactions: push lines are WriteUncertain's lines byte for byte, and
+// the shard's decode of them hashes like the coordinator's arena.
+func TestEncodeTransactionsMatchesWriteUncertain(t *testing.T) {
+	probs := []float64{1, 5e-324, 0.1, 1 - 0x1p-53}
+	rng := rand.New(rand.NewSource(21))
+	for round := 0; round < 20; round++ {
+		raw := make([][]core.Unit, 1+rng.Intn(30))
+		for i := range raw {
+			seen := map[core.Item]bool{}
+			for u := rng.Intn(6); u > 0; u-- {
+				it := core.Item(dataset.MaxItems - 1 - rng.Intn(3))
+				if rng.Intn(2) == 0 {
+					it = core.Item(rng.Intn(dataset.MaxItems))
+				}
+				if !seen[it] {
+					seen[it] = true
+					raw[i] = append(raw[i], core.Unit{Item: it, Prob: probs[rng.Intn(len(probs))]})
+				}
+			}
+		}
+		db := core.MustNewDatabase("lines", raw)
+		var buf bytes.Buffer
+		if err := dataset.WriteUncertain(&buf, db); err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		got := encodeTransactions(db, 0, db.N())
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d push lines, WriteUncertain wrote %d", round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d line %d:\npush:  %q\nwrite: %q", round, i, got[i], want[i])
+			}
+		}
+		back, err := decodeTransactions("lines", nil, got)
+		if err != nil {
+			t.Fatalf("round %d: decoding push lines: %v", round, err)
+		}
+		if back.N() != db.N() || TxHash(back, back.N()) != TxHash(db, db.N()) {
+			t.Fatalf("round %d: decoded %d transactions with hash %x, want %d with %x",
+				round, back.N(), TxHash(back, back.N()), db.N(), TxHash(db, db.N()))
+		}
+	}
 }
