@@ -163,9 +163,9 @@ smoke-subscribe:
 ## smoke-explain: query-level observability smoke over the real 2-shard
 ## cluster — a cold POST /explain must report the executed shardrpc plan
 ## (partition steps, shard attempt timeline, pushed bytes), the repeat GET
-## must report the cache-hit path without perturbing the serving cache,
-## /debug/workload must profile the query group, and /debug/dashboard and
-## the SLO burn-rate / build-info gauges must be live
+## must report the cache-hit path without perturbing the serving cache, and
+## /metrics must carry the mine latency histogram's 0.5 s bucket and the
+## build-info / uptime gauges
 smoke-explain:
 	sh scripts/smoke_userve.sh explain
 

@@ -7,7 +7,7 @@
 // scanned and pruned per level, and what the shard RPCs cost in attempts and
 // bytes.
 //
-// Four pieces:
+// Two pieces:
 //
 //   - Collector (this file): the one observer that turns the miners'
 //     Progress checkpoints into timed, costed steps — no miner changes, zero
@@ -21,17 +21,6 @@
 //     totals, and the shard attempt timeline extracted from the request's
 //     span tree ("attempt"/"hedge"/"repush"/"failover" spans with their
 //     outcome and bytes attributes).
-//
-//   - Workload (workload.go): a rolling, exponentially-decayed profile of
-//     the query mix — arrival rate, latency quantiles and cache/ledger hit
-//     ratios per (dataset, algorithm, threshold band) — served at
-//     /debug/workload.
-//
-//   - SLO (slo.go): per-route latency objectives with multi-window burn-rate
-//     gauges, so a scrape shows not just the p99 but how fast the error
-//     budget is burning.
-//
-// Package dashboard.go renders all of it as one dependency-free HTML page.
 package obsq
 
 import (

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"umine/internal/core"
 	"umine/internal/telemetry"
@@ -220,140 +219,6 @@ func TestCollectorSpansConcurrent(t *testing.T) {
 	}
 }
 
-func TestThresholdBand(t *testing.T) {
-	cases := []struct {
-		minESup, minSup float64
-		want            string
-	}{
-		{0.05, 0, "1e-2"},
-		{0.5, 0, "1e-1"},
-		{0, 0.003, "1e-3"},
-		{0, 0, "none"},
-		{1, 0, "1e0"},
-	}
-	for _, c := range cases {
-		if got := ThresholdBand(c.minESup, c.minSup); got != c.want {
-			t.Errorf("ThresholdBand(%g, %g) = %q, want %q", c.minESup, c.minSup, got, c.want)
-		}
-	}
-}
-
-// TestWorkloadDecayAndRatios: arrival weight halves per half-life, the
-// cache-hit ratio follows the per-path split, and Snapshot sorts hottest
-// first.
-func TestWorkloadDecayAndRatios(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	w := NewWorkload(time.Minute)
-	w.now = func() time.Time { return now }
-
-	w.Observe(Record{Dataset: "a", Algorithm: "UApriori", MinESup: 0.05, Path: "mined", Latency: 2 * time.Millisecond})
-	w.Observe(Record{Dataset: "a", Algorithm: "UApriori", MinESup: 0.05, Path: "cache-hit", Latency: time.Millisecond})
-	w.Observe(Record{Dataset: "b", Algorithm: "DPB", MinSup: 0.1, PFT: 0.7, Path: "ledger", Latency: time.Millisecond})
-
-	prof := w.Snapshot()
-	if len(prof.Groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(prof.Groups))
-	}
-	hot := prof.Groups[0]
-	if hot.Dataset != "a" || hot.Weight != 2 || hot.Band != "1e-2" {
-		t.Errorf("hottest group: %+v", hot)
-	}
-	if hot.CacheHitRatio != 0.5 {
-		t.Errorf("CacheHitRatio = %g, want 0.5", hot.CacheHitRatio)
-	}
-	if lr := prof.Groups[1].LedgerRatio; lr != 1 {
-		t.Errorf("ledger group LedgerRatio = %g, want 1", lr)
-	}
-
-	// One half-life on: weights halve.
-	now = now.Add(time.Minute)
-	prof = w.Snapshot()
-	if got := prof.Groups[0].Weight; got < 0.99 || got > 1.01 {
-		t.Errorf("decayed weight = %g, want ~1", got)
-	}
-}
-
-// TestWorkloadEviction: the table caps at maxWorkloadEntries by evicting
-// the coldest group.
-func TestWorkloadEviction(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	w := NewWorkload(time.Minute)
-	w.now = func() time.Time { return now }
-
-	// A hot group, then enough distinct cold groups to overflow the table.
-	for i := 0; i < 5; i++ {
-		w.Observe(Record{Dataset: "hot", Algorithm: "UApriori", MinESup: 0.05, Path: "mined"})
-	}
-	for i := 0; i < maxWorkloadEntries; i++ {
-		w.Observe(Record{Dataset: "cold", Algorithm: "A" + string(rune('a'+i%26)) + string(rune('a'+i/26)), MinESup: 0.05, Path: "mined"})
-	}
-	prof := w.Snapshot()
-	if len(prof.Groups) > maxWorkloadEntries {
-		t.Fatalf("table grew to %d entries, cap is %d", len(prof.Groups), maxWorkloadEntries)
-	}
-	if prof.Groups[0].Dataset != "hot" {
-		t.Errorf("hot group evicted; hottest now %+v", prof.Groups[0])
-	}
-}
-
-// TestSLOBurnRate: the burn rate is the bad fraction over the budgeted bad
-// fraction, per window.
-func TestSLOBurnRate(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	slo := NewSLO(100 * time.Millisecond)
-	slo.now = func() time.Time { return now }
-
-	for i := 0; i < 98; i++ {
-		slo.Observe(10 * time.Millisecond)
-	}
-	slo.Observe(200 * time.Millisecond) // slow: bad
-	slo.ObserveBad()                    // error: bad
-
-	if good, total := slo.Window(SLOWindowShort); good != 98 || total != 100 {
-		t.Fatalf("Window = (%d, %d), want (98, 100)", good, total)
-	}
-	// 2% bad against a 1% budget: burn 2.
-	if burn := slo.BurnRate(SLOWindowShort); burn < 1.99 || burn > 2.01 {
-		t.Errorf("BurnRate = %g, want 2", burn)
-	}
-
-	// Outside the 5m window the short burn drops to 0; the 1h window still
-	// sees the traffic.
-	now = now.Add(10 * time.Minute)
-	if burn := slo.BurnRate(SLOWindowShort); burn != 0 {
-		t.Errorf("BurnRate(5m) after 10m = %g, want 0", burn)
-	}
-	if burn := slo.BurnRate(SLOWindowLong); burn < 1.99 || burn > 2.01 {
-		t.Errorf("BurnRate(1h) after 10m = %g, want 2", burn)
-	}
-
-	// Ring wrap: traffic older than the ring is forgotten entirely.
-	now = now.Add(2 * time.Hour)
-	if _, total := slo.Window(SLOWindowLong); total != 0 {
-		t.Errorf("total after 2h = %d, want 0", total)
-	}
-}
-
-// TestSLOConcurrent: Observe and BurnRate race-free under parallel use.
-func TestSLOConcurrent(t *testing.T) {
-	slo := NewSLO(time.Millisecond)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				slo.Observe(time.Duration(i) * time.Microsecond)
-				slo.BurnRate(SLOWindowShort)
-			}
-		}()
-	}
-	wg.Wait()
-	if _, total := slo.Window(SLOWindowShort); total != 2000 {
-		t.Errorf("total = %d, want 2000", total)
-	}
-}
-
 // TestShardAttemptsFromSpan: the walk finds "shard N" spans anywhere in the
 // tree, emits the shard span itself plus its transport children, and orders
 // the timeline by start time.
@@ -394,32 +259,5 @@ func TestShardAttemptsFromSpan(t *testing.T) {
 	}
 	if got[1].Error != "boom" || got[2].Bytes != 77 || got[4].Bytes != 123 {
 		t.Errorf("attrs lost: %+v", got)
-	}
-}
-
-// TestRenderDashboard: the page renders without a template error and carries
-// the live numbers.
-func TestRenderDashboard(t *testing.T) {
-	var sb strings.Builder
-	err := RenderDashboard(&sb, DashboardData{
-		Service:        "umine",
-		GeneratedAt:    "2026-01-01T00:00:00Z",
-		RefreshSeconds: 2,
-		SLOs: []DashboardSLO{{
-			Route: "mine", TargetMS: 500, Objective: 0.99, Burn5m: 15, Burn1h: 0.5, Good5m: 97, Total5m: 100,
-		}},
-		Workload: WorkloadProfile{Groups: []WorkloadEntry{{
-			Dataset: "gazelle", Algorithm: "UApriori", Band: "1e-2", Weight: 3, CacheHitRatio: 0.5, P99MS: 12,
-		}}},
-		Sections: []DashboardSection{{Title: "cache", Rows: [][2]string{{"hits", "42"}}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := sb.String()
-	for _, want := range []string{"umine", "gazelle", "UApriori", "1e-2", "hits", "42", "bad"} {
-		if !strings.Contains(page, want) {
-			t.Errorf("dashboard page missing %q", want)
-		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -14,7 +15,6 @@ import (
 	"umine/internal/algo"
 	"umine/internal/core"
 	"umine/internal/dataset"
-	"umine/internal/obsq"
 	"umine/internal/telemetry"
 )
 
@@ -70,8 +70,6 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any, strict bool) bool
 //	GET  /explain   ?dataset=&algo=&threshold= — executed plan + cost breakdown
 //	POST /explain   same body as /mine, same answer as GET /explain
 //	GET  /subscribe SSE diff stream for ?dataset=&algo=&threshold= (subscribe.go)
-//	GET  /debug/workload   rolling workload profile (rates, quantiles, hit ratios)
-//	GET  /debug/dashboard  live HTML dashboard (SLO burn, workload, shards, ledger)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -83,8 +81,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /explain", s.handleExplain)
 	mux.HandleFunc("POST /explain", s.handleExplain)
 	mux.HandleFunc("GET /subscribe", s.handleSubscribe)
-	mux.HandleFunc("GET /debug/workload", s.handleWorkload)
-	mux.HandleFunc("GET /debug/dashboard", s.handleDashboard)
 	if hub := s.cfg.Telemetry; hub != nil {
 		mux.Handle("GET /metrics", hub.MetricsHandler())
 		mux.Handle("GET /debug/traces", hub.TracesHandler())
@@ -230,15 +226,29 @@ type mineRequestJSON struct {
 }
 
 // request converts the body into the query it asks for.
-func (b mineRequestJSON) request() MineRequest {
+func (b mineRequestJSON) request() (MineRequest, error) {
+	timeout, err := timeoutFromMS(b.TimeoutMS)
 	return MineRequest{
 		Dataset:    b.Dataset,
 		Algorithm:  b.Algorithm,
 		Thresholds: b.Thresholds,
 		Workers:    b.Workers,
-		Timeout:    time.Duration(b.TimeoutMS) * time.Millisecond,
+		Timeout:    timeout,
 		NoCache:    b.NoCache,
+	}, err
+}
+
+// maxTimeoutMS is the largest timeout_ms whose Duration does not overflow.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
+// timeoutFromMS converts a client's timeout_ms. 0 leaves
+// Config.DefaultTimeout in force. A negative value, which would escape that
+// bound, and one whose Duration would wrap are rejected.
+func timeoutFromMS(ms int) (time.Duration, error) {
+	if ms < 0 || int64(ms) > maxTimeoutMS {
+		return 0, fmt.Errorf("timeout_ms %d outside [0, %d]", ms, maxTimeoutMS)
 	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // queryRequest parses the query string of GET /explain and GET /subscribe:
@@ -287,7 +297,9 @@ func queryRequest(q url.Values) (MineRequest, error) {
 			}
 		}
 	}
-	req.Timeout = time.Duration(timeoutMS) * time.Millisecond
+	if req.Timeout, err = timeoutFromMS(timeoutMS); err != nil {
+		return req, err
+	}
 	req.NoCache = q.Get("no_cache") == "true" || q.Get("no_cache") == "1"
 	return req, nil
 }
@@ -300,9 +312,14 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req, false) {
 		return
 	}
+	mreq, err := req.request()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	tr.Root().Record("parse", t0, time.Now())
 	ctx := telemetry.ContextWithSpan(r.Context(), tr.Root())
-	resp, err := s.Mine(ctx, req.request())
+	resp, err := s.Mine(ctx, mreq)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -327,19 +344,22 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	tr := s.startTrace(w, r.Method+" /explain")
 	defer tr.Finish()
-	var req MineRequest
+	var (
+		req MineRequest
+		err error
+	)
 	if r.Method == http.MethodPost {
 		var body mineRequestJSON
 		if !decodeJSON(w, r, &body, false) {
 			return
 		}
-		req = body.request()
+		req, err = body.request()
 	} else {
-		var err error
-		if req, err = queryRequest(r.URL.Query()); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+		req, err = queryRequest(r.URL.Query())
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	ctx := r.Context()
 	if tr != nil {
@@ -351,22 +371,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ex)
-}
-
-// handleWorkload serves GET /debug/workload: the rolling profile of the
-// query mix, hottest group first.
-func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.WorkloadProfile())
-}
-
-// handleDashboard serves GET /debug/dashboard: the dependency-free live
-// HTML view of the serving state.
-func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := obsq.RenderDashboard(w, s.dashboardData()); err != nil {
-		// Headers are gone; drop the connection.
-		return
-	}
 }
 
 // parseTransactionLines parses item:prob lines with the same parser (and

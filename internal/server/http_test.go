@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"umine/internal/core"
 	"umine/internal/core/coretest"
@@ -44,9 +46,13 @@ func post(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out
 }
 
+// getClient bounds every GET, so a /subscribe that wrongly opens its
+// stream fails the test instead of hanging it.
+var getClient = &http.Client{Timeout: 30 * time.Second}
+
 func get(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := getClient.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +172,13 @@ func TestHTTPRegisterMineIngestFlow(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	_, ts := httpFixture(t)
-	cases := []struct {
+	type errorCase struct {
 		name   string
 		path   string
 		body   any
 		status int
-	}{
+	}
+	cases := []errorCase{
 		{"unknown dataset", "/mine", mineRequestJSON{Dataset: "nope", Algorithm: "UApriori", Thresholds: core.Thresholds{MinESup: 0.1}}, http.StatusNotFound},
 		{"unknown algorithm", "/mine", mineRequestJSON{Dataset: "d", Algorithm: "Nope", Thresholds: core.Thresholds{MinESup: 0.1}}, http.StatusBadRequest},
 		{"bad thresholds", "/mine", mineRequestJSON{Dataset: "d", Algorithm: "UApriori"}, http.StatusBadRequest},
@@ -183,6 +190,19 @@ func TestHTTPErrors(t *testing.T) {
 		// A nil body sends a GET with the query in the path.
 		{"explain unknown algorithm", "/explain?dataset=d&algo=Nope&min_esup=0.1", nil, http.StatusBadRequest},
 		{"subscribe unknown algorithm", "/subscribe?dataset=d&algo=Nope&min_esup=0.1", nil, http.StatusBadRequest},
+	}
+	// A negative timeout_ms would escape Config.DefaultTimeout, and one past
+	// maxTimeoutMS would wrap into a tiny or negative Duration: every route
+	// that takes a timeout rejects both.
+	for _, ms := range []int64{-1, -18446744073709, maxTimeoutMS + 1} {
+		body := map[string]any{"dataset": "d", "algorithm": "UApriori", "min_esup": 0.1, "timeout_ms": ms}
+		query := fmt.Sprintf("?dataset=d&algo=UApriori&min_esup=0.1&timeout_ms=%d", ms)
+		cases = append(cases,
+			errorCase{fmt.Sprintf("POST /mine timeout_ms=%d", ms), "/mine", body, http.StatusBadRequest},
+			errorCase{fmt.Sprintf("POST /explain timeout_ms=%d", ms), "/explain", body, http.StatusBadRequest},
+			errorCase{fmt.Sprintf("GET /explain timeout_ms=%d", ms), "/explain" + query, nil, http.StatusBadRequest},
+			errorCase{fmt.Sprintf("GET /subscribe timeout_ms=%d", ms), "/subscribe" + query, nil, http.StatusBadRequest},
+		)
 	}
 	for _, c := range cases {
 		var resp *http.Response
@@ -367,7 +387,8 @@ func FuzzIngestBody(f *testing.F) {
 // holding a tiny dataset (24 transactions over 8 items). Neither handler may
 // panic, and each answers 200, 400, 404, 413 or 422 — or 503 when the body
 // set its own timeout_ms, whose expiry is the request's budget, not a
-// decoder fault. A 200 /mine body is byte-identical to WriteJSON of a
+// decoder fault. A timeout_ms that is negative or overflows a Duration is
+// always a 400. A 200 /mine body is byte-identical to WriteJSON of a
 // direct mine at the decoded thresholds. (The /datasets body is left to a
 // per-request work budget: a valid profile at scale 1 is real work.)
 func FuzzMineBody(f *testing.F) {
@@ -383,6 +404,8 @@ func FuzzMineBody(f *testing.F) {
 		`{"dataset":"d","algorithm":"UApriori","min_esup":0.1} trailing`,
 		`{"dataset":"d","algorithm":"UApriori","min_esup":"0.1"}`,
 		`[1,2`,
+		`{"dataset":"d","algorithm":"UApriori","min_esup":0.1,"timeout_ms":-1}`,
+		`{"dataset":"d","algorithm":"UApriori","min_esup":0.1,"timeout_ms":-18446744073709}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -391,13 +414,18 @@ func FuzzMineBody(f *testing.F) {
 		if _, err := s.RegisterDatabase("d", db, RegisterOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		// The handlers decode the body this way; a 503 is allowed only when
-		// the decoded request carries its own timeout.
+		// The handlers decode the body this way. A timeout_ms outside
+		// [0, maxTimeoutMS] must be a 400; a 503 is allowed only when the
+		// decoded request carries its own timeout.
 		var req mineRequestJSON
 		decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil
+		badTimeout := req.TimeoutMS < 0 || int64(req.TimeoutMS) > math.MaxInt64/int64(time.Millisecond)
 		for _, path := range []string{"/mine", "/explain"} {
 			rec := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if decoded && badTimeout && rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: timeout_ms %d: HTTP %d, want 400: %s", path, req.TimeoutMS, rec.Code, rec.Body)
+			}
 			switch rec.Code {
 			case http.StatusOK:
 				if !decoded {
@@ -406,7 +434,7 @@ func FuzzMineBody(f *testing.F) {
 			case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
 				continue
 			case http.StatusServiceUnavailable:
-				if decoded && req.request().Timeout > 0 {
+				if decoded && req.TimeoutMS > 0 {
 					continue
 				}
 				t.Fatalf("%s: HTTP 503 without a request timeout: %s", path, rec.Body)

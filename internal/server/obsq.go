@@ -2,9 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
-	"strconv"
-	"time"
 
 	"umine/internal/obsq"
 	"umine/internal/telemetry"
@@ -12,8 +9,7 @@ import (
 
 // The server side of query-level observability (umine/internal/obsq):
 // Explain runs one query and renders the executed plan from the mine's
-// checkpoint collector; the dashboard assembles every live surface into one
-// page.
+// checkpoint collector.
 
 // Explain answers req exactly as Mine would — same cache, coalescing,
 // backend selection, and bit-identical results — while collecting the
@@ -75,78 +71,4 @@ func (s *Server) Explain(ctx context.Context, req MineRequest) (*obsq.Explanatio
 		ex.ShardAttempts = obsq.ShardAttemptsFromSpan(span.Snapshot())
 	}
 	return ex, nil
-}
-
-// WorkloadProfile snapshots the rolling workload profile (the
-// /debug/workload document).
-func (s *Server) WorkloadProfile() obsq.WorkloadProfile {
-	return s.workload.Snapshot()
-}
-
-// dashboardData assembles the /debug/dashboard snapshot from every live
-// surface: SLO burn, the workload profile, and the /stats counters broken
-// into sections.
-func (s *Server) dashboardData() obsq.DashboardData {
-	st := s.Stats()
-	sloRow := func(route string, slo *obsq.SLO) obsq.DashboardSLO {
-		g5, t5 := slo.Window(obsq.SLOWindowShort)
-		return obsq.DashboardSLO{
-			Route:     route,
-			TargetMS:  float64(slo.Target().Nanoseconds()) / 1e6,
-			Objective: slo.Objective(),
-			Burn5m:    slo.BurnRate(obsq.SLOWindowShort),
-			Burn1h:    slo.BurnRate(obsq.SLOWindowLong),
-			Good5m:    g5,
-			Total5m:   t5,
-		}
-	}
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	sections := []obsq.DashboardSection{
-		{Title: "service", Rows: [][2]string{
-			{"uptime", fmt.Sprintf("%.0fs", st.UptimeSeconds)},
-			{"datasets", strconv.Itoa(st.Datasets)},
-			{"requests", u(st.Requests)},
-			{"errors", u(st.Errors)},
-			{"canceled", u(st.Canceled)},
-			{"in flight", strconv.FormatInt(st.InFlight, 10)},
-			{"bytes resident", strconv.FormatInt(st.BytesResident, 10)},
-		}},
-		{Title: "cache", Rows: [][2]string{
-			{"hits", u(st.CacheHits)},
-			{"filtered", u(st.CacheFiltered)},
-			{"misses", u(st.CacheMisses)},
-			{"coalesced", u(st.Coalesced)},
-			{"bypassed", u(st.Uncached)},
-			{"entries", strconv.Itoa(st.CacheEntries)},
-		}},
-		{Title: "shards", Rows: [][2]string{
-			{"sharded mines", u(st.ShardedMines)},
-			{"partitions mined", u(st.PartitionsMined)},
-			{"phase-2 candidates", u(st.Phase2Candidates)},
-			{"remote shards", strconv.Itoa(st.RemoteShards)},
-			{"retries", u(st.ShardRetries)},
-			{"hedges", u(st.ShardHedges)},
-			{"failovers", u(st.ShardFailovers)},
-			{"repushes", u(st.ShardRepushes)},
-		}},
-		{Title: "ledger", Rows: [][2]string{
-			{"ledgers", strconv.Itoa(st.Ledgers)},
-			{"subscribers", strconv.FormatInt(st.Subscribers, 10)},
-			{"incremental updates", u(st.IncrementalUpdates)},
-			{"fallbacks", u(st.IncrementalFallbacks)},
-		}},
-	}
-	if p := s.cfg.ShardPool; p != nil {
-		sections[2].Rows = append(sections[2].Rows,
-			[2]string{"bytes pushed", strconv.FormatInt(p.BytesPushed(), 10)},
-			[2]string{"bytes mine requests", strconv.FormatInt(p.BytesMineRequests(), 10)})
-	}
-	return obsq.DashboardData{
-		Service:        "umine",
-		GeneratedAt:    time.Now().UTC().Format(time.RFC3339),
-		RefreshSeconds: 2,
-		SLOs:           []obsq.DashboardSLO{sloRow("mine", s.sloMine), sloRow("ingest", s.sloIngest)},
-		Workload:       s.workload.Snapshot(),
-		Sections:       sections,
-	}
 }

@@ -21,8 +21,16 @@
 //     of both frequentness definitions;
 //   - singleflight.go — identical concurrent queries mine once and share
 //     the result;
+//   - subscribe.go — continuous queries: an incremental-maintenance ledger
+//     per (dataset, algorithm, thresholds), refreshed off the ingest path,
+//     whose diffs stream to /subscribe clients;
+//   - shard.go — the scatter-gather path for sharded datasets, in process
+//     or over a remote shard pool, bit-identical to an unsharded mine;
+//   - obsq.go — Explain, the executed plan and cost breakdown behind
+//     /explain;
 //   - http.go — the HTTP/JSON surface (/datasets, /mine, /ingest,
-//     /healthz, /stats) reusing the core result-set codecs.
+//     /explain, /subscribe, /healthz, /stats) reusing the core result-set
+//     codecs.
 //
 // The repo benchmark (perfbench/) drives this package over loopback HTTP.
 package server
@@ -78,14 +86,6 @@ type Config struct {
 	// it at zero per-request cost.
 	Telemetry *telemetry.Hub
 }
-
-// Per-route SLO latency targets behind the umine_slo_burn_rate gauges and
-// the dashboard's SLO table: obsq.DefaultSLOObjective of requests are
-// expected under the target; errors burn budget regardless of latency.
-const (
-	mineSLOTarget   = 500 * time.Millisecond
-	ingestSLOTarget = 250 * time.Millisecond
-)
 
 // defaultCacheEntries is the result-cache capacity when Config leaves it 0.
 const defaultCacheEntries = 256
@@ -145,13 +145,6 @@ type Server struct {
 	incUpdates   atomic.Uint64
 	incFallbacks atomic.Uint64
 	subscribers  atomic.Int64
-
-	// Query-level observability (obsq.go in this package): the rolling
-	// workload profile behind /debug/workload and the per-route SLO
-	// trackers.
-	workload  *obsq.Workload
-	sloMine   *obsq.SLO
-	sloIngest *obsq.SLO
 }
 
 // partitionCounters is the /stats partition block, moved as a unit under
@@ -167,9 +160,6 @@ type partitionCounters struct {
 // New constructs a Server from cfg.
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, start: time.Now(), ledgers: map[string]*ledgerEntry{}}
-	s.workload = obsq.NewWorkload(0)
-	s.sloMine = obsq.NewSLO(mineSLOTarget)
-	s.sloIngest = obsq.NewSLO(ingestSLOTarget)
 	s.reg.init()
 	if cfg.CacheEntries >= 0 {
 		max := cfg.CacheEntries
@@ -270,24 +260,6 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 		func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("umine_build_info", "Build metadata; always 1.", telemetry.BuildInfoLabels(),
 		func() float64 { return 1 })
-	for _, route := range []struct {
-		name string
-		slo  *obsq.SLO
-	}{{"mine", s.sloMine}, {"ingest", s.sloIngest}} {
-		slo := route.slo
-		reg.GaugeFunc("umine_slo_target_seconds", "Per-route SLO latency target.",
-			telemetry.Labels{"route": route.name},
-			func() float64 { return slo.Target().Seconds() })
-		for _, win := range []struct {
-			label string
-			d     time.Duration
-		}{{"5m", obsq.SLOWindowShort}, {"1h", obsq.SLOWindowLong}} {
-			d := win.d
-			reg.GaugeFunc("umine_slo_burn_rate", "Error-budget burn rate over the trailing window (1.0 = on budget).",
-				telemetry.Labels{"route": route.name, "window": win.label},
-				func() float64 { return slo.BurnRate(d) })
-		}
-	}
 	s.histMine = reg.Histogram("umine_mine_duration_seconds",
 		"End-to-end latency of Mine requests (cache hits included).", nil, nil)
 	s.histShard = reg.Histogram("umine_shard_phase1_duration_seconds",
@@ -381,7 +353,7 @@ type mineOutcome struct {
 }
 
 // servePath maps a cache-outcome label (plus the serving entry's
-// provenance) to the /explain and workload path label.
+// provenance) to the /explain path label.
 func servePath(kind, src string) string {
 	switch kind {
 	case CacheMiss, CacheBypassed:
@@ -411,31 +383,11 @@ func servePath(kind, src string) string {
 func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, error) {
 	start := time.Now()
 	s.requests.Add(1)
-	// One deferred observation per request: the latency histogram (with the
-	// trace ID as exemplar, linking a slow scrape sample to /debug/traces),
-	// the mine-route SLO, and the workload profile. path stays "error"
-	// unless respond() relabels it with the serving decision.
+	// One deferred observation per request, failures included: the latency
+	// histogram, with the trace ID as exemplar linking a slow scrape sample
+	// to /debug/traces.
 	var traceID string
-	path := "error"
-	defer func() {
-		elapsed := time.Since(start)
-		s.histMine.ObserveExemplar(elapsed.Seconds(), traceID)
-		if path == "error" {
-			s.sloMine.ObserveBad()
-		} else {
-			s.sloMine.Observe(elapsed)
-		}
-		s.workload.Observe(obsq.Record{
-			Dataset:   req.Dataset,
-			Algorithm: req.Algorithm,
-			MinESup:   req.Thresholds.MinESup,
-			MinSup:    req.Thresholds.MinSup,
-			PFT:       req.Thresholds.PFT,
-			Workers:   req.Workers,
-			Path:      path,
-			Latency:   elapsed,
-		})
-	}()
+	defer func() { s.histMine.ObserveExemplar(time.Since(start).Seconds(), traceID) }()
 	// Every Mine runs under a span: the HTTP layer's when ctx carries one,
 	// a fresh trace otherwise (direct API callers get the same story).
 	span := telemetry.SpanFromContext(ctx)
@@ -490,7 +442,6 @@ func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 
 	respond := func(rs *core.ResultSet, kind, src string) *MineResponse {
 		span.SetAttr("cache", kind)
-		path = servePath(kind, src)
 		if req.exec != nil {
 			req.exec.source = src
 		}
@@ -698,12 +649,10 @@ func (s *Server) Ingest(ctx context.Context, name string, raw [][]core.Unit) (In
 	t0 := time.Now()
 	d, ok := s.reg.get(name)
 	if !ok {
-		s.sloIngest.ObserveBad()
 		return IngestResult{}, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
 	res, err := d.ingest(raw)
 	if err != nil {
-		s.sloIngest.ObserveBad()
 		return IngestResult{}, err
 	}
 	if res.Added > 0 {
@@ -716,7 +665,6 @@ func (s *Server) Ingest(ctx context.Context, name string, raw [][]core.Unit) (In
 		// background refresh lands (subscribe.go).
 		s.notifyIngest(name, t0)
 	}
-	s.sloIngest.Observe(time.Since(t0))
 	return res, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -91,8 +92,8 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$`
 
 // TestMetricsEndpoint: /metrics appears when a telemetry hub is
 // configured, renders parseable Prometheus text, and its counters and
-// per-phase histograms move with traffic — with phase 1 mined in process
-// and over a shard pool alike.
+// per-phase histograms move with traffic, failed mines included — with
+// phase 1 mined in process and over a shard pool alike.
 func TestMetricsEndpoint(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) { testMetricsEndpoint(t, nil) })
 	t.Run("shardrpc", func(t *testing.T) { testMetricsEndpoint(t, startShardCluster(t, 2)) })
@@ -110,8 +111,8 @@ func testMetricsEndpoint(t *testing.T, pool *shardrpc.Pool) {
 
 	// mine reads the whole response, so the client reuses the connection
 	// and the server reads the next request only after this handler (and
-	// its deferred trace Finish) returned.
-	mine := func(body string) http.Header {
+	// its deferred trace Finish) returned. It requires the status want.
+	mine := func(body string, want int) http.Header {
 		t.Helper()
 		res, err := ts.Client().Post(ts.URL+"/mine", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -121,13 +122,13 @@ func testMetricsEndpoint(t *testing.T, pool *shardrpc.Pool) {
 		if _, err := io.Copy(io.Discard, res.Body); err != nil {
 			t.Fatal(err)
 		}
-		if res.StatusCode != 200 {
-			t.Fatalf("mine: HTTP %d", res.StatusCode)
+		if res.StatusCode != want {
+			t.Fatalf("mine: HTTP %d, want %d", res.StatusCode, want)
 		}
 		return res.Header
 	}
 	// First mine through the cache (a miss — the trace shows the lookup).
-	traceID := mine(`{"dataset":"d","algorithm":"UApriori","min_esup":0.05}`).Get("X-Umine-Trace-Id")
+	traceID := mine(`{"dataset":"d","algorithm":"UApriori","min_esup":0.05}`, http.StatusOK).Get("X-Umine-Trace-Id")
 	if traceID == "" {
 		t.Fatal("mine response missing X-Umine-Trace-Id")
 	}
@@ -191,11 +192,23 @@ func testMetricsEndpoint(t *testing.T, pool *shardrpc.Pool) {
 	}
 
 	// Histogram counts are monotonic across scrapes under load.
-	mine(`{"dataset":"d","algorithm":"UApriori","min_esup":0.05,"no_cache":true}`)
+	mine(`{"dataset":"d","algorithm":"UApriori","min_esup":0.05,"no_cache":true}`, http.StatusOK)
 	m2 := scrape()
 	if m2["umine_mine_duration_seconds_count"] != "2" || m2["umine_requests_total"] != "2" {
 		t.Errorf("after two mines: count=%s requests=%s, want 2/2",
 			m2["umine_mine_duration_seconds_count"], m2["umine_requests_total"])
+	}
+
+	// A failed mine is one more latency observation and one more error, so
+	// the mine-route burn rate (slow plus failed over all requests) sees it.
+	mine(`{"dataset":"nope","algorithm":"UApriori","min_esup":0.05}`, http.StatusNotFound)
+	m3 := scrape()
+	for _, name := range []string{"umine_mine_duration_seconds_count", "umine_errors_total"} {
+		before, err1 := strconv.ParseFloat(m2[name], 64)
+		after, err2 := strconv.ParseFloat(m3[name], 64)
+		if err1 != nil || err2 != nil || after != before+1 {
+			t.Errorf("failed mine: %s %s -> %s, want +1", name, m2[name], m3[name])
+		}
 	}
 
 	// The mine's trace is retained and shows the coordinator phases.

@@ -45,7 +45,8 @@
 // checkpoint); and a shard that exhausts its retries fails over to the
 // coordinator mining that slice locally, so a dead shard degrades
 // throughput but never availability or results. Every event is surfaced
-// twice: as server /stats counters (shard_retries, shard_hedges,
-// shard_failovers, shard_repushes) and as core.Progress events
-// (PhaseShardRetry/Hedge/Failover/Repush).
+// three times: through the Backend's Hooks, which feed the server's /stats
+// counters (shard_retries, shard_hedges, shard_failovers, shard_repushes);
+// as core.Progress events (PhaseShardRetry/Hedge/Failover/Repush); and as
+// "attempt", "hedge", "repush" and "failover" spans in the request's trace.
 package shardrpc

@@ -99,9 +99,9 @@ type Pool struct {
 
 	// Data-movement accounting: request-body bytes sent to shard servers,
 	// split by endpoint. Pushes are the interesting cost (full slices or
-	// deltas); mine bodies are small pinned requests. /explain, the
-	// dashboard and perfbench read them through BytesPushed and
-	// BytesMineRequests; each attempt's size is also a span attribute.
+	// deltas); mine bodies are small pinned requests. /explain and
+	// perfbench read them through BytesPushed and BytesMineRequests; each
+	// attempt's size is also a span attribute.
 	pushBytes atomic.Int64
 	mineBytes atomic.Int64
 }

@@ -204,7 +204,7 @@ var DefBuckets = []float64{
 // lock-free and safe for concurrent use. Bucket semantics match
 // Prometheus: an observation v lands in the first bucket whose upper bound
 // is >= v; counts render cumulatively. Like Span, a nil *Histogram is a
-// valid no-op (Observe discards, Count/Sum/Quantile report zero), so
+// valid no-op (Observe discards, Count/Sum report zero), so
 // instrumented code never guards on whether telemetry is enabled.
 type Histogram struct {
 	bounds []float64       // upper bounds, strictly increasing
@@ -293,49 +293,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.sum.load()
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// inside the bucket holding the target rank, the standard
-// histogram_quantile estimate. Observations in the +Inf overflow bucket
-// clamp to the largest finite bound. Returns 0 on an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := float64(q * float64(total))
-	cum := uint64(0)
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i == len(h.bounds) {
-				// Overflow bucket: no finite upper edge to interpolate to.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + float64((hi-lo)*frac)
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // write renders the series in exposition format: cumulative `_bucket`

@@ -103,39 +103,6 @@ func TestRegistryPanics(t *testing.T) {
 	mustPanic("non-increasing bounds", func() { NewHistogram([]float64{1, 1}) })
 }
 
-// TestHistogramQuantile checks the histogram_quantile-style interpolation
-// and the overflow clamp.
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	// 10 observations uniformly in the (1, 2] bucket.
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5)
-	}
-	// The median rank is 5/10 through a bucket spanning (1, 2].
-	if got := h.Quantile(0.5); got < 1 || got > 2 {
-		t.Errorf("Quantile(0.5) = %g, want within (1, 2]", got)
-	}
-	if got := h.Quantile(1); math.Abs(got-2) > 1e-9 {
-		t.Errorf("Quantile(1) = %g, want 2 (bucket upper bound)", got)
-	}
-
-	// Overflow-only histogram: quantiles clamp to the largest finite bound.
-	o := NewHistogram([]float64{1, 2, 4})
-	o.Observe(100)
-	if got := o.Quantile(0.99); got != 4 {
-		t.Errorf("overflow Quantile(0.99) = %g, want clamp to 4", got)
-	}
-
-	var empty *Histogram
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Errorf("nil Quantile = %g, want 0", got)
-	}
-	empty.Observe(1) // must not panic
-	if got := NewHistogram(nil).Quantile(0.5); got != 0 {
-		t.Errorf("empty Quantile = %g, want 0", got)
-	}
-}
-
 // TestHistogramConcurrent exercises the atomic hot path under the race
 // detector.
 func TestHistogramConcurrent(t *testing.T) {
