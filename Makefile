@@ -142,7 +142,8 @@ smoke-server:
 ## smoke-shards: multi-process sharded mining — boot 2 ushard shard servers
 ## plus a userve coordinator routing phase 1 over them; /mine must be
 ## byte-identical to the in-process path, including after an /ingest version
-## bump invalidates the shards' pinned slices
+## bump invalidates the shards' pinned slices, and every shard's post-ingest
+## re-push must be a delta
 smoke-shards:
 	sh scripts/smoke_userve.sh shards
 

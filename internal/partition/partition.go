@@ -61,14 +61,21 @@
 // between partition sums and full-database sums can never drop a borderline
 // candidate.
 //
-// Partition boundaries are fixed-size chunks of the transaction list
-// computed from (N, K) alone — like parallel.ChunkSizeFor, they never
-// depend on the worker count — so the decomposition, the candidate union
-// and the merged result are identical on every machine size.
+// Partition boundaries are computed from (N, K) alone — like
+// parallel.ChunkSizeFor, they never depend on the worker count — so the
+// decomposition, the candidate union and the merged result are identical
+// on every machine size. Each interior boundary is the even split ⌊i·N/K⌋
+// rounded down to a coarse power-of-two grid, so an append of a few
+// transactions almost always leaves every boundary where it was: the
+// shards of an append-only dataset keep their ranges and receive only the
+// new tail.
+// SON needs no particular split — phase 2 verifies over the whole
+// database — so the grid changes no answer.
 package partition
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"umine/internal/core"
@@ -83,30 +90,46 @@ type Range struct {
 // Len returns the number of transactions in the range.
 func (r Range) Len() int { return r.Hi - r.Lo }
 
-// Boundaries splits [0, n) into exactly k contiguous ranges of fixed size
-// ⌈n/k⌉ (the last range short, trailing ranges empty when k > n). The
-// layout is a function of (n, k) alone — never of the worker count or the
-// machine — so a partitioned mine decomposes identically everywhere.
+// Boundaries splits [0, n) into exactly k contiguous ranges. Interior
+// boundary i is ⌊i·n/k⌋ rounded down to a multiple of the grid
+// g = 2^max(0, bitlen(⌈n/k⌉) − 5); the last range ends at n. The layout is
+// a function of (n, k) alone — never of the worker count or the machine —
+// so a partitioned mine decomposes identically everywhere, and a restarted
+// coordinator derives the same ranges.
+//
+// The grid is what makes the layout hold still under ingest: appending d
+// transactions moves boundary i only when ⌊i·n/k / g⌋ or g itself changes,
+// which for small d is rare (g ≥ ⌈n/k⌉/32), so a shard's range is usually a
+// prefix of its next range and the shard can be sent just the appended
+// tail. The grid is fine enough to keep the split balanced: every range is
+// within g ≤ ⌈n/k⌉/16 of n/k, and none is shorter than ⌊n/k⌋ rounded down
+// to a multiple of g. When n < k the leading ranges are empty.
 func Boundaries(n, k int) []Range {
 	if k < 1 {
 		k = 1
 	}
-	size := (n + k - 1) / k
-	if size < 1 {
-		size = 1
-	}
+	g := boundaryGrid(n, k)
+	// ⌊i·n/k⌋ as i·q + ⌊i·r/k⌋ (n = q·k + r), so i·n cannot overflow.
+	q, r := n/k, n%k
 	out := make([]Range, k)
+	lo := 0
 	for i := range out {
-		lo, hi := i*size, i*size+size
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
+		hi := n
+		if i < k-1 {
+			hi = (i+1)*q + (i+1)*r/k
+			hi -= hi % g
 		}
 		out[i] = Range{Lo: lo, Hi: hi}
+		lo = hi
 	}
 	return out
+}
+
+// boundaryGrid is the granularity Boundaries rounds interior boundaries
+// down to: 2^max(0, bitlen(⌈n/k⌉) − 5), i.e. between 1/32 and 1/16 of the
+// even range size ⌈n/k⌉ (1 while ⌈n/k⌉ < 32).
+func boundaryGrid(n, k int) int {
+	return 1 << max(0, bits.Len(uint((n+k-1)/k))-5)
 }
 
 // CandidateSet is the deduplicated union of phase-1 candidate itemsets.

@@ -9,10 +9,16 @@ import (
 )
 
 func TestBoundariesCoverDisjointFixed(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{
+	cases := []struct{ n, k int }{
 		{0, 1}, {0, 4}, {1, 1}, {1, 7}, {5, 2}, {10, 3}, {10, 7}, {10, 20},
-		{1000, 4}, {1001, 4}, {1024, 7},
-	} {
+		{1000, 4}, {1001, 4}, {1024, 7}, {3372, 2}, {3402, 2}, {100003, 7},
+	}
+	for n := 0; n <= 700; n += 7 {
+		for k := 1; k <= 9; k++ {
+			cases = append(cases, struct{ n, k int }{n, k})
+		}
+	}
+	for _, tc := range cases {
 		rs := Boundaries(tc.n, tc.k)
 		if len(rs) != max(tc.k, 1) {
 			t.Fatalf("Boundaries(%d,%d): got %d ranges, want %d", tc.n, tc.k, len(rs), tc.k)
@@ -32,14 +38,69 @@ func TestBoundariesCoverDisjointFixed(t *testing.T) {
 		if covered != tc.n || prev != tc.n {
 			t.Fatalf("Boundaries(%d,%d): covers %d ending at %d, want %d", tc.n, tc.k, covered, prev, tc.n)
 		}
-		// Fixed-size chunking: every non-terminal, non-empty range has size
-		// ⌈n/k⌉ — the layout is a function of (n, k) alone (the Workers
-		// independence the engine's determinism rests on).
-		if tc.n > 0 {
-			size := (tc.n + tc.k - 1) / tc.k
-			for i, r := range rs {
-				if r.Len() != 0 && r.Hi != tc.n && r.Len() != size {
-					t.Fatalf("Boundaries(%d,%d): range %d has size %d, want fixed %d", tc.n, tc.k, i, r.Len(), size)
+		// Balanced on the grid: every range is within g of n/k and no
+		// shorter than ⌊n/k⌋ rounded down to a multiple of g.
+		g := boundaryGrid(tc.n, tc.k)
+		if c := (tc.n + tc.k - 1) / tc.k; g > 1 && g > c/16 {
+			t.Fatalf("Boundaries(%d,%d): grid %d above ⌈n/k⌉/16 = %d", tc.n, tc.k, g, c/16)
+		}
+		floor := tc.n / tc.k / g * g
+		for i, r := range rs {
+			if d := float64(r.Len()) - float64(tc.n)/float64(tc.k); math.Abs(d) >= float64(g) {
+				t.Fatalf("Boundaries(%d,%d): range %d has size %d, more than g=%d from n/k", tc.n, tc.k, i, r.Len(), g)
+			}
+			if r.Len() < floor {
+				t.Fatalf("Boundaries(%d,%d): range %d has size %d, below %d", tc.n, tc.k, i, r.Len(), floor)
+			}
+			if i < len(rs)-1 && r.Hi%g != 0 {
+				t.Fatalf("Boundaries(%d,%d): interior boundary %d off the grid g=%d", tc.n, tc.k, r.Hi, g)
+			}
+		}
+	}
+}
+
+// TestBoundariesHoldStillUnderAppend: across the ingest-notify workload's
+// growth (3372 → 3402 transactions at k = 2) the interior boundary stays
+// at 1664, so each shard's held range is a prefix of its next one.
+func TestBoundariesHoldStillUnderAppend(t *testing.T) {
+	for n := 3372; n <= 3402; n++ {
+		rs := Boundaries(n, 2)
+		if rs[1].Lo != 1664 || rs[1].Hi != n {
+			t.Fatalf("Boundaries(%d,2) = %+v, want [0,1664) [1664,%d)", n, rs, n)
+		}
+	}
+}
+
+// TestBoundariesAppendSweep: appending d transactions moves boundary i only
+// where the grid index ⌊i·n/k / g⌋ or the grid g itself changes, and under
+// a fixed grid one boundary moves at most once per g single appends (⌊i·n/k⌋
+// grows by at most 1 per append and must cross a whole grid cell).
+func TestBoundariesAppendSweep(t *testing.T) {
+	for _, k := range []int{2, 3, 4, 7} {
+		lastMove := make([]int, k) // n at which boundary i last moved, 0 if not under this grid
+		for n := 0; n <= 5000; n++ {
+			before := Boundaries(n, k)
+			for _, d := range []int{1, 2, 5, 30} {
+				after := Boundaries(n+d, k)
+				g0, g1 := boundaryGrid(n, k), boundaryGrid(n+d, k)
+				for i := 1; i < k; i++ {
+					if before[i].Lo == after[i].Lo {
+						continue
+					}
+					if cell0, cell1 := i*n/k/g0, i*(n+d)/k/g1; g0 == g1 && cell0 == cell1 {
+						t.Fatalf("k=%d: n %d→%d moved Lo_%d %d→%d with grid %d and cell %d unchanged",
+							k, n, n+d, i, before[i].Lo, after[i].Lo, g0, cell0)
+					}
+					if d == 1 && g0 == g1 && lastMove[i] > 0 && n+1-lastMove[i] < g0 {
+						t.Fatalf("k=%d: Lo_%d moved at n=%d and again at n=%d, closer than g=%d",
+							k, i, lastMove[i], n+1, g0)
+					}
+					if d == 1 {
+						lastMove[i] = n + 1
+					}
+				}
+				if d == 1 && g0 != g1 {
+					clear(lastMove) // spacing holds within one grid
 				}
 			}
 		}

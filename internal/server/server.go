@@ -522,6 +522,18 @@ func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 // decision.
 const minShardTransactions = 64
 
+// scatterWidth clamps a dataset's shard count so every range of
+// partition.Boundaries(n, width) holds at least minShardTransactions
+// transactions (tiny dataset, shrunken window): the scatter must narrow,
+// never degenerate. width ≤ n/64 gives ⌊n/width⌋ ≥ 64, and Boundaries keeps
+// every range at least ⌊n/width⌋ rounded down to its grid g. Below 2048
+// transactions a shard, g is a power of two no larger than 64, so it
+// divides 64 and the rounding keeps every range at 64 or more; above, g is
+// at most 1/16 of the range size.
+func scatterWidth(n, shards int) int {
+	return min(shards, n/minShardTransactions)
+}
+
 // runMine executes one mining job on the snapshot: scatter-gather when the
 // dataset is sharded and the algorithm partition-capable (bit-identical to
 // the plain path, so cache entries stay interchangeable), the plain mineFn
@@ -531,13 +543,7 @@ func (s *Server) runMine(ctx context.Context, req MineRequest, d *dsEntry, db *c
 	ctx, span := telemetry.StartSpan(ctx, "mine")
 	defer span.End()
 	opts := core.Options{Workers: s.workers(req.Workers)}
-	shards := d.shards
-	if maxK := db.N() / minShardTransactions; shards > maxK {
-		// Clamp so every shard holds at least minShardTransactions
-		// transactions of the current snapshot (tiny dataset, shrunken
-		// window): the scatter must narrow, never degenerate.
-		shards = maxK
-	}
+	shards := scatterWidth(db.N(), d.shards)
 	if p := s.cfg.ShardPool; p != nil && shards > p.Width() {
 		// A scatter can't be wider than the shard pool; narrow it rather
 		// than failing the mine (results are shard-count independent).

@@ -8,6 +8,7 @@ import (
 
 	"umine/internal/core"
 	"umine/internal/core/coretest"
+	"umine/internal/partition"
 )
 
 func shardTestDB() *core.Database {
@@ -170,6 +171,40 @@ func TestShardedMineClampsToSnapshot(t *testing.T) {
 	maxK := uint64(600 / minShardTransactions)
 	if st := s.Stats(); st.ShardedMines != 1 || st.PartitionsMined == 0 || st.PartitionsMined > maxK {
 		t.Fatalf("PartitionsMined = %d, want in [1, %d] (clamped shard width)", st.PartitionsMined, maxK)
+	}
+}
+
+// TestScatterWidthKeepsMinimum: at the clamp edge (N from 64·k up past
+// 64·k + g, where Boundaries first rounds interior boundaries down to a
+// grid), every non-empty range of the clamped scatter still holds at least
+// minShardTransactions transactions.
+func TestScatterWidthKeepsMinimum(t *testing.T) {
+	for _, k := range []int{2, 3, 7} {
+		for n := minShardTransactions * k; n <= minShardTransactions*k+2*minShardTransactions; n++ {
+			width := scatterWidth(n, k)
+			if width != k {
+				t.Fatalf("scatterWidth(%d, %d) = %d, want %d", n, k, width, k)
+			}
+			for i, r := range partition.Boundaries(n, width) {
+				if r.Len() != 0 && r.Len() < minShardTransactions {
+					t.Fatalf("N=%d k=%d: range %d %+v holds %d < %d transactions",
+						n, k, i, r, r.Len(), minShardTransactions)
+				}
+			}
+		}
+		if got := scatterWidth(minShardTransactions*k-1, k); got != k-1 {
+			t.Fatalf("scatterWidth(%d, %d) = %d, want %d", minShardTransactions*k-1, k, got, k-1)
+		}
+	}
+	// Larger N, including shards of 2048 or more where the grid exceeds 64.
+	for _, n := range []int{4095, 4096, 4100, 8191, 8192, 100003} {
+		for k := 2; k <= 7; k++ {
+			for i, r := range partition.Boundaries(n, scatterWidth(n, k)) {
+				if r.Len() < minShardTransactions {
+					t.Fatalf("N=%d k=%d: range %d holds %d transactions", n, k, i, r.Len())
+				}
+			}
+		}
 	}
 }
 

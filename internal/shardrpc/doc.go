@@ -17,12 +17,18 @@
 // plus the exact boundary range [lo, hi) the (N, K) decomposition assigns
 // the shard. A shard answers only when it holds exactly that (version, lo,
 // hi) slice; anything else — a version it never saw, a stale version after
-// an ingest, boundaries shifted because N changed — is rejected with 409
-// and a description of what the shard does hold. The coordinator reacts by
+// an ingest, a range the shard never held — is rejected with 409 and a
+// description of what the shard does hold. The coordinator reacts by
 // re-pushing the pinned slice and retrying; when the shard's held slice is
 // a content-verified prefix of the new one (same lo, held hash matches the
-// coordinator's prefix hash — the common case for shard 0 of an append-only
-// ingest), only the delta transactions travel.
+// coordinator's prefix hash), only the delta transactions travel. After an
+// append-only ingest that is every shard: partition.Boundaries rounds its
+// interior boundaries to a coarse grid, so a small append leaves every lo
+// in place — each shard but the last gets an empty delta (a version bump
+// only) and the last gets just the appended tail. A boundary crossing a
+// grid cell costs the shard starting there one full push. Each shard
+// hashes a slice once, when it is installed (extending the hash over a
+// delta's tail), so stale replies and delta checks never rehash it.
 //
 // Pushes are therefore purely demand-driven: no invalidation fan-out runs
 // on ingest, shards learn of a new version the first time a mine pins it,

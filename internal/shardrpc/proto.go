@@ -10,7 +10,6 @@ package shardrpc
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"umine/internal/core"
@@ -39,7 +38,9 @@ type PushRequest struct {
 	// Version is the coordinator snapshot version the slice belongs to.
 	Version uint64 `json:"version"`
 	// Lo/Hi are the slice's global transaction boundaries — the shard's
-	// range under partition.Boundaries(N, K) at this version.
+	// range under partition.Boundaries(N, K) at this version. Boundaries
+	// holds every Lo still across small appends, so a re-push after an
+	// ingest usually keeps Lo and only Hi grows (the Append path).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
 	// NumItems is the snapshot's item-universe size; the shard widens its
@@ -118,32 +119,45 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// FNV-1a (64-bit) parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // TxHash returns the FNV-1a content hash of db's first n transactions
 // (items and probability bits, with a per-transaction separator). The
 // coordinator and shard compute it over their own arenas; equality proves
 // a held slice is a bit-exact prefix of the slice being pushed, which is
-// what licenses the append-only delta path.
+// what licenses the append-only delta path. It equals hash/fnv's New64a
+// Sum64 over the byte stream: per unit the item's 4 and the probability
+// bits' 8 little-endian bytes, then 0xFF after each transaction.
 func TxHash(db *core.Database, n int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for j := 0; j < n; j++ {
-		tx := db.Tx(j)
-		for i, it := range tx.Items {
-			buf[0] = byte(it)
-			buf[1] = byte(it >> 8)
-			buf[2] = byte(it >> 16)
-			buf[3] = byte(it >> 24)
-			h.Write(buf[:4])
-			bits := math.Float64bits(tx.Probs[i])
-			for b := 0; b < 8; b++ {
-				buf[b] = byte(bits >> (8 * b))
+	return extendTxHash(fnvOffset64, db, 0, n)
+}
+
+// extendTxHash continues the running FNV-1a state h over db's transactions
+// [lo, hi): extendTxHash(TxHash(db, lo), db, lo, hi) == TxHash(db, hi), so
+// a delta-extended slice rehashes only its new tail.
+func extendTxHash(h uint64, db *core.Database, lo, hi int) uint64 {
+	items, probs, offsets := db.Columns()
+	for j := lo; j < hi; j++ {
+		for u := offsets[j]; u < offsets[j+1]; u++ {
+			it := uint32(items[u])
+			for b := 0; b < 32; b += 8 {
+				h ^= uint64(byte(it >> b))
+				h *= fnvPrime64
 			}
-			h.Write(buf[:8])
+			bits := math.Float64bits(probs[u])
+			for b := 0; b < 64; b += 8 {
+				h ^= uint64(byte(bits >> b))
+				h *= fnvPrime64
+			}
 		}
-		buf[0] = 0xFF
-		h.Write(buf[:1])
+		h ^= 0xFF
+		h *= fnvPrime64
 	}
-	return h.Sum64()
+	return h
 }
 
 // encodeTransactions renders db's transactions [lo, hi) as item:prob lines

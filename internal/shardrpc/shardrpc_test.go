@@ -2,6 +2,8 @@ package shardrpc
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -222,6 +224,69 @@ func TestVersionInvalidationDeltaPush(t *testing.T) {
 	}
 	if got := st.Datasets["d"]; got.Version != 2 || got.N != grown.N() {
 		t.Fatalf("shard holds %+v, want v2 with %d transactions", got, grown.N())
+	}
+}
+
+// TestAppendDeltaPushEveryShard: with K = 2, appending a few transactions
+// leaves the shard boundary where it was, so after the version bump both
+// shards take the delta path — shard 0 an empty delta, shard 1 just the new
+// tail — and the re-pushes cost bytes proportional to the append.
+func TestAppendDeltaPushEveryShard(t *testing.T) {
+	old := testDB(2, 600)
+	addrs, servers := startShards(t, 2)
+	pool, err := NewPool(PoolConfig{Addrs: addrs, Tuning: fastTuning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := core.Thresholds{MinESup: 0.1}
+	be1, err := pool.Backend("d", 1, old, 2, Hooks{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard := range 2 {
+		if _, _, err := be1.MineShard(context.Background(), shard, "UApriori", th, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := []ShardStats{servers[0].Stats(), servers[1].Stats()}
+	pushed := pool.BytesPushed()
+
+	b := core.NewBuilder("d")
+	b.AddDatabase(old)
+	b.AddDatabase(testDB(3, 2))
+	grown := b.Build()
+	if grown.NumItems < old.NumItems {
+		grown.SetNumItems(old.NumItems)
+	}
+	bounds := partition.Boundaries(grown.N(), 2)
+	if bounds[1].Lo != partition.Boundaries(old.N(), 2)[1].Lo {
+		t.Fatalf("a 2-transaction append moved the shard boundary: %+v", bounds)
+	}
+	be2, err := pool.Backend("d", 2, grown, 2, Hooks{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard, r := range bounds {
+		sets, _, err := be2.MineShard(context.Background(), shard, "UApriori", th, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSets, _ := localShardMine(t, grown, r.Lo, r.Hi, "UApriori", th)
+		requireSameSets(t, sets, wantSets)
+
+		st := servers[shard].Stats()
+		if got := st.DeltaPushes - before[shard].DeltaPushes; got != 1 {
+			t.Fatalf("shard %d: %d delta pushes after the append, want 1", shard, got)
+		}
+		if full := (st.Pushes - st.DeltaPushes) - (before[shard].Pushes - before[shard].DeltaPushes); full != 0 {
+			t.Fatalf("shard %d: %d full pushes after the append, want 0", shard, full)
+		}
+		if got := st.Datasets["d"]; got.Version != 2 || got.Lo != r.Lo || got.Hi != r.Hi {
+			t.Fatalf("shard %d holds %+v, want v2 [%d,%d)", shard, got, r.Lo, r.Hi)
+		}
+	}
+	if grew := pool.BytesPushed() - pushed; grew >= 4096 {
+		t.Fatalf("re-pushes after a 2-transaction append sent %d bytes, want < 4 KB", grew)
 	}
 }
 
@@ -477,6 +542,56 @@ func TestTxHashRoundTrip(t *testing.T) {
 			if a.Items[i] != b.Items[i] || !bitsEq(a.Probs[i], b.Probs[i]) {
 				t.Fatalf("tx %d unit %d differs: %v:%v vs %v:%v", j, i, a.Items[i], a.Probs[i], b.Items[i], b.Probs[i])
 			}
+		}
+	}
+}
+
+// fnvTxHash is the reference TxHash: hash/fnv's FNV-1a fed one unit piece
+// at a time.
+func fnvTxHash(db *core.Database, lo, hi int) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for j := lo; j < hi; j++ {
+		tx := db.Tx(j)
+		for i, it := range tx.Items {
+			binary.LittleEndian.PutUint32(buf[:4], uint32(it))
+			h.Write(buf[:4])
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tx.Probs[i]))
+			h.Write(buf[:])
+		}
+		h.Write([]byte{0xFF})
+	}
+	return h.Sum64()
+}
+
+// TestTxHashMatchesFNV: the inlined FNV-1a loop returns hash/fnv's Sum64 on
+// random slices (empty transactions and extreme probabilities included),
+// and extending a prefix's hash over the tail equals hashing the whole.
+func TestTxHashMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	extremes := []float64{math.SmallestNonzeroFloat64, 1e-300, 0.5, math.Nextafter(1, 0), 1}
+	for trial := range 20 {
+		raw := make([][]core.Unit, rng.Intn(60))
+		for j := range raw {
+			for range rng.Intn(6) { // 0 units: an empty transaction
+				p := rng.Float64()
+				if rng.Intn(3) == 0 {
+					p = extremes[rng.Intn(len(extremes))]
+				}
+				raw[j] = append(raw[j], core.Unit{Item: core.Item(rng.Intn(1 << 20)), Prob: max(p, math.SmallestNonzeroFloat64)})
+			}
+		}
+		db := core.MustNewDatabase("d", raw)
+		n := db.N()
+		if got, want := TxHash(db, n), fnvTxHash(db, 0, n); got != want {
+			t.Fatalf("trial %d: TxHash = %#x, hash/fnv = %#x", trial, got, want)
+		}
+		cut := 0
+		if n > 0 {
+			cut = rng.Intn(n + 1)
+		}
+		if got, want := extendTxHash(TxHash(db, cut), db, cut, n), TxHash(db, n); got != want {
+			t.Fatalf("trial %d: extending the [0,%d) hash to %d = %#x, full rehash %#x", trial, cut, n, got, want)
 		}
 	}
 }

@@ -39,6 +39,10 @@ type heldSlice struct {
 	version uint64
 	lo, hi  int
 	db      *core.Database
+	// hash is TxHash(db, db.N()), computed once when the slice is
+	// installed (extended over just the tail on a delta push), so stale
+	// replies and delta checks never rehash the slice.
+	hash uint64
 }
 
 // ShardServer hosts dataset slices and serves phase-1 mines over them —
@@ -214,31 +218,41 @@ func (s *ShardServer) handlePush(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("push declares %d items, above %d", req.NumItems, dataset.MaxItems))
 		return
 	}
-	var base *core.Database
+	// A delta extends the held arena and its hash; a full push starts both
+	// from empty.
+	var baseDB *core.Database
+	baseN, hash := 0, uint64(fnvOffset64)
 	if req.Append {
 		s.mu.RLock()
 		h := s.held[req.Dataset]
 		s.mu.RUnlock()
-		if h == nil || h.lo != req.Lo || h.db.N() != req.BaseN || TxHash(h.db, h.db.N()) != req.BaseHash {
+		if h == nil || h.lo != req.Lo || h.db.N() != req.BaseN || h.hash != req.BaseHash {
 			s.fail(w, http.StatusConflict, fmt.Errorf("delta base mismatch for %q", req.Dataset))
 			return
 		}
-		base = h.db
+		baseDB, baseN, hash = h.db, h.db.N(), h.hash
 	}
-	db, err := decodeTransactions(req.Dataset, base, req.Transactions)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+	db := baseDB
+	if db == nil || len(req.Transactions) > 0 || req.NumItems > db.NumItems {
+		// Anything but an empty delta builds a new arena; an empty one (the
+		// range did not grow, only the version moved) keeps the held arena,
+		// which already is the slice, indexes and all.
+		var err error
+		if db, err = decodeTransactions(req.Dataset, baseDB, req.Transactions); err != nil {
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		if req.NumItems > db.NumItems {
+			db.SetNumItems(req.NumItems)
+		}
 	}
 	if got := db.N(); got != req.Hi-req.Lo {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("push carries %d transactions for range [%d,%d)", got, req.Lo, req.Hi))
 		return
 	}
-	if req.NumItems > db.NumItems {
-		db.SetNumItems(req.NumItems)
-	}
+	hash = extendTxHash(hash, db, baseN, db.N())
 	s.mu.Lock()
-	s.held[req.Dataset] = &heldSlice{version: req.Version, lo: req.Lo, hi: req.Hi, db: db}
+	s.held[req.Dataset] = &heldSlice{version: req.Version, lo: req.Lo, hi: req.Hi, db: db, hash: hash}
 	s.mu.Unlock()
 	s.pushes.Add(1)
 	if req.Append {
@@ -278,7 +292,7 @@ func (s *ShardServer) handleMine1(w http.ResponseWriter, r *http.Request) {
 			stale.Held = true
 			stale.HeldVersion = h.version
 			stale.HeldLo, stale.HeldHi = h.lo, h.hi
-			stale.HeldHash = TxHash(h.db, h.db.N())
+			stale.HeldHash = h.hash
 			stale.Error = fmt.Sprintf("shard holds %s v%d [%d,%d), request pins v%d [%d,%d)",
 				req.Dataset, h.version, h.lo, h.hi, req.Version, req.Lo, req.Hi)
 		} else {

@@ -14,7 +14,8 @@
 # ushard shard servers plus a userve coordinator routing phase 1 over them —
 # and asserts the RPC-backed /mine document is byte-identical to the
 # in-process path, including after an /ingest version bump invalidates the
-# shards' pinned slices. Mirrored by the "Sharded mining (multi-process)"
+# shards' pinned slices, and that every shard's post-ingest re-push is a
+# delta. Mirrored by the "Sharded mining (multi-process)"
 # CI job; run locally via `make smoke-shards`.
 #
 # `smoke_userve.sh metrics` boots the same three-process cluster and checks
@@ -184,6 +185,20 @@ if [ "$MODE" = "shards" ]; then
         exit 1
     fi
     echo "smoke: version bump invalidated the shards' slices coherently"
+
+    # Shard boundaries hold still under a small append, so the post-ingest
+    # re-push of every shard is a delta (only the appended tail travels),
+    # never a full slice.
+    for SHARD in "$SHARD1" "$SHARD2"; do
+        STATUS=$(curl -s -o "$TMP/shard_delta.json" -w '%{http_code}' "http://$SHARD/stats")
+        check "shard $SHARD /stats after ingest" 200 "$TMP/shard_delta.json" "$STATUS"
+        if ! grep -Eq '"delta_pushes": *[1-9]' "$TMP/shard_delta.json"; then
+            echo "smoke: FAIL — shard $SHARD re-pushed in full after an append (no delta push)"
+            cat "$TMP/shard_delta.json"
+            exit 1
+        fi
+    done
+    echo "smoke: every shard took the delta path after the append"
 
     echo "smoke: PASS (shards)"
     exit 0
