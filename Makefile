@@ -142,8 +142,10 @@ smoke-server:
 ## smoke-shards: multi-process sharded mining — boot 2 ushard shard servers
 ## plus a userve coordinator routing phase 1 over them; /mine must be
 ## byte-identical to the in-process path, including after an /ingest version
-## bump invalidates the shards' pinned slices, and every shard's post-ingest
-## re-push must be a delta
+## bump invalidates the shards' pinned slices; after the append a repeat query
+## must leave the first shard uncontacted (held phase-1 answer) and re-push the
+## second a delta, and a lower-threshold query must re-push the first an empty
+## delta
 smoke-shards:
 	sh scripts/smoke_userve.sh shards
 

@@ -307,7 +307,7 @@ func TestWorkersClampedToCores(t *testing.T) {
 		t.Fatalf("/mine with workers=%d: %d %s", huge, resp.StatusCode, body)
 	}
 	d, _ := s.reg.get("d")
-	db, _ := d.snapshot()
+	db := d.ledgerSnapshot().DB
 	if want := marshal(t, directMine(t, "UH-Mine", db, th)); !bytes.Equal(body, want) {
 		t.Errorf("/mine with workers=%d differs from a direct mine\ngot:  %s\nwant: %s", huge, body, want)
 	}

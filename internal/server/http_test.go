@@ -93,7 +93,7 @@ func TestHTTPMineBitIdentical(t *testing.T) {
 	}
 
 	d, _ := s.reg.get("d")
-	db, _ := d.snapshot()
+	db := d.ledgerSnapshot().DB
 	want := marshal(t, directMine(t, "UApriori", db, th))
 	if !bytes.Equal(body1, want) || !bytes.Equal(body2, want) {
 		t.Errorf("/mine bodies differ from direct MineWith serialization\nmiss: %s\nhit:  %s\nwant: %s", body1, body2, want)

@@ -9,6 +9,7 @@ import (
 
 	"umine/internal/core"
 	"umine/internal/dataset"
+	"umine/internal/incmine"
 )
 
 // The dataset registry: databases are loaded or generated once and shared
@@ -83,13 +84,17 @@ type dsEntry struct {
 	ingested   int64
 	source     string
 	registered time.Time
+	held       heldPhase1 // shards' phase-1 answers, reused across appends
 }
 
-// snapshot returns the current immutable database and its version.
-func (d *dsEntry) snapshot() (*core.Database, uint64) {
+// ledgerSnapshot returns the current immutable database with its version
+// and the window's eviction count, in one consistent read: a mine's
+// stream positions and an incremental refresh's append-only test both need
+// all three from the same snapshot.
+func (d *dsEntry) ledgerSnapshot() incmine.Snapshot {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.db, d.version
+	return incmine.Snapshot{DB: d.db, Version: d.version, Evictions: d.evicted}
 }
 
 // info snapshots the dataset's metadata.
@@ -181,8 +186,8 @@ func (d *dsEntry) ingest(raw [][]core.Unit) (IngestResult, error) {
 // backing store shared by every reader. The item universe never shrinks
 // below old's, even when the window has dropped every transaction that used
 // the highest items. The copy is O(N) per ingest batch — fine for
-// batch-append workloads; the ROADMAP's "delta arenas" item covers
-// amortizing append-heavy streams.
+// batch-append workloads; ROADMAP's "An append costs what it appends: one
+// grow-only arena" item covers amortizing append-heavy streams.
 func rebuild(name string, old *core.Database, skip int, txs []core.Transaction) *core.Database {
 	base := old
 	if skip > 0 {

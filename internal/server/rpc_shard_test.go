@@ -14,9 +14,19 @@ import (
 // startShardCluster boots n in-process shard servers and a pool over them.
 func startShardCluster(t *testing.T, n int) *shardrpc.Pool {
 	t.Helper()
+	pool, _ := startShardServers(t, n)
+	return pool
+}
+
+// startShardServers is startShardCluster that also returns the shard
+// servers, in pool order, for their Stats.
+func startShardServers(t *testing.T, n int) (*shardrpc.Pool, []*shardrpc.ShardServer) {
+	t.Helper()
 	addrs := make([]string, n)
+	servers := make([]*shardrpc.ShardServer, n)
 	for i := range addrs {
-		ts := httptest.NewServer(shardrpc.NewShardServer(shardrpc.ShardConfig{}).Handler())
+		servers[i] = shardrpc.NewShardServer(shardrpc.ShardConfig{})
+		ts := httptest.NewServer(servers[i].Handler())
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
 	}
@@ -31,7 +41,7 @@ func startShardCluster(t *testing.T, n int) *shardrpc.Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pool
+	return pool, servers
 }
 
 // TestRPCShardedMineBitIdentical: a /mine scattered over real shard-server
@@ -200,6 +210,27 @@ func TestRPCShardWidthClamp(t *testing.T) {
 	if st := remote.Stats(); st.PartitionsMined != 2 {
 		t.Fatalf("PartitionsMined = %d, want 2 (clamped to the pool width)", st.PartitionsMined)
 	}
+}
+
+// TestRPCShardHeldPhase1Appends is TestShardHeldPhase1Appends over a
+// 2-shard pool: after the first read shard 0 is never contacted (its mine
+// count stays at 1) while shard 1 mines once a read.
+func TestRPCShardHeldPhase1Appends(t *testing.T) {
+	pool, shards := startShardServers(t, 2)
+	testHeldAppends(t, pool, shards)
+}
+
+// TestRPCShardHeldPhase1WindowTrim is TestShardHeldPhase1WindowTrim over a
+// 2-shard pool: both shard servers mine both reads.
+func TestRPCShardHeldPhase1WindowTrim(t *testing.T) {
+	pool, shards := startShardServers(t, 2)
+	testHeldWindowTrim(t, pool, shards)
+}
+
+// TestRPCShardHeldPhase1Concurrent is TestShardHeldPhase1Concurrent over a
+// 2-shard pool.
+func TestRPCShardHeldPhase1Concurrent(t *testing.T) {
+	testHeldConcurrent(t, startShardCluster(t, 2))
 }
 
 // requireSameResults asserts bit-exact equality of two result sets.

@@ -46,6 +46,7 @@ import (
 
 	"umine/internal/algo"
 	"umine/internal/core"
+	"umine/internal/incmine"
 	"umine/internal/obsq"
 	"umine/internal/shardrpc"
 	"umine/internal/telemetry"
@@ -152,6 +153,7 @@ type Server struct {
 type partitionCounters struct {
 	shardedMines uint64
 	partitions   uint64
+	reused       uint64
 	candidates   uint64
 	mergeNanos   uint64
 	stragNanos   uint64
@@ -225,6 +227,8 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 		func(p partitionCounters) uint64 { return p.shardedMines })
 	partCounter("umine_partitions_mined_total", "Phase-1 partitions mined across sharded mines.",
 		func(p partitionCounters) uint64 { return p.partitions })
+	partCounter("umine_partitions_reused_total", "Phase-1 partitions answered from a held answer instead of mined.",
+		func(p partitionCounters) uint64 { return p.reused })
 	partCounter("umine_phase2_candidates_total", "Candidates verified by phase 2 across sharded mines.",
 		func(p partitionCounters) uint64 { return p.candidates })
 	counter("umine_shard_retries_total", "Shard RPC attempts retried.", &s.shardRetries)
@@ -430,14 +434,14 @@ func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 		return nil, err
 	}
 
-	db, version := d.snapshot()
+	snap := d.ledgerSnapshot()
 	q := cacheQuery{
 		dataset:   req.Dataset,
-		version:   version,
+		version:   snap.Version,
 		algorithm: req.Algorithm,
 		semantics: sem,
 		th:        req.Thresholds,
-		n:         db.N(),
+		n:         snap.DB.N(),
 	}
 
 	respond := func(rs *core.ResultSet, kind, src string) *MineResponse {
@@ -448,7 +452,7 @@ func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 		return &MineResponse{
 			Results:        adoptThresholds(rs, req.Thresholds),
 			Cache:          kind,
-			DatasetVersion: version,
+			DatasetVersion: snap.Version,
 			Elapsed:        time.Since(start),
 		}
 	}
@@ -459,7 +463,7 @@ func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 				return nil, err
 			}
 			defer s.release() // released even if the miner panics
-			return s.runMine(ctx, req, d, db, version)
+			return s.runMine(ctx, req, d, snap)
 		}()
 		if err != nil {
 			s.countError(err)
@@ -491,7 +495,7 @@ func (s *Server) Mine(ctx context.Context, req MineRequest) (*MineResponse, erro
 				return mineOutcome{rs: rs, kind: kind, src: src}, nil
 			}
 		}
-		rs, err := s.runMine(ctx, req, d, db, version)
+		rs, err := s.runMine(ctx, req, d, snap)
 		if err != nil {
 			return mineOutcome{}, err
 		}
@@ -537,9 +541,10 @@ func scatterWidth(n, shards int) int {
 // runMine executes one mining job on the snapshot: scatter-gather when the
 // dataset is sharded and the algorithm partition-capable (bit-identical to
 // the plain path, so cache entries stay interchangeable), the plain mineFn
-// otherwise. version is the snapshot's registry version — the pin a remote
-// backend stamps on every shard request.
-func (s *Server) runMine(ctx context.Context, req MineRequest, d *dsEntry, db *core.Database, version uint64) (*core.ResultSet, error) {
+// otherwise. snap's version is the pin a remote backend stamps on every
+// shard request.
+func (s *Server) runMine(ctx context.Context, req MineRequest, d *dsEntry, snap incmine.Snapshot) (*core.ResultSet, error) {
+	db := snap.DB
 	ctx, span := telemetry.StartSpan(ctx, "mine")
 	defer span.End()
 	opts := core.Options{Workers: s.workers(req.Workers)}
@@ -568,7 +573,7 @@ func (s *Server) runMine(ctx context.Context, req MineRequest, d *dsEntry, db *c
 	}
 	if sharded {
 		span.SetAttr("shards", fmt.Sprint(shards))
-		return s.mineSharded(ctx, req.Algorithm, d.name, db, version, shards, req.Thresholds, opts, req.exec)
+		return s.mineSharded(ctx, req.Algorithm, d, snap, shards, req.Thresholds, opts, req.exec)
 	}
 	if req.exec != nil {
 		req.exec.backend = "local"
@@ -693,7 +698,9 @@ type Stats struct {
 	InFlight     int64  `json:"in_flight"`
 	CacheEntries int    `json:"cache_entries"`
 	// Scatter-gather counters: completed sharded mines, partitions mined
-	// across them (phase 1), candidates the phase-2 verification checked,
+	// across them (phase 1; every non-empty partition), how many of those
+	// were answered from the dataset's held phase-1 answer of an unchanged
+	// range instead of mined, candidates the phase-2 verification checked,
 	// and cumulative candidate-union merge time. ShardSlowestMS accumulates
 	// each sharded mine's slowest single shard (the straggler) — divided by
 	// ShardedMines it is the mean per-mine straggler cost, directly
@@ -701,6 +708,7 @@ type Stats struct {
 	// breakdown.
 	ShardedMines     uint64  `json:"sharded_mines"`
 	PartitionsMined  uint64  `json:"partitions_mined"`
+	PartitionsReused uint64  `json:"partitions_reused"`
 	Phase2Candidates uint64  `json:"phase2_candidates"`
 	PartitionMergeMS float64 `json:"partition_merge_ms"`
 	ShardSlowestMS   float64 `json:"shard_slowest_ms"`
@@ -763,6 +771,7 @@ func (s *Server) Stats() Stats {
 	s.partMu.Lock()
 	st.ShardedMines = s.part.shardedMines
 	st.PartitionsMined = s.part.partitions
+	st.PartitionsReused = s.part.reused
 	st.Phase2Candidates = s.part.candidates
 	st.PartitionMergeMS = float64(s.part.mergeNanos) / 1e6
 	st.ShardSlowestMS = float64(s.part.stragNanos) / 1e6

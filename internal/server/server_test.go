@@ -88,7 +88,7 @@ func TestWindowedRetention(t *testing.T) {
 			check := func(stage string) {
 				t.Helper()
 				d, _ := s.reg.get("w")
-				snap, _ := d.snapshot()
+				snap := d.ledgerSnapshot().DB
 				ref := coretest.FromTransactions("ref", all[max(0, len(all)-size):])
 				if snap.N() != ref.N() {
 					t.Fatalf("%s: snapshot holds %d transactions, want %d", stage, snap.N(), ref.N())
@@ -260,7 +260,8 @@ func TestNonWindowedIngestKeepsOldSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := s.reg.get("d")
-	before, v0 := d.snapshot()
+	s0 := d.ledgerSnapshot()
+	before, v0 := s0.DB, s0.Version
 	n0 := before.N()
 	if _, err := s.Ingest(context.Background(), "d", [][]core.Unit{{{Item: 0, Prob: 1}}}); err != nil {
 		t.Fatal(err)
@@ -268,9 +269,9 @@ func TestNonWindowedIngestKeepsOldSnapshots(t *testing.T) {
 	if before.N() != n0 {
 		t.Fatal("ingest mutated a held snapshot")
 	}
-	after, v1 := d.snapshot()
-	if v1 != v0+1 || after.N() != n0+1 {
-		t.Fatalf("post-ingest snapshot N=%d version=%d, want N=%d version=%d", after.N(), v1, n0+1, v0+1)
+	s1 := d.ledgerSnapshot()
+	if s1.Version != v0+1 || s1.DB.N() != n0+1 {
+		t.Fatalf("post-ingest snapshot N=%d version=%d, want N=%d version=%d", s1.DB.N(), s1.Version, n0+1, v0+1)
 	}
 }
 

@@ -84,15 +84,6 @@ func ledgerKey(dataset, algorithm string, sem core.Semantics, th core.Thresholds
 	return dataset + "\x00" + algorithm + "\x00" + thresholdKey(sem, th)
 }
 
-// ledgerSnapshot captures the dataset state an incremental refresh needs in
-// one consistent read: snapshot, version, and the window's eviction count
-// (the append-only test).
-func (d *dsEntry) ledgerSnapshot() incmine.Snapshot {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return incmine.Snapshot{DB: d.db, Version: d.version, Evictions: d.evicted}
-}
-
 // Subscribe registers a continuous query against a dataset and returns its
 // diff stream. The first call for a (dataset, algorithm, thresholds) builds
 // the ledger synchronously (a full mine under ctx); later subscribers share

@@ -77,7 +77,7 @@ func TestSubscribeStreamsDiffs(t *testing.T) {
 	// The diff must describe exactly the cold result set of the new
 	// snapshot.
 	d, _ := s.reg.get("d")
-	ndb, _ := d.snapshot()
+	ndb := d.ledgerSnapshot().DB
 	cold := directMine(t, "UApriori", ndb, th)
 	if diff.Total != cold.Len() {
 		t.Fatalf("diff total = %d, cold mine of the new snapshot has %d", diff.Total, cold.Len())
@@ -288,7 +288,7 @@ func TestSubscribeWindowedFallback(t *testing.T) {
 		t.Fatalf("diff fallback=%v reason=%q, want a window-eviction rebuild", diff.Fallback, diff.Reason)
 	}
 	d, _ := s.reg.get("w")
-	ndb, _ := d.snapshot()
+	ndb := d.ledgerSnapshot().DB
 	cold := directMine(t, "UApriori", ndb, th)
 	if diff.Total != cold.Len() {
 		t.Fatalf("post-eviction diff total = %d, cold mine of the window has %d", diff.Total, cold.Len())

@@ -22,11 +22,15 @@
 // re-pushing the pinned slice and retrying; when the shard's held slice is
 // a content-verified prefix of the new one (same lo, held hash matches the
 // coordinator's prefix hash), only the delta transactions travel. After an
-// append-only ingest that is every shard: partition.Boundaries rounds its
-// interior boundaries to a coarse grid, so a small append leaves every lo
-// in place — each shard but the last gets an empty delta (a version bump
-// only) and the last gets just the appended tail. A boundary crossing a
-// grid cell costs the shard starting there one full push. Each shard
+// append-only ingest every re-push is a delta: partition.Boundaries rounds
+// its interior boundaries to a coarse grid, so a small append leaves every
+// lo in place and moves only the last shard's hi. The serving layer holds
+// each shard's phase-1 answer and reuses it while the shard's range and
+// query are unchanged, so after an append a read contacts only the last
+// shard, which gets just the appended tail; another shard contacted at the
+// new version (a new query) gets an empty delta, a version bump only. A
+// boundary crossing a grid cell costs the shard starting there one full
+// push. Each shard
 // hashes a slice once, when it is installed (extending the hash over a
 // delta's tail), so stale replies and delta checks never rehash it.
 //

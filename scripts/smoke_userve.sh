@@ -14,8 +14,11 @@
 # ushard shard servers plus a userve coordinator routing phase 1 over them —
 # and asserts the RPC-backed /mine document is byte-identical to the
 # in-process path, including after an /ingest version bump invalidates the
-# shards' pinned slices, and that every shard's post-ingest re-push is a
-# delta. Mirrored by the "Sharded mining (multi-process)"
+# shards' pinned slices; that a repeat of the query after an append leaves
+# the first shard uncontacted (the coordinator reuses its held phase-1
+# answer) while the second takes a delta re-push; and that a lower-threshold
+# query, which cannot reuse it, re-pushes the first shard an empty delta.
+# Mirrored by the "Sharded mining (multi-process)"
 # CI job; run locally via `make smoke-shards`.
 #
 # `smoke_userve.sh metrics` boots the same three-process cluster and checks
@@ -158,8 +161,11 @@ if [ "$MODE" = "shards" ]; then
     echo "smoke: shard process served phase-1 mines"
 
     # Coherent invalidation: growing both twins bumps their versions, which
-    # must 409 the shards' pinned slices and re-push before the next mine.
-    # The grown datasets must still agree byte for byte.
+    # must 409 the second shard's pinned slice and re-push it before the next
+    # mine. The first shard's range and the query are unchanged, so the
+    # coordinator answers it from its held phase-1 answer without contacting
+    # it. The grown datasets must still agree byte for byte.
+    MINES1=$(grep -Eo '"mines": *[0-9]+' "$TMP/shard_stats.json" | grep -Eo '[0-9]+$')
     for DS in flat rpc; do
         STATUS=$(curl -s -o "$TMP/ingest_$DS.json" -w '%{http_code}' -X POST "$BASE/ingest" \
             -H 'Content-Type: application/json' \
@@ -179,26 +185,61 @@ if [ "$MODE" = "shards" ]; then
     fi
     STATUS=$(curl -s -o "$TMP/shard_stats2.json" -w '%{http_code}' "http://$SHARD1/stats")
     check "shard /stats after ingest" 200 "$TMP/shard_stats2.json" "$STATUS"
-    if ! grep -Eq '"stale_rejects": *[1-9]' "$TMP/shard_stats2.json"; then
-        echo "smoke: FAIL — shard 1 rejected no stale pins (version invalidation broken)"
+    MINES2=$(grep -Eo '"mines": *[0-9]+' "$TMP/shard_stats2.json" | grep -Eo '[0-9]+$')
+    if [ "$MINES2" != "$MINES1" ]; then
+        echo "smoke: FAIL — shard 1 mined again ($MINES1 → $MINES2) though its range and query were held"
         cat "$TMP/shard_stats2.json"
         exit 1
     fi
-    echo "smoke: version bump invalidated the shards' slices coherently"
+    # Shard boundaries hold still under a small append, so the second
+    # shard's post-ingest re-push is a delta (only the appended tail
+    # travels), never a full slice.
+    STATUS=$(curl -s -o "$TMP/shard_delta.json" -w '%{http_code}' "http://$SHARD2/stats")
+    check "shard 2 /stats after ingest" 200 "$TMP/shard_delta.json" "$STATUS"
+    if ! grep -Eq '"delta_pushes": *[1-9]' "$TMP/shard_delta.json"; then
+        echo "smoke: FAIL — shard 2 re-pushed in full after an append (no delta push)"
+        cat "$TMP/shard_delta.json"
+        exit 1
+    fi
+    STATUS=$(curl -s -o "$TMP/stats2.json" -w '%{http_code}' "$BASE/stats")
+    check "/stats after ingest" 200 "$TMP/stats2.json" "$STATUS"
+    if ! grep -Eq '"partitions_reused": *[1-9]' "$TMP/stats2.json"; then
+        echo "smoke: FAIL — the coordinator reused no held phase-1 answer after the append"
+        cat "$TMP/stats2.json"
+        exit 1
+    fi
+    echo "smoke: after the append shard 1 was answered from its held phase-1 answer, shard 2 took a delta"
 
-    # Shard boundaries hold still under a small append, so the post-ingest
-    # re-push of every shard is a delta (only the appended tail travels),
-    # never a full slice.
-    for SHARD in "$SHARD1" "$SHARD2"; do
-        STATUS=$(curl -s -o "$TMP/shard_delta.json" -w '%{http_code}' "http://$SHARD/stats")
-        check "shard $SHARD /stats after ingest" 200 "$TMP/shard_delta.json" "$STATUS"
-        if ! grep -Eq '"delta_pushes": *[1-9]' "$TMP/shard_delta.json"; then
-            echo "smoke: FAIL — shard $SHARD re-pushed in full after an append (no delta push)"
-            cat "$TMP/shard_delta.json"
+    # A lower threshold cannot reuse the held answer, so the first shard is
+    # contacted at the new version: it rejects its stale pin and receives
+    # an empty delta (the version bump only).
+    MINE_LOW='"algorithm":"UApriori","min_esup":0.004'
+    STATUS=$(curl -s -o "$TMP/mine_flat3.json" -w '%{http_code}' -X POST "$BASE/mine" \
+        -H 'Content-Type: application/json' -d "{\"dataset\":\"flat\",$MINE_LOW}")
+    check "lower-threshold /mine in-process twin" 200 "$TMP/mine_flat3.json" "$STATUS"
+    STATUS=$(curl -s -o "$TMP/mine_rpc3.json" -w '%{http_code}' -X POST "$BASE/mine" \
+        -H 'Content-Type: application/json' -d "{\"dataset\":\"rpc\",$MINE_LOW}")
+    check "lower-threshold /mine RPC-sharded twin" 200 "$TMP/mine_rpc3.json" "$STATUS"
+    if ! cmp -s "$TMP/mine_flat3.json" "$TMP/mine_rpc3.json"; then
+        echo "smoke: FAIL — lower-threshold sharded /mine differs from in-process"
+        diff "$TMP/mine_flat3.json" "$TMP/mine_rpc3.json" | head -20
+        exit 1
+    fi
+    # Shard 1's first, demand-populating mine already counted a stale
+    # reject (it held no slice), so both counters must rise across this
+    # mine, not merely be non-zero.
+    STATUS=$(curl -s -o "$TMP/shard_stats3.json" -w '%{http_code}' "http://$SHARD1/stats")
+    check "shard /stats after lower-threshold mine" 200 "$TMP/shard_stats3.json" "$STATUS"
+    for C in stale_rejects delta_pushes; do
+        BEFORE=$(grep -Eo "\"$C\": *[0-9]+" "$TMP/shard_stats2.json" | grep -Eo '[0-9]+$')
+        AFTER=$(grep -Eo "\"$C\": *[0-9]+" "$TMP/shard_stats3.json" | grep -Eo '[0-9]+$')
+        if [ -z "$BEFORE" ] || [ -z "$AFTER" ] || [ "$AFTER" -le "$BEFORE" ]; then
+            echo "smoke: FAIL — shard 1's $C did not rise across the lower-threshold mine ($BEFORE → $AFTER)"
+            cat "$TMP/shard_stats3.json"
             exit 1
         fi
     done
-    echo "smoke: every shard took the delta path after the append"
+    echo "smoke: version bump invalidated shard 1's slice coherently; its re-push was an empty delta"
 
     echo "smoke: PASS (shards)"
     exit 0
