@@ -49,9 +49,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-## vet: static analysis
+## vet: static analysis, perfbench/ included — it is a separate module, so
+## `go vet ./...` at the root never compiles it, and a name it uses that the
+## main module deletes would otherwise fail only in bench-smoke
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 ## lint: staticcheck + govulncheck. The CI lint job installs both with
 ## `go install`; locally they are skipped (with a warning) when not on PATH,
@@ -127,11 +130,10 @@ test-steal:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-## bench-kernels: the hot-loop kernel benchmarks — intersection kernels vs
-## their scalar references per postings-density band (the dense band's margin
-## is enforced) and the DP verification kernel vs prob.PBFreqProbDP on the
-## borderline and wide candidate shapes (both margins enforced); writes
-## BENCH_kernels.json. End-to-end mine time is perfbench's cold-exact workload
+## bench-kernels: the hot-loop kernel benchmark — the DP verification kernel
+## vs prob.PBFreqProbDP on the borderline and wide candidate shapes (both
+## margins enforced); writes BENCH_kernels.json. End-to-end mine time is
+## perfbench's cold-exact workload
 bench-kernels:
 	BENCH_KERNELS_OUT=$$(pwd)/BENCH_kernels.json $(GO) test ./internal/kernel -run TestWriteKernelsBench -count=1 -v
 
@@ -187,14 +189,13 @@ bench-smoke:
 
 ## fuzz-smoke: every Fuzz* target in the module for 5 s each — the
 ## input parsers, the arena and kernel bit-identity targets (the DP row
-## update's assembly against its Go loop among them), and the shard
-## response decoder. Go fuzzes one target per invocation, so each runs in
+## update's assembly against its Go loop among them), the shard response
+## decoder and the shard server's delta-push body. Go fuzzes one target per invocation, so each runs in
 ## its own `go test -fuzz` call.
 FUZZ_TARGETS = \
 	./internal/core:FuzzArenaMatchesLegacyConstruction \
 	./internal/dataset:FuzzReadUncertain \
 	./internal/dataset:FuzzReadFIMI \
-	./internal/kernel:FuzzPairBitIdentity \
 	./internal/kernel:FuzzKWayBitIdentity \
 	./internal/kernel:FuzzFreqTailBitIdentity \
 	./internal/kernel:FuzzFreqTailAbove \
@@ -202,6 +203,7 @@ FUZZ_TARGETS = \
 	./internal/kernel:FuzzRowStep \
 	./internal/shardrpc:FuzzMineShardResponse \
 	./internal/shardrpc:FuzzDecodeTransactions \
+	./internal/shardrpc:FuzzPushBody \
 	./internal/server:FuzzIngestBody \
 	./internal/server:FuzzMineBody
 

@@ -116,7 +116,6 @@ type Config struct {
 // completes is bit-identical to one under a never-canceled context.
 func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, core.MiningStats, error) {
 	var stats core.MiningStats
-	var exec core.ExecStats
 	var results []core.Result
 
 	// Level 1: every item is a candidate (every allowed item, under a
@@ -130,7 +129,7 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 		cands = append(cands, Candidate{Items: items})
 	}
 	stats.CandidatesGenerated += len(cands)
-	if err := Count(ctx, db, cands, 1, cfg, &stats, &exec); err != nil {
+	if err := Count(ctx, db, cands, 1, cfg, &stats); err != nil {
 		return nil, stats, err
 	}
 
@@ -147,7 +146,7 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 			break
 		}
 		k := len(next[0].Items)
-		if err := Count(ctx, db, next, k, cfg, &stats, &exec); err != nil {
+		if err := Count(ctx, db, next, k, cfg, &stats); err != nil {
 			return nil, stats, err
 		}
 		frequent, err = decide(ctx, next, cfg, &results, &stats)
@@ -159,7 +158,6 @@ func Run(ctx context.Context, db *core.Database, cfg Config) ([]core.Result, cor
 	}
 
 	core.SortResults(results)
-	cfg.Progress.EmitExec(cfg.Name, exec)
 	cfg.Progress.Emit(cfg.Name, core.PhaseDone, level, stats)
 	return results, stats, nil
 }

@@ -15,33 +15,9 @@ import (
 // shared verbatim by every Apriori-framework miner, as the paper's uniform
 // platform demands.
 //
-// Since the arena refactor the pass has two physical plans over the same
-// logical scan:
-//
-//   - horizontal: walk every transaction view (a contiguous range of the
-//     database's columnar arena) against the trie — one pass counts every
-//     candidate; cost ~ Σ|T_j| per level regardless of candidate count;
-//   - vertical: intersect the candidates' per-item postings lists from the
-//     lazily built core.VerticalIndex — cost proportional to the smallest
-//     posting list per candidate, which wins when candidates are few and
-//     sparse (see useVertical in vertical.go).
-//
-// Both plans produce bit-identical aggregates by construction: they multiply
-// unit probabilities in the same (canonical item) order, accumulate
-// per-transaction contributions in TID order, and fold partial sums with the
-// same chunk grouping (chunkSizeFor), so the crossover heuristic — like the
-// worker count — can never change a result bit.
-
-// chunkSizeFor is the one chunk-sizing decision every counting plan in this
-// package derives from a database view: the adaptive ChunkSizeForSpan layout
-// over (transactions, arena units). Both physical plans must call this
-// helper rather than sizing chunks themselves: the chunk grouping pins how
-// floating-point partial sums fold, so two plans sizing differently would
-// stop being bit-comparable. The size is a pure function of the view's
-// shape, never of Workers.
-func chunkSizeFor(db *core.Database) int {
-	return parallel.ChunkSizeForSpan(db.N(), db.NumUnits())
-}
+// The pass walks every transaction view (a contiguous range of the
+// database's columnar arena) against the trie, so one pass counts every
+// candidate at a cost of ~ Σ|T_j| per level regardless of candidate count.
 
 type trieNode struct {
 	item     core.Item
@@ -118,29 +94,19 @@ func candidateBytes(cands []Candidate, collectProbs bool) int64 {
 	return size
 }
 
-// Count runs one counting pass on the shared parallel layer, picking the
-// vertical postings-intersection plan when the crossover heuristic says it
-// is cheaper and the chunk-sharded horizontal scan otherwise. The chunk
-// layout is a function of the database shape alone (chunkSizeFor), per-chunk
-// aggregates merge in chunk order, and the vertical plan folds the same
-// chunk grouping, so the pass returns bit-identical aggregates for every
-// cfg.Workers value ≥ 1 and for either plan: the worker count only decides
-// how many goroutines claim work, never how the floating-point sums
-// associate. Cancellation lands between chunks (horizontal) or between
-// candidates (vertical); on a non-nil error the candidates' aggregates are
-// partial and must be discarded. The candidates must share one length k,
-// be in canonical order, and carry no aggregates yet.
-func Count(ctx context.Context, db *core.Database, cands []Candidate, k int, cfg Config, stats *core.MiningStats, exec *core.ExecStats) error {
+// Count runs one counting pass: the chunk-sharded horizontal scan on the
+// shared parallel layer. The chunk layout is a function of the database
+// shape alone (parallel.ChunkSizeForSpan over transactions and arena
+// units), and per-chunk aggregates merge in chunk order, so the pass returns
+// bit-identical aggregates for every cfg.Workers value ≥ 1: the worker count
+// only decides how many goroutines claim work, never how the floating-point
+// sums associate. Cancellation lands between chunks; on a non-nil error the
+// candidates' aggregates are partial and must be discarded. The candidates
+// must share one length k, be in canonical order, and carry no aggregates
+// yet.
+func Count(ctx context.Context, db *core.Database, cands []Candidate, k int, cfg Config, stats *core.MiningStats) error {
 	if len(cands) == 0 {
 		return ctx.Err()
-	}
-	// Plan-choice accounting: one counter bump per level-counting decision,
-	// so an EXPLAIN can report which physical plan each pass executed. The
-	// decision itself (useVertical) is deterministic and worker-independent,
-	// so these counters are too.
-	if useVertical(db, cands, k) {
-		stats.VerticalPlans++
-		return countVertical(ctx, db, cands, cfg.CollectProbs, cfg.Workers, stats, exec)
 	}
 	stats.HorizontalPlans++
 	return countChunked(ctx, db, cands, k, cfg.CollectProbs, cfg.Workers, stats)
@@ -164,7 +130,7 @@ type shardAccum struct {
 // and the per-level peaks — are identical for every worker count.
 func countChunked(ctx context.Context, db *core.Database, cands []Candidate, k int, collectProbs bool, workers int, stats *core.MiningStats) error {
 	n := db.N()
-	size := chunkSizeFor(db)
+	size := parallel.ChunkSizeForSpan(n, db.NumUnits())
 	nc := parallel.NumChunks(n, size)
 	trie := buildTrie(cands)
 	stats.DBScans++

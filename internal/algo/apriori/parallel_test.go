@@ -108,8 +108,7 @@ func TestParallelTinyDatabaseFallsBack(t *testing.T) {
 	db := core.MustNewDatabase("tiny", raw)
 	cands := []Candidate{{Items: core.NewItemset(0)}, {Items: core.NewItemset(1)}}
 	var stats core.MiningStats
-	var ex core.ExecStats
-	Count(context.Background(), db, cands, 1, Config{Workers: 8}, &stats, &ex)
+	Count(context.Background(), db, cands, 1, Config{Workers: 8}, &stats)
 	if math.Abs(cands[0].ESup-0.75) > 1e-12 || math.Abs(cands[1].ESup-0.5) > 1e-12 {
 		t.Fatalf("tiny parallel counts wrong: %+v", cands)
 	}

@@ -47,7 +47,6 @@ func (m *Miner) Mine(db *core.Database) ([]core.Result, core.MiningStats, error)
 		return nil, core.MiningStats{}, fmt.Errorf("topk: K must be positive, got %d", m.K)
 	}
 	var stats core.MiningStats
-	var exec core.ExecStats
 
 	h := &resultHeap{}
 	heap.Init(h)
@@ -103,7 +102,7 @@ func (m *Miner) Mine(db *core.Database) ([]core.Result, core.MiningStats, error)
 		if len(cands) == 0 {
 			break
 		}
-		if err := apriori.Count(context.Background(), db, cands, k, apriori.Config{}, &stats, &exec); err != nil {
+		if err := apriori.Count(context.Background(), db, cands, k, apriori.Config{}, &stats); err != nil {
 			return nil, stats, err
 		}
 		level = level[:0]

@@ -143,13 +143,15 @@ type MiningStats struct {
 	// horizontal counting passes (one transaction read during one pass
 	// counts once, so a level counted over the full database adds N).
 	TransactionsScanned int `json:"transactions_scanned"`
-	// PostingsProbed counts posting-list entries touched by vertical
-	// (inverted-index) candidate counting — the intersect/multiply work the
-	// vertical plan pays instead of transaction scans.
+	// PostingsProbed counted posting-list entries touched by the retired
+	// vertical counting plan. It is always 0 now; it stays only because
+	// the answer fingerprints and explain goldens print the whole struct,
+	// and goes with the benchmark's algo.postings_probed metric.
 	PostingsProbed int `json:"postings_probed"`
-	// HorizontalPlans / VerticalPlans count per-level plan decisions made
-	// by the horizontal-vs-vertical counting crossover, so an EXPLAIN can
-	// report which physical plan each level executed.
+	// HorizontalPlans counts counting passes, one per Apriori-framework
+	// level, so an EXPLAIN can report each level's counting plan.
+	// VerticalPlans is always 0 now (the vertical plan was retired); it
+	// goes with PostingsProbed and the benchmark's algo.vertical_plans.
 	HorizontalPlans int `json:"horizontal_plans"`
 	VerticalPlans   int `json:"vertical_plans"`
 	// PeakTrackedBytes is a coarse, algorithm-reported measure of the

@@ -11,12 +11,14 @@ import "unsafe"
 //
 // TIDs are view-relative: for a Slice they index the slice's transactions
 // [0, N), not the parent's. The index is built lazily by Database.Vertical
-// and shared read-only by every miner on that view.
+// and shared read-only by every caller on that view. No miner reads it: the
+// counting pass is the horizontal trie scan, and the remaining caller is
+// the benchmark's kernel replay (perfbench/replay.go), which intersects
+// verified candidates' postings with kernel.KWay.
 type VerticalIndex struct {
-	numItems int
-	tids     []uint32
-	probs    []float64
-	offs     []uint32 // len numItems+1; item i spans [offs[i], offs[i+1])
+	tids  []uint32
+	probs []float64
+	offs  []uint32 // len db.NumItems+1; item i spans [offs[i], offs[i+1])
 }
 
 // Vertical returns the view's vertical index, building it on first use
@@ -39,10 +41,9 @@ func buildVertical(db *Database) *VerticalIndex {
 	}
 	offs[db.NumItems] = total
 	v := &VerticalIndex{
-		numItems: db.NumItems,
-		tids:     make([]uint32, total),
-		probs:    make([]float64, total),
-		offs:     offs,
+		tids:  make([]uint32, total),
+		probs: make([]float64, total),
+		offs:  offs,
 	}
 	cursor := make([]uint32, db.NumItems)
 	copy(cursor, offs[:db.NumItems])
@@ -58,9 +59,6 @@ func buildVertical(db *Database) *VerticalIndex {
 	}
 	return v
 }
-
-// NumItems returns the item universe size the index covers.
-func (v *VerticalIndex) NumItems() int { return v.numItems }
 
 // Postings returns item it's TID list (ascending) and the parallel
 // existential probabilities. Both slices alias the index and are read-only.

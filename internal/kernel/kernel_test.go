@@ -51,38 +51,6 @@ func aggEqual(t *testing.T, label string, got, want Agg, compareProbes bool) {
 	}
 }
 
-// TestPairMatchesScalar pins the optimized pair kernel bitwise — including
-// the probe count — to the scalar reference across random shapes, with the
-// edge shapes (empty, single-TID, disjoint, identical) forced in.
-func TestPairMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	shapes := [][2]int{{0, 0}, {0, 5}, {5, 0}, {1, 1}, {1, 100}, {100, 1}}
-	for trial := 0; trial < 400; trial++ {
-		var na, nb int
-		if trial < len(shapes) {
-			na, nb = shapes[trial][0], shapes[trial][1]
-		} else {
-			na, nb = rng.Intn(300), rng.Intn(300)
-		}
-		span := 1 + rng.Intn(2000)
-		a, b := genList(rng, na, span), genList(rng, nb, span)
-		for _, chunk := range []int{512, 1024, 7} {
-			for _, collect := range []bool{false, true} {
-				got := Pair(a, b, chunk, collect)
-				want := PairScalar(a, b, chunk, collect)
-				aggEqual(t, "pair", got, want, true)
-			}
-		}
-	}
-	// Identical lists: every entry matches.
-	l := genList(rng, 200, 400)
-	got, want := Pair(l, l, 512, true), PairScalar(l, l, 512, true)
-	aggEqual(t, "pair/self", got, want, true)
-	if len(got.Probs) != len(l.TIDs) {
-		t.Fatalf("self-intersection collected %d probs, want %d", len(got.Probs), len(l.TIDs))
-	}
-}
-
 // TestKWayMatchesScalar pins the optimized k-way kernel bitwise to the
 // scalar reference for k ∈ {2..5}, with empty and single-TID lists mixed in.
 func TestKWayMatchesScalar(t *testing.T) {
@@ -115,44 +83,25 @@ func TestKWayMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPairMatchesGenericKWay is the fast-path property: the k=2 pair merge
-// produces bit-identical aggregates to the generic k-way driver on the same
-// two lists. Probe accounting legitimately differs (the generic driver
-// counts driving entries and head comparisons, the merge counts merge
-// steps), so Probes is excluded — the aggregates and collected products are
-// the contract.
-func TestPairMatchesGenericKWay(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 400; trial++ {
-		na, nb := rng.Intn(200), rng.Intn(200)
-		if trial == 0 {
-			na, nb = 0, 0
-		}
-		if trial == 1 {
-			na, nb = 1, 1
-		}
-		span := 1 + rng.Intn(1000)
-		a, b := genList(rng, na, span), genList(rng, nb, span)
-		for _, collect := range []bool{false, true} {
-			got := Pair(a, b, 512, collect)
-			want := KWayScalar([]List{a, b}, 512, collect)
-			aggEqual(t, "pair-vs-generic", got, want, false)
-			scalar := PairScalar(a, b, 512, collect)
-			aggEqual(t, "pairscalar-vs-generic", scalar, want, false)
-		}
-	}
-}
-
 // TestChunkGroupingMatters documents that the chunk grouping is load-bearing:
 // for at least one random input the chunk-grouped sum differs bitwise from
 // the plain running sum, so "the kernels preserve the grouping" is a real
 // constraint, not a vacuous one.
 func TestChunkGroupingMatters(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	// Unquantized probabilities: genList's multiples of 1/64 make every
+	// product a multiple of 2^-12, and a few hundred of those sum exactly in
+	// float64 under any grouping, so they can never witness anything.
+	unquantized := func(l List) List {
+		for i := range l.Probs {
+			l.Probs[i] = rng.Float64()
+		}
+		return l
+	}
 	for trial := 0; trial < 200; trial++ {
-		l := genList(rng, 400, 3000)
-		m := genList(rng, 400, 3000)
-		grouped := PairScalar(l, m, 512, false)
+		l := unquantized(genList(rng, 400, 3000))
+		m := unquantized(genList(rng, 400, 3000))
+		grouped := KWayScalar([]List{l, m}, 512, false)
 		flat := 0.0
 		i, j := 0, 0
 		for i < len(l.TIDs) && j < len(m.TIDs) {
@@ -171,7 +120,7 @@ func TestChunkGroupingMatters(t *testing.T) {
 			return // found a witness: grouping changes bits
 		}
 	}
-	t.Skip("no grouping witness in 200 trials (all sums associated identically)")
+	t.Fatal("no grouping witness in 200 trials (all sums associated identically)")
 }
 
 // decodeLists turns fuzz bytes into two postings lists: each byte pair is a
@@ -197,28 +146,6 @@ func decodeLists(data []byte) (List, List) {
 		cur.Probs = append(cur.Probs, float64(1+int(data[i+1]%64))/64)
 	}
 	return a, b
-}
-
-// FuzzPairBitIdentity fuzzes the satellite property: the pair fast path
-// (optimized and scalar) stays bit-identical to the generic k-way reference
-// across arbitrary postings shapes, and the optimized pair stays fully
-// identical (probes included) to the scalar pair.
-func FuzzPairBitIdentity(f *testing.F) {
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{1, 2, 3, 4}, uint8(2))
-	f.Add([]byte{5, 60, 0xFF, 0xFF, 5, 60, 9, 1}, uint8(0))
-	f.Add([]byte{1, 1, 0xFF, 0xFF, 2, 2, 2, 3, 4, 4}, uint8(7))
-	f.Fuzz(func(t *testing.T, data []byte, chunkSel uint8) {
-		a, b := decodeLists(data)
-		chunkSize := 1 << (chunkSel % 12) // 1..2048
-		for _, collect := range []bool{false, true} {
-			opt := Pair(a, b, chunkSize, collect)
-			ref := PairScalar(a, b, chunkSize, collect)
-			aggEqual(t, "fuzz pair-vs-scalar", opt, ref, true)
-			gen := KWayScalar([]List{a, b}, chunkSize, collect)
-			aggEqual(t, "fuzz pair-vs-generic", ref, gen, false)
-		}
-	})
 }
 
 // FuzzKWayBitIdentity fuzzes the optimized k-way kernel against the scalar

@@ -1,50 +1,10 @@
 package kernel
 
-// The scalar references the optimized kernels are pinned against: the
-// vertical plan's original loops, kept verbatim. They define the bits Pair
-// and KWay must reproduce, and exist only as test oracles.
+// The scalar reference the optimized k-way kernel is pinned against: the
+// original intersection loop, kept verbatim. It defines the bits KWay must
+// reproduce, and exists only as a test oracle.
 
-// PairScalar is the reference two-pointer merge — the vertical plan's
-// original pair loop.
-func PairScalar(a, b List, chunkSize int, collect bool) Agg {
-	var out Agg
-	atids, aprobs := a.TIDs, a.Probs
-	btids, bprobs := b.TIDs, b.Probs
-	chunkEsup, chunkVar := 0.0, 0.0
-	chunk := -1
-	i, j := 0, 0
-	for i < len(atids) && j < len(btids) {
-		at, bt := atids[i], btids[j]
-		out.Probes++
-		switch {
-		case at < bt:
-			i++
-		case bt < at:
-			j++
-		default:
-			p := aprobs[i] * bprobs[j]
-			if c := int(at) / chunkSize; c != chunk {
-				out.ESup += chunkEsup
-				out.Var += chunkVar
-				chunkEsup, chunkVar = 0, 0
-				chunk = c
-			}
-			chunkEsup += p
-			chunkVar += p * (1 - p)
-			if collect {
-				out.Probs = append(out.Probs, p)
-			}
-			i++
-			j++
-		}
-	}
-	out.ESup += chunkEsup
-	out.Var += chunkVar
-	return out
-}
-
-// KWayScalar is the reference k-way intersection — the vertical plan's
-// original loop.
+// KWayScalar is the reference k-way intersection.
 func KWayScalar(lists []List, chunkSize int, collect bool) Agg {
 	var out Agg
 	k := len(lists)

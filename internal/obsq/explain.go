@@ -39,7 +39,7 @@ type Explanation struct {
 	ElapsedMS float64          `json:"elapsed_ms"`
 	Totals    core.MiningStats `json:"totals"`
 	// Sched is the execution-layer breakdown — work-stealing scheduler
-	// traffic and postings-kernel dispatch — when the run's miners reported
+	// traffic — when the run's miners reported
 	// one (core.PhaseExec). Unlike Totals it describes how the run executed,
 	// not what it computed: the counters vary with worker count and steal
 	// timing while the mined bits do not.

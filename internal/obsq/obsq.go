@@ -2,10 +2,9 @@
 // package telemetry answers "where did this request spend its time" with
 // span trees and process metrics, obsq answers "why was this query slow" —
 // which execution path it took (cache hit, monotone filter, incremental
-// ledger, scatter-gather, local fallback), which physical plan each counting
-// pass chose (horizontal scan vs vertical postings intersection), what it
-// scanned and pruned per level, and what the shard RPCs cost in attempts and
-// bytes.
+// ledger, scatter-gather, local fallback), which steps ran a counting pass,
+// what it scanned and pruned per level, and what the shard RPCs cost in
+// attempts and bytes.
 //
 // Two pieces:
 //
@@ -41,9 +40,10 @@ type Step struct {
 	// Level is the candidate length (level), rooting prefix depth (subtree)
 	// or 1-based partition ordinal (partition).
 	Level int `json:"level"`
-	// Plan names the counting plan the step's passes executed: "horizontal",
-	// "vertical", "mixed" (both within one step) or "" when the step ran no
-	// counting pass.
+	// Plan names the counting plan the step's passes executed:
+	// "horizontal", or "" when the step ran no counting pass. The
+	// "vertical" and "mixed" labels remain for MiningStats.VerticalPlans,
+	// which is always 0 since the vertical plan was retired.
 	Plan string `json:"plan,omitempty"`
 	// ElapsedMS covers the interval since the previous checkpoint.
 	ElapsedMS float64 `json:"elapsed_ms"`

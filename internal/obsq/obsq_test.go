@@ -105,10 +105,10 @@ func TestCollectorExecFold(t *testing.T) {
 		t.Error("fresh collector reports exec counters")
 	}
 	fn(core.ProgressEvent{Phase: core.PhaseExec, Exec: core.ExecStats{
-		TasksSpawned: 10, TasksStolen: 3, KernelIntersects: 100,
+		TasksSpawned: 10, TasksStolen: 3,
 	}})
 	fn(core.ProgressEvent{Phase: core.PhaseExec, Exec: core.ExecStats{
-		TasksSpawned: 4, ForksInline: 2, KernelIntersects: 5,
+		TasksSpawned: 4, TasksStolen: 1, ForksInline: 2,
 	}})
 	fn(core.ProgressEvent{Phase: core.PhaseShardRetry, Level: 1})
 	steps, _, _ := col.Snapshot()
@@ -120,7 +120,7 @@ func TestCollectorExecFold(t *testing.T) {
 	if ex.Sched == nil {
 		t.Fatal("exec counters not recorded")
 	}
-	want := core.ExecStats{TasksSpawned: 14, TasksStolen: 3, ForksInline: 2, KernelIntersects: 105}
+	want := core.ExecStats{TasksSpawned: 14, TasksStolen: 4, ForksInline: 2}
 	if *ex.Sched != want {
 		t.Errorf("exec = %+v, want %+v", *ex.Sched, want)
 	}

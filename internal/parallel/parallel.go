@@ -159,8 +159,8 @@ const (
 	// plus an 8-byte probability.
 	spanBytesPerUnit = 12
 	// chunkTargetBytes is the per-chunk working-set budget, ≈ half of a
-	// typical 512 KiB L2 slice — the rest is left to the candidate trie or
-	// postings cursors sharing the cache.
+	// typical 512 KiB L2 slice — the rest is left to the candidate trie
+	// sharing the cache.
 	chunkTargetBytes = 256 << 10
 	// minShardsWide keeps at least this many chunks on large inputs even
 	// when rows are very narrow, so the fixed-chunk pool retains work to
@@ -174,8 +174,7 @@ const (
 // clamped to [ChunkSizeFor(n), ⌈n/minShardsWide⌉]. The result is a pure
 // function of the view's shape (n, units) — never the worker count — so the
 // chunk layout and the partial-sum grouping it pins are identical for every
-// Workers value, and both counting plans (horizontal chunks, vertical
-// per-chunk flushes) derive the same grouping from the same view.
+// Workers value.
 //
 // The lower clamp keeps ChunkSizeForSpan a refinement of ChunkSizeFor: it
 // can only merge the fixed layout's chunks (fewer, larger), never split

@@ -175,6 +175,98 @@ func FuzzDecodeTransactions(f *testing.F) {
 	})
 }
 
+// FuzzPushBody POSTs arbitrary bytes to /push on a shard holding a small
+// slice. The handler must never panic and must answer 200, 400 or 409. A
+// 200 leaves the pushed dataset holding a slice whose length matches its
+// range and whose hash is the FNV hash of what it holds — the invariant the
+// coordinator's delta pushes trust. A 400 or 409 leaves every held slice
+// exactly as it was.
+func FuzzPushBody(f *testing.F) {
+	base := core.MustNewDatabase("d", [][]core.Unit{
+		{{Item: 0, Prob: 0.5}, {Item: 3, Prob: 1}},
+		{},
+		{{Item: 2, Prob: 0.25}},
+	})
+	baseHash := TxHash(base, base.N())
+	install := PushRequest{Dataset: "d", Version: 1, Hi: base.N(), NumItems: 4, Transactions: encodeTransactions(base, 0, base.N())}
+	seeds := []PushRequest{
+		install,
+		{Dataset: "d", Version: 2, Hi: 4, NumItems: 5, Append: true, BaseN: 3, BaseHash: baseHash, Transactions: []string{"4:0.75"}},
+		{Dataset: "d", Version: 2, Hi: 3, NumItems: 4, Append: true, BaseN: 3, BaseHash: baseHash},
+		{Dataset: "d", Version: 2, Hi: 4, Append: true, BaseN: 3, BaseHash: baseHash + 1, Transactions: []string{"1:1"}},
+		{Dataset: "d", Version: 2, Lo: 1, Hi: 2, Transactions: []string{"1:0.5", "2:0.5"}},
+		{Dataset: "e", Version: 1, Hi: 1, Transactions: []string{"7:2"}},
+	}
+	for _, req := range seeds {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"dataset":"d","hi":-1}`))
+	f.Add([]byte("not json"))
+	installBody, err := json.Marshal(install)
+	if err != nil {
+		f.Fatal(err)
+	}
+	post := func(h http.Handler, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathPush, bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ss := NewShardServer(ShardConfig{})
+		h := ss.Handler()
+		if rec := post(h, installBody); rec.Code != http.StatusOK {
+			t.Fatalf("installing the base slice: HTTP %d %s", rec.Code, rec.Body)
+		}
+		before := map[string]*heldSlice{}
+		ss.mu.RLock()
+		for name, hs := range ss.held {
+			before[name] = hs
+		}
+		ss.mu.RUnlock()
+
+		rec := post(h, body)
+		ss.mu.RLock()
+		defer ss.mu.RUnlock()
+		switch rec.Code {
+		case http.StatusOK:
+			var resp PushResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("decoding 200 push response: %v", err)
+			}
+			hs := ss.held[resp.Dataset]
+			if hs == nil {
+				t.Fatalf("200 push installed nothing for %q", resp.Dataset)
+			}
+			if hs.db.N() != hs.hi-hs.lo {
+				t.Fatalf("held slice [%d,%d) holds %d transactions", hs.lo, hs.hi, hs.db.N())
+			}
+			if want := TxHash(hs.db, hs.db.N()); hs.hash != want {
+				t.Fatalf("held hash %#x, want TxHash %#x", hs.hash, want)
+			}
+			for name, old := range before {
+				if name != resp.Dataset && ss.held[name] != old {
+					t.Fatalf("push to %q replaced the slice of %q", resp.Dataset, name)
+				}
+			}
+		case http.StatusBadRequest, http.StatusConflict:
+			if len(ss.held) != len(before) {
+				t.Fatalf("HTTP %d push changed the held datasets: %d -> %d", rec.Code, len(before), len(ss.held))
+			}
+			for name, old := range before {
+				if ss.held[name] != old {
+					t.Fatalf("HTTP %d push replaced the slice of %q", rec.Code, name)
+				}
+			}
+		default:
+			t.Fatalf("push answered HTTP %d: %s", rec.Code, rec.Body)
+		}
+	})
+}
+
 // TestEncodeTransactionsMatchesWriteUncertain pins the one item:prob line
 // format at its extremes — probabilities 1, the smallest subnormal, 0.1 and
 // the largest float64 below 1, item ids up to dataset.MaxItems−1, empty
